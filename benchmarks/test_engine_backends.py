@@ -1,11 +1,10 @@
-"""Smoke benchmarks for the pooled execution backends.
+"""Smoke benchmark for the pooled process backend.
 
-CI's benchmark smoke step exercises :class:`ProcessPoolBackend` and
-:class:`DevicePoolBackend` once each (selected via ``-k "throughput or
-backend_smoke"``): one small mixed batch per backend, checked against
-inline dispatch for identical matchings.  These are correctness-under-
-deployment probes, not timed benchmarks — the timed service numbers live in
-``test_service_throughput.py``.
+CI's benchmark smoke step exercises :class:`ProcessPoolBackend` once
+(selected via ``-k "throughput or backend_smoke"``): one small mixed batch,
+checked against inline dispatch for identical matchings.  This is a
+correctness-under-deployment probe, not a timed benchmark — the timed
+service numbers live in ``test_service_throughput.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import DevicePoolBackend, Engine, MatchingJob, ProcessPoolBackend
+from repro.engine import Engine, MatchingJob, ProcessPoolBackend
 from repro.generators.suite import generate_instance
 
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "20130421"))
@@ -40,7 +39,6 @@ def inline_reference(jobs):
     "make_backend",
     [
         pytest.param(lambda: ProcessPoolBackend(max_workers=2), id="process"),
-        pytest.param(lambda: DevicePoolBackend(devices=2), id="device"),
     ],
 )
 def test_backend_smoke(make_backend, jobs, inline_reference):

@@ -2,11 +2,10 @@
 
 The linter encodes the invariants the repo's subsystems rely on but which
 generic tools cannot know about — deterministic solver modules, lock-guarded
-engine/server state, the PR 5 hot-path accessor convention, the failure
-capture contract of the engine, and the deprecated ``ALGORITHMS`` mapping.
-Each invariant is one rule with a stable ``RPR0xx`` code (the catalog lives
-in :mod:`repro.analysis.rules` and is documented in
-``docs/static-analysis.md``).
+engine/server state, the PR 5 hot-path accessor convention and the failure
+capture contract of the engine.  Each invariant is one rule with a stable
+``RPR0xx`` code (the catalog lives in :mod:`repro.analysis.rules` and is
+documented in ``docs/static-analysis.md``).
 
 This module is dependency-free (stdlib only) on purpose: the CI ``lint-deep``
 job runs it on a numpy-only minimal install.

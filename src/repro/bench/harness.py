@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.api import ExecutionPlan, resolve_algorithm
-from repro.engine import Engine, ExecutionBackend, MatchingJob, create_backend
+from repro.engine import Engine, ExecutionBackend, MatchingJob
 from repro.generators.suite import SUITE_SPECS, SuiteInstance, generate_instance
 from repro.gpusim.costmodel import CpuCostModel
 from repro.gpusim.device import DeviceSpec, VirtualGPU
@@ -140,10 +140,8 @@ class SuiteRunner:
     backend:
         Execution backend the runner's :class:`~repro.engine.Engine` uses
         for :class:`~repro.core.api.ExecutionPlan` algorithms: a name
-        (``"inline"`` default, ``"thread"``, ``"process"``, ``"device"``) or
-        a ready :class:`~repro.engine.backends.ExecutionBackend`.  A
-        ``"device"`` backend pools devices from ``device_factory``, so runs
-        stay on the reference device.
+        (``"inline"`` default, ``"thread"``, ``"process"``) or a ready
+        :class:`~repro.engine.backends.ExecutionBackend`.
     """
 
     profile: str = "small"
@@ -158,10 +156,7 @@ class SuiteRunner:
             self.algorithms = _default_algorithms(self.device_factory)
         # The runner owns (and close() tears down) a backend built from a
         # name; a caller-supplied ExecutionBackend instance is left running.
-        self._engine = Engine(
-            backend=create_backend(self.backend, device_factory=self.device_factory),
-            own_backend=isinstance(self.backend, str),
-        )
+        self._engine = Engine(backend=self.backend)
 
     def close(self) -> None:
         """Shut down the runner's engine (pooled backends hold workers)."""

@@ -549,7 +549,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         plan = resolve_algorithm(algorithm)
         with Engine(backend=args.backend or "inline", max_workers=args.workers or None) as engine:
             # Delegated batch repairs run as engine jobs, so --backend moves
-            # the recompute onto a thread / process / device pool.
+            # the recompute onto a thread or process pool.
             def recompute(snapshot, initial):
                 job = MatchingJob(graph=snapshot, algorithm=algorithm)
                 return engine.run(job, plan=plan, initial_matching=initial)
@@ -949,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--manifest", required=True,
                        help="path to a JSONL job manifest ('-' for stdin)")
     batch.add_argument("--workers", type=int, default=0,
-                       help="worker/device-pool size for cache misses (0 = in-process)")
+                       help="worker pool size for cache misses (0 = in-process)")
     batch.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                        help="execution backend (default: inline, or process when --workers > 0)")
     batch.add_argument("--format", default="jsonl", choices=("jsonl", "json"),
@@ -1008,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                         help="engine backend executing delegated recomputes (default: inline)")
     stream.add_argument("--workers", type=int, default=0,
-                        help="worker/device-pool size for the engine backend")
+                        help="worker pool size for the engine backend")
     stream.add_argument("--format", default="jsonl", choices=("jsonl", "json"),
                         help="jsonl: one JSON object per event; json: one structured document")
     stream.add_argument("--profile", default="small")

@@ -12,11 +12,6 @@ steps:
 2. :meth:`ExecutionPlan.run` executes the plan on a graph (optionally from a
    warm-start matching).  Plans are immutable and graph-independent, so one
    plan can be reused across a whole batch of graphs.
-
-The legacy ``ALGORITHMS`` callable mapping is deprecated: accessing it emits
-a :class:`DeprecationWarning` and returns a thin view onto the same pipeline
-(each value is ``resolve_algorithm(name, **kwargs).run(graph, initial)``
-behind a plain callable).  Enumerate :data:`SPECS` instead.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import enum
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -539,35 +533,3 @@ def max_bipartite_matching(
     True
     """
     return resolve_algorithm(algorithm, **kwargs).run(graph, initial)
-
-
-# ------------------------------------------------- deprecated legacy registry
-def _registry_callable(key: str) -> Callable[..., MatchingResult]:
-    def run(graph, initial=None, **kwargs):
-        return resolve_algorithm(key, **kwargs).run(graph, initial)
-
-    run.__name__ = f"run_{key.replace('-', '_')}"
-    run.__qualname__ = run.__name__
-    run.__doc__ = f"Dispatch {key!r} through :func:`resolve_algorithm`."
-    return run
-
-
-#: Built on first deprecated access and then reused, so legacy code relying
-#: on a stable mapping (mutation, identity of the wrappers) keeps working.
-_LEGACY_ALGORITHMS: dict[str, Callable[..., MatchingResult]] | None = None
-
-
-def __getattr__(name: str) -> Any:
-    # PEP 562 shim: the old ALGORITHMS callable mapping still works but warns.
-    if name == "ALGORITHMS":
-        warnings.warn(
-            "repro.core.api.ALGORITHMS is deprecated; enumerate SPECS or call "
-            "resolve_algorithm(name, **kwargs).run(graph, initial) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        global _LEGACY_ALGORITHMS
-        if _LEGACY_ALGORITHMS is None:
-            _LEGACY_ALGORITHMS = {key: _registry_callable(key) for key in SPECS}
-        return _LEGACY_ALGORITHMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

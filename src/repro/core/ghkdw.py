@@ -263,6 +263,6 @@ def ghkdw_matching(
         "G-HKDW",
         Matching(np.asarray(mu_row), np.asarray(mu_col)),
         counters=counters,
-        modeled_time=gpu.ledger.total_seconds,
+        modeled_time=gpu.ledger.kernel_seconds,
         wall_time=wall,
     )

@@ -203,7 +203,7 @@ def gpr_matching(
         f"G-PR-{variant.value}",
         Matching(np.asarray(state.mu_row), np.asarray(state.mu_col)),
         counters=counters,
-        modeled_time=gpu.ledger.total_seconds,
+        modeled_time=gpu.ledger.kernel_seconds,
         wall_time=wall,
     )
 

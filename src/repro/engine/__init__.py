@@ -12,19 +12,19 @@ the library's execution surface the same shape:
 * :class:`~repro.engine.handles.JobHandle` — a future with typed status
   (``ok`` / ``failed`` / ``cancelled`` / ``timeout``) and captured errors,
   so one raising job never aborts its batch;
-* five :class:`~repro.engine.backends.ExecutionBackend` implementations:
+* three :class:`~repro.engine.backends.ExecutionBackend` implementations
+  that differ only in how they schedule work:
   :class:`~repro.engine.backends.InlineBackend` (synchronous),
-  :class:`~repro.engine.backends.ThreadBackend` (persistent thread pool),
-  :class:`~repro.engine.process.ProcessPoolBackend` (persistent process
-  pool shipping resolved plans, true per-job timings),
-  :class:`~repro.engine.device.DevicePoolBackend` (multiplexes jobs over a
-  pool of :class:`~repro.gpusim.VirtualGPU` instances) and
-  :class:`~repro.engine.backends.CompiledBackend` (synchronous, but
-  requires the numba-compiled kernel tier and pre-compiles every twin).
+  :class:`~repro.engine.backends.ThreadBackend` (persistent thread pool)
+  and :class:`~repro.engine.process.ProcessPoolBackend` (persistent process
+  pool shipping resolved plans, true per-job timings).
 
 All backends produce bit-identical :class:`~repro.matching.MatchingResult`
-objects for the same job list.  The batched :mod:`repro.service` is a thin
-caching facade over this package.
+objects for the same job list.  Every run of a GPU plan charges a fresh
+:class:`~repro.gpusim.VirtualGPU` cost ledger, and the compiled kernel tier
+is picked per function by :mod:`repro.compiled.dispatch`, so neither needs
+a backend of its own.  The batched :mod:`repro.service` is a thin caching
+facade over this package.
 
 Quickstart
 ----------
@@ -38,13 +38,7 @@ Quickstart
 True
 """
 
-from repro.engine.backends import (
-    CompiledBackend,
-    ExecutionBackend,
-    InlineBackend,
-    ThreadBackend,
-)
-from repro.engine.device import DevicePoolBackend
+from repro.engine.backends import ExecutionBackend, InlineBackend, ThreadBackend
 from repro.engine.engine import (
     BACKEND_NAMES,
     Engine,
@@ -68,8 +62,6 @@ from repro.engine.process import ProcessPoolBackend
 
 __all__ = [
     "BACKEND_NAMES",
-    "CompiledBackend",
-    "DevicePoolBackend",
     "Engine",
     "EngineSaturatedError",
     "ExecutionBackend",

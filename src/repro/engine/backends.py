@@ -4,9 +4,8 @@ An :class:`ExecutionBackend` receives :class:`~repro.engine.handles.JobHandle`
 objects and fulfils them; it never raises for a failing job — runner errors
 are captured on the handle, which is what makes batches failure-isolated.
 This module holds the protocol, the shared :func:`run_handle` driver and the
-in-process backends (:class:`InlineBackend`, :class:`ThreadBackend`,
-:class:`CompiledBackend`); the process- and device-pool backends live in
-:mod:`repro.engine.process` and :mod:`repro.engine.device`.
+in-process backends (:class:`InlineBackend`, :class:`ThreadBackend`); the
+process-pool backend lives in :mod:`repro.engine.process`.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
-from repro.core.api import ExecutionPlan
 from repro.engine import execution
 from repro.engine.handles import JobFailure, JobHandle, JobStatus
 
 __all__ = [
-    "CompiledBackend",
     "ExecutionBackend",
     "InlineBackend",
     "PooledBackend",
@@ -47,21 +44,17 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover - protocol stub
 
 
-def run_handle(handle: JobHandle, worker: str, plan: ExecutionPlan | None = None) -> None:
+def run_handle(handle: JobHandle, worker: str) -> None:
     """Execute one handle in the current thread, capturing any runner failure.
 
-    ``plan`` overrides the handle's own plan (the device-pool backend
-    substitutes a plan bound to a pooled device).  The execution call goes
-    through the :mod:`repro.engine.execution` module attribute so test
-    monkeypatching reaches every in-process backend.
+    The execution call goes through the :mod:`repro.engine.execution` module
+    attribute so test monkeypatching reaches every in-process backend.
     """
     if not handle._mark_running(worker):
         return
     started = time.perf_counter()
     try:
-        result = execution.execute_job(
-            handle.job, plan if plan is not None else handle.plan, handle.initial_matching
-        )
+        result = execution.execute_job(handle.job, handle.plan, handle.initial_matching)
     except Exception as exc:
         handle._finish(
             JobStatus.FAILED,
@@ -87,37 +80,6 @@ class InlineBackend:
     """
 
     name = "inline"
-
-    def submit(self, handle: JobHandle) -> None:
-        run_handle(handle, self.name)
-
-    def shutdown(self, wait: bool = True) -> None:
-        pass
-
-
-class CompiledBackend:
-    """Synchronous execution with the numba-compiled kernel tier guaranteed.
-
-    Behaves like :class:`InlineBackend` at submit time — the hot kernels
-    already dispatch to their compiled twins on *every* backend whenever
-    numba is importable (see :mod:`repro.compiled.dispatch`) — but makes
-    the compiled tier an explicit requirement: construction fails with an
-    actionable error when numba is missing instead of silently running the
-    NumPy paths, and warms (compiles) every registered twin up front so no
-    submitted job pays one-time JIT cost.
-    """
-
-    name = "compiled"
-
-    def __init__(self) -> None:
-        from repro.compiled import dispatch
-
-        if not dispatch.NUMBA_AVAILABLE:
-            raise ValueError(
-                "backend 'compiled' requires numba, which is not installed; "
-                "install the compiled extra: pip install 'repro-gpr-matching[compiled]'"
-            )
-        dispatch.warm_up()
 
     def submit(self, handle: JobHandle) -> None:
         run_handle(handle, self.name)

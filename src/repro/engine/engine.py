@@ -27,13 +27,7 @@ import weakref
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.api import ExecutionPlan
-from repro.engine.backends import (
-    CompiledBackend,
-    ExecutionBackend,
-    InlineBackend,
-    ThreadBackend,
-)
-from repro.engine.device import DevicePoolBackend
+from repro.engine.backends import ExecutionBackend, InlineBackend, ThreadBackend
 from repro.engine.execution import check_warm_start, resolve_job_plan
 from repro.engine.handles import JobHandle, JobStatus
 from repro.engine.job import MatchingJob
@@ -49,7 +43,7 @@ __all__ = [
 ]
 
 #: Registry names accepted by :func:`create_backend` / ``Engine(backend=...)``.
-BACKEND_NAMES = ("inline", "thread", "process", "device", "compiled")
+BACKEND_NAMES = ("inline", "thread", "process")
 
 
 class EngineSaturatedError(RuntimeError):
@@ -65,14 +59,10 @@ def create_backend(
     backend: str | ExecutionBackend = "inline",
     *,
     max_workers: int | None = None,
-    devices=None,
-    device_factory=None,
 ) -> ExecutionBackend:
     """Build an :class:`ExecutionBackend` from a name (or pass one through).
 
-    ``max_workers`` sizes the thread / process pools; ``devices`` (falling
-    back to ``max_workers``) sizes the device pool, whose devices come from
-    ``device_factory`` when given.
+    ``max_workers`` sizes the thread / process pools.
     """
     if not isinstance(backend, str):
         if isinstance(backend, ExecutionBackend):
@@ -83,16 +73,10 @@ def create_backend(
     key = backend.strip().lower()
     if key == "inline":
         return InlineBackend()
-    if key == "compiled":
-        return CompiledBackend()
     if key == "thread":
         return ThreadBackend(max_workers=max_workers)
     if key == "process":
         return ProcessPoolBackend(max_workers=max_workers)
-    if key == "device":
-        if devices is None:
-            devices = max_workers if max_workers is not None else 2
-        return DevicePoolBackend(devices=devices, device_factory=device_factory)
     raise ValueError(f"unknown backend {backend!r}; available: {', '.join(BACKEND_NAMES)}")
 
 
@@ -130,10 +114,9 @@ class Engine:
     Parameters
     ----------
     backend:
-        A backend name (``"inline"`` / ``"thread"`` / ``"process"`` /
-        ``"device"`` / ``"compiled"``) or a ready :class:`ExecutionBackend`
-        instance.
-    max_workers / devices / device_factory:
+        A backend name (``"inline"`` / ``"thread"`` / ``"process"``) or a
+        ready :class:`ExecutionBackend` instance.
+    max_workers:
         Forwarded to :func:`create_backend` when ``backend`` is a name.
     default_timeout:
         Deadline in seconds applied to every job submitted without an
@@ -154,20 +137,13 @@ class Engine:
         backend: str | ExecutionBackend = "inline",
         *,
         max_workers: int | None = None,
-        devices=None,
-        device_factory=None,
         default_timeout: float | None = None,
         max_inflight: int | None = None,
         own_backend: bool | None = None,
     ) -> None:
         if max_inflight is not None and max_inflight <= 0:
             raise ValueError("max_inflight must be positive (or None for unbounded)")
-        self.backend = create_backend(
-            backend,
-            max_workers=max_workers,
-            devices=devices,
-            device_factory=device_factory,
-        )
+        self.backend = create_backend(backend, max_workers=max_workers)
         self.default_timeout = default_timeout
         self.max_inflight = max_inflight
         self.jobs_submitted = 0

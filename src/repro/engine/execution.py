@@ -1,7 +1,7 @@
 """The engine's single execution path over the shared dispatch pipeline.
 
-Every backend — inline, thread pool, process pool, device pool — funnels
-through :func:`execute_job`, so batch, streaming and serial dispatch are
+Every backend — inline, thread pool, process pool — funnels through
+:func:`execute_job`, so batch, streaming and serial dispatch are
 bit-identical.  Tests monkeypatch this module's ``execute_job`` attribute to
 count (or sabotage) actual computations; backends therefore always call it
 through the module, never through a captured reference.

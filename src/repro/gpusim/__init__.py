@@ -15,9 +15,8 @@ This package provides both:
 
 * :class:`~repro.gpusim.device.DeviceSpec` /
   :class:`~repro.gpusim.device.VirtualGPU` — the device description (SM
-  count, cores, clock, launch overhead) and a handle that owns device arrays
-  and the cost ledger;
-* :class:`~repro.gpusim.arrays.DeviceArray` — host/device transfer tracking;
+  count, cores, clock, launch overhead) and a handle that owns the cost
+  ledger of one run;
 * :mod:`~repro.gpusim.kernel` — the two execution engines: ``lockstep``
   (vectorised: all reads see the launch-time snapshot, conflicting writes are
   resolved last-writer-wins) and ``serialized`` (a per-thread reference
@@ -27,25 +26,21 @@ This package provides both:
   under either engine.
 * :mod:`~repro.gpusim.costmodel` — converts per-launch work vectors into
   modelled seconds;
-* :mod:`~repro.gpusim.primitives` — device-style prefix-sum / reduction used
-  by the shrink kernel, with their own cost accounting.
+* :mod:`~repro.gpusim.primitives` — the device-style prefix sum used by the
+  shrink kernel, with its own cost accounting.
 """
 
-from repro.gpusim.arrays import DeviceArray
 from repro.gpusim.costmodel import CostLedger, GpuCostModel, KernelStats
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.gpusim.kernel import launch_serialized
-from repro.gpusim.primitives import device_exclusive_scan, device_reduce_max, device_reduce_sum
+from repro.gpusim.primitives import device_exclusive_scan
 
 __all__ = [
     "DeviceSpec",
     "VirtualGPU",
-    "DeviceArray",
     "GpuCostModel",
     "CostLedger",
     "KernelStats",
     "launch_serialized",
     "device_exclusive_scan",
-    "device_reduce_sum",
-    "device_reduce_max",
 ]

@@ -24,10 +24,9 @@ modelled seconds with three ingredients:
 ``kernel_seconds = overhead + cycles_per_op × max(divergent_work / cores,
 max_thread_work) / clock``.
 
-The same ledger also accounts host↔device transfers (bytes / bandwidth),
-which the benchmark harness excludes by default — the paper measures
-matching time after the common greedy initialisation, with the graph already
-resident on the device.
+Host↔device transfers are not modelled: the paper measures matching time
+after the common greedy initialisation, with the graph already resident on
+the device, so a run's modelled time is its kernel time alone.
 """
 
 from __future__ import annotations
@@ -56,18 +55,11 @@ class CostLedger:
     """Accumulated modelled cost of a sequence of kernel launches."""
 
     launches: list[KernelStats] = field(default_factory=list)
-    transfer_bytes: int = 0
-    transfer_seconds: float = 0.0
 
     @property
     def kernel_seconds(self) -> float:
         """Total modelled kernel time."""
         return float(sum(k.seconds for k in self.launches))
-
-    @property
-    def total_seconds(self) -> float:
-        """Kernel time plus (optional) transfer time."""
-        return self.kernel_seconds + self.transfer_seconds
 
     @property
     def n_launches(self) -> int:
@@ -109,12 +101,16 @@ class CostLedger:
         return out
 
     def counters(self) -> dict:
-        """Flat counter dictionary for :class:`repro.matching.MatchingResult`."""
+        """Flat counter dictionary for :class:`repro.matching.MatchingResult`.
+
+        ``transfer_bytes`` is always ``0`` (transfers are not modelled); the
+        key stays so the counter schema of GPU results does not change.
+        """
         return {
             "kernel_launches": self.n_launches,
             "kernel_total_work": float(sum(k.total_work for k in self.launches)),
             "kernel_seconds": self.kernel_seconds,
-            "transfer_bytes": self.transfer_bytes,
+            "transfer_bytes": 0,
             "per_kernel_seconds": self.by_kernel(),
         }
 
@@ -167,11 +163,6 @@ class GpuCostModel:
         )
         ledger.launches.append(stats)
         return stats
-
-    def record_transfer(self, ledger: CostLedger, n_bytes: int) -> None:
-        """Account a host↔device copy of ``n_bytes``."""
-        ledger.transfer_bytes += int(n_bytes)
-        ledger.transfer_seconds += n_bytes / self.spec.pcie_bandwidth_bytes_per_s
 
 
 @dataclass(frozen=True)

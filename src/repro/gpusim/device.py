@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.gpusim.arrays import DeviceArray
 from repro.gpusim.costmodel import CostLedger, GpuCostModel
 
 __all__ = ["DeviceSpec", "VirtualGPU"]
@@ -35,7 +34,6 @@ class DeviceSpec:
     clock_ghz: float = 1.15
     kernel_launch_overhead_s: float = 6.0e-6
     cycles_per_op: float = 24.0
-    pcie_bandwidth_bytes_per_s: float = 6.0e9
 
     @property
     def total_cores(self) -> int:
@@ -84,16 +82,15 @@ class DeviceSpec:
 
 
 class VirtualGPU:
-    """A handle owning device arrays and the cost ledger of one algorithm run.
+    """A handle owning the cost ledger of one algorithm run.
+
+    Kernels work on plain host ndarrays and only their launches are charged
+    (see :mod:`repro.gpusim.costmodel`).
 
     Parameters
     ----------
     spec:
         Device description; default is the full Tesla C2050.
-    track_transfers:
-        When true, :meth:`to_device` / :meth:`to_host` copies are charged to
-        the ledger (off by default: the paper's timings start with the graph
-        resident on the device).
     shadow:
         Optional :class:`~repro.analysis.hazards.AccessLog`.  When set, the
         device hands out shadow-recording views (see :meth:`shadow_wrap`)
@@ -102,39 +99,11 @@ class VirtualGPU:
         race sanitizer.
     """
 
-    def __init__(
-        self,
-        spec: DeviceSpec | None = None,
-        track_transfers: bool = False,
-        shadow=None,
-    ) -> None:
+    def __init__(self, spec: DeviceSpec | None = None, shadow=None) -> None:
         self.spec = spec or DeviceSpec()
         self.model = GpuCostModel(self.spec)
         self.ledger = CostLedger()
-        self.track_transfers = track_transfers
         self.shadow = shadow
-
-    # ------------------------------------------------------------ memory ops
-    def to_device(self, host_array: np.ndarray, name: str = "array") -> DeviceArray:
-        """Copy a host array to the device."""
-        arr = DeviceArray(self.shadow_wrap(np.array(host_array, copy=True), name), name=name)
-        if self.track_transfers:
-            self.model.record_transfer(self.ledger, arr.nbytes)
-        return arr
-
-    def zeros(self, shape, dtype=np.int64, name: str = "zeros") -> DeviceArray:
-        """Allocate a zero-filled device array (no transfer cost)."""
-        return DeviceArray(self.shadow_wrap(np.zeros(shape, dtype=dtype), name), name=name)
-
-    def full(self, shape, value, dtype=np.int64, name: str = "full") -> DeviceArray:
-        """Allocate a constant-filled device array (no transfer cost)."""
-        return DeviceArray(self.shadow_wrap(np.full(shape, value, dtype=dtype), name), name=name)
-
-    def to_host(self, device_array: DeviceArray) -> np.ndarray:
-        """Copy a device array back to the host."""
-        if self.track_transfers:
-            self.model.record_transfer(self.ledger, device_array.nbytes)
-        return np.array(device_array.data, copy=True)
 
     # --------------------------------------------------------------- launches
     def charge_kernel(self, name: str, thread_work) -> None:
@@ -155,22 +124,18 @@ class VirtualGPU:
         self.model.record(self.ledger, name, np.asarray(thread_work, dtype=np.float64))
 
     # ------------------------------------------------------------ shadow mode
-    def shadow_wrap(self, array, name: str = "array"):
+    def shadow_wrap(self, array: np.ndarray, name: str = "array") -> np.ndarray:
         """Register ``array`` with the sanitizer, if shadow mode is on.
 
         Returns a recording :class:`~repro.analysis.hazards.ShadowArray` view
-        sharing the buffer; without shadow mode this is a no-op returning the
-        plain ndarray.  Accepts plain arrays and :class:`DeviceArray`.
+        sharing the buffer; without shadow mode this is a no-op returning
+        ``array`` itself.
         """
-        # ndarray.data is the buffer memoryview — only unwrap DeviceArray-like
-        # containers, never arrays themselves.
-        data = array if isinstance(array, np.ndarray) else getattr(array, "data", array)
-        base = np.asarray(data)
         if self.shadow is None:
-            return base
+            return array
         from repro.analysis.hazards import shadow_wrap
 
-        return shadow_wrap(base, name, self.shadow)
+        return shadow_wrap(array, name, self.shadow)
 
     def shadow_sync(self) -> None:
         """Declare a host-side synchronisation point to the sanitizer.
@@ -186,11 +151,7 @@ class VirtualGPU:
     @property
     def elapsed_seconds(self) -> float:
         """Modelled seconds accumulated so far."""
-        return self.ledger.total_seconds
-
-    def reset(self) -> None:
-        """Clear the ledger (arrays are unaffected)."""
-        self.ledger = CostLedger()
+        return self.ledger.kernel_seconds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualGPU(spec={self.spec.name}, launches={self.ledger.n_launches})"

@@ -44,10 +44,7 @@ def wave_barrier(*arrays) -> None:
     """
     seen: list = []
     for arr in arrays:
-        # ndarray.data is the buffer memoryview — only unwrap DeviceArray-like
-        # containers, never arrays themselves.
-        data = arr if isinstance(arr, np.ndarray) else getattr(arr, "data", arr)
-        log = getattr(data, "shadow_log", None)
+        log = getattr(arr, "shadow_log", None)
         if log is not None and not any(log is s for s in seen):
             seen.append(log)
             log.wave_barrier()

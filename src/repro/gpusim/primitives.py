@@ -1,9 +1,9 @@
-"""Device-style parallel primitives with cost accounting.
+"""Device-style parallel primitive with cost accounting.
 
 The shrink kernel of the paper (G-PR-SHRKRNL, §III-C2) compacts the active
 column list with a count pass, a parallel prefix sum over the per-thread
-counts, and a scatter pass into each thread's private output region.  These
-helpers provide the prefix sum / reductions together with the work vector a
+counts, and a scatter pass into each thread's private output region.  This
+module provides the prefix sum together with the work vector a
 work-efficient GPU implementation (Blelloch scan) would incur, so the cost
 model charges the compaction realistically.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["device_exclusive_scan", "device_reduce_sum", "device_reduce_max"]
+__all__ = ["device_exclusive_scan"]
 
 
 def _scan_work(n: int) -> np.ndarray:
@@ -41,17 +41,3 @@ def device_exclusive_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(values):
         np.cumsum(values[:-1], out=scan[1:])
     return scan, _scan_work(len(values))
-
-
-def device_reduce_sum(values: np.ndarray) -> tuple[float, np.ndarray]:
-    """Parallel sum reduction; returns the value and the per-thread work vector."""
-    values = np.asarray(values)
-    total = float(values.sum()) if len(values) else 0.0
-    return total, _scan_work(len(values)) / 2.0 if len(values) else np.zeros(0)
-
-
-def device_reduce_max(values: np.ndarray) -> tuple[float, np.ndarray]:
-    """Parallel max reduction; returns the value and the per-thread work vector."""
-    values = np.asarray(values)
-    peak = float(values.max()) if len(values) else 0.0
-    return peak, _scan_work(len(values)) / 2.0 if len(values) else np.zeros(0)

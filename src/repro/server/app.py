@@ -137,8 +137,8 @@ class MatchingServer:
     Parameters
     ----------
     backend / workers:
-        Engine execution backend (``"inline"`` / ``"thread"`` / ``"process"``
-        / ``"device"``) and its pool size.
+        Engine execution backend (``"inline"`` / ``"thread"`` / ``"process"``)
+        and its pool size.
     policy:
         The :class:`~repro.server.admission.QuotaPolicy`; its
         ``max_queue_depth`` is also installed as the engine's

@@ -26,10 +26,9 @@ class JobResult:
     ``"cancelled"`` / ``"timeout"``) with the captured ``error``; failed jobs
     carry ``result=None`` and never abort their batch.  ``cached`` tells
     whether the result was served without recomputation; ``worker`` records
-    where the computation ran (``"inline"``, ``"thread"``, ``"process"``,
-    ``"device:N"``), or ``"cache"`` for a cross-batch cache hit, or
-    ``"dedup"`` for a job that piggybacked on an identical job in the same
-    batch.
+    where the computation ran (``"inline"``, ``"thread"``, ``"process"``),
+    or ``"cache"`` for a cross-batch cache hit, or ``"dedup"`` for a job
+    that piggybacked on an identical job in the same batch.
     """
 
     job: MatchingJob

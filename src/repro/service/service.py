@@ -12,10 +12,10 @@ intra-batch deduplication, accounting — and delegates all execution to a
   :class:`~repro.service.cache.ResultCache` or persistent
   :class:`~repro.service.cache.DiskCache`) and within a batch (identical
   jobs are deduplicated and executed once);
-* cache misses run on the engine's backend — inline, thread pool,
-  persistent process pool, or a virtual-GPU device pool — and a job whose
-  runner raises is reported as ``status="failed"`` with its captured error
-  while its siblings complete normally.
+* cache misses run on the engine's backend — inline, thread pool or
+  persistent process pool — and a job whose runner raises is reported as
+  ``status="failed"`` with its captured error while its siblings complete
+  normally.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class MatchingService:
         or a caller-supplied :class:`ResultCache` / :class:`DiskCache` to
         share across services or processes.
     backend:
-        Execution backend name (``"inline"`` / ``"thread"`` / ``"process"``
-        / ``"device"``) or a ready
-        :class:`~repro.engine.backends.ExecutionBackend`.  Default: derived
+        Execution backend name (``"inline"`` / ``"thread"`` / ``"process"``)
+        or a ready :class:`~repro.engine.backends.ExecutionBackend`.  Default: derived
         from ``workers`` (``0`` → inline, ``n > 0`` → process pool).
     engine:
         A caller-owned :class:`~repro.engine.Engine` to execute on, mutually

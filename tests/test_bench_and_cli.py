@@ -151,6 +151,18 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     assert "amazon0505" in out
     assert "g-pr" in out
+    assert out.split("backends:\n", 1)[1].split() == ["inline", "thread", "process"]
+
+
+@pytest.mark.parametrize(
+    "command", [["batch", "--manifest", "-"], ["stream"], ["serve"]], ids=lambda c: c[0]
+)
+def test_cli_rejects_removed_backends(command, capsys):
+    for backend in ("device", "compiled"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--backend", backend])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_table1(capsys):

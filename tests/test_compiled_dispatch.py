@@ -3,8 +3,7 @@
 The parity tests run on every install: without numba the twins execute as
 plain Python (the identity ``jit`` fallback keeps them callable), so the
 scalar ports are proven bit-identical to the vectorized NumPy paths even in
-the numpy-only environment.  The ``requires_numba`` tests additionally pin
-behaviour that only exists with the ``[compiled]`` extra installed.
+the numpy-only environment.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.compiled import dispatch
 from repro.compiled.calibrate import CALIBRATION_SCHEMA, calibrate, default_instances
 from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
-from repro.engine import BACKEND_NAMES, CompiledBackend, Engine, create_backend
+from repro.engine import BACKEND_NAMES, Engine, MatchingJob, create_backend
 from repro.generators import (
     chung_lu_bipartite,
     grid_graph,
@@ -33,10 +32,6 @@ from repro.graph.frontier import (
     multi_source_bfs,
 )
 from repro.seq.greedy import cheap_matching
-
-requires_numba = pytest.mark.skipif(
-    not dispatch.NUMBA_AVAILABLE, reason="numba not installed (the [compiled] extra)"
-)
 
 # Four generator families x seeds: distinct degree structure so the twins
 # are exercised over uniform, scale-free, power-law and mesh regimes.
@@ -251,29 +246,52 @@ def test_capability_report_schema():
 
 
 # ------------------------------------------------------------------ backend
-def test_backend_registry_includes_compiled():
-    assert "compiled" in BACKEND_NAMES
+def test_backend_registry_includes_compiled(monkeypatch):
+    """Every registered backend runs the compiled tier; none is named for it.
+
+    The shims ask :mod:`repro.compiled.dispatch` for a twin inside the job,
+    so the tier follows the process that runs the job.  The in-process
+    backends share this process's dispatch state; process-pool workers
+    import the same module and follow numba availability.
+    """
+    assert BACKEND_NAMES == ("inline", "thread", "process")
+    calls = []
+
+    def counting(entry):
+        def impl(*args, **kwargs):
+            calls.append(entry.name)
+            return entry.impl(*args, **kwargs)
+
+        return impl
+
+    registry = {e.name: dispatch.Entry(e.name, counting(e), e.warm) for e in dispatch.entries()}
+    monkeypatch.setattr(dispatch, "_REGISTRY", registry)
+    graph = uniform_random_bipartite(90, 110, avg_degree=5.0, seed=3)
+    with dispatch.override(True):
+        expected = gpr_matching(graph)
+        for name in ("inline", "thread"):
+            calls.clear()
+            with Engine(backend=name) as engine:
+                result = engine.run(MatchingJob(graph=graph, algorithm="g-pr"))
+            assert calls, f"backend {name!r} never reached a compiled twin"
+            _assert_results_identical(expected, result)
 
 
-@pytest.mark.skipif(
-    dispatch.NUMBA_AVAILABLE, reason="error path only exists without numba"
-)
 def test_compiled_backend_requires_numba():
-    with pytest.raises(ValueError, match=r"\[compiled\]"):
-        CompiledBackend()
-    with pytest.raises(ValueError, match="numba"):
+    """The compiled tier is on exactly when numba is installed.
+
+    No backend name can ask for it: ``create_backend("compiled")`` fails as
+    an unknown name, and without numba every shim keeps its NumPy path.
+    """
+    with dispatch.override(None):
+        assert dispatch.enabled() is dispatch.NUMBA_AVAILABLE
+        assert dispatch.capability_report()["compiled_dispatch_enabled"] is (
+            dispatch.NUMBA_AVAILABLE
+        )
+        for name in dispatch.registered():
+            assert (dispatch.implementation_for(name) is not None) is dispatch.NUMBA_AVAILABLE
+    with pytest.raises(ValueError, match="unknown backend 'compiled'"):
         create_backend("compiled")
-
-
-@requires_numba
-def test_compiled_backend_runs_jobs(graph):
-    from repro.engine import MatchingJob
-
-    with Engine(backend="compiled") as engine:
-        handle = engine.submit(MatchingJob(graph=graph, algorithm="g-pr"))
-        result = handle.result()
-    assert handle.worker == "compiled"
-    assert result.cardinality == gpr_matching(graph).cardinality
 
 
 # -------------------------------------------------------------- calibration

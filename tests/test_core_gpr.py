@@ -88,6 +88,20 @@ def test_gpr_counters_and_modeled_time(family_graph):
     assert result.counters["strategy"] == "adaptive-0.7"
     assert result.counters["variant"] == "shrink"
     assert "g-pr-pushkrnl" in result.counters["per_kernel_seconds"]
+    assert set(result.counters) == {
+        "variant",
+        "strategy",
+        "loops",
+        "global_relabels",
+        "initial_matching",
+        "kernel_launches",
+        "kernel_total_work",
+        "kernel_seconds",
+        "transfer_bytes",
+        "per_kernel_seconds",
+    }
+    assert result.counters["transfer_bytes"] == 0
+    assert result.modeled_time == result.counters["kernel_seconds"]
 
 
 def test_gpr_first_uses_full_width_kernels(tiny_graph):
@@ -165,7 +179,7 @@ def test_gpr_scaled_device():
     gpu = VirtualGPU(DeviceSpec().scaled())
     result = gpr_matching(g, device=gpu)
     assert result.cardinality == maximum_matching_cardinality(g)
-    assert result.modeled_time == pytest.approx(gpu.ledger.total_seconds)
+    assert result.modeled_time == gpu.ledger.kernel_seconds
 
 
 def test_gpr_max_iterations_guard(tiny_graph):
@@ -236,22 +250,13 @@ def test_api_algorithm_registry_complete():
         assert name in SPECS
 
 
-def test_legacy_algorithms_mapping_is_deprecated(tiny_graph):
+def test_legacy_algorithms_mapping_is_removed():
+    import repro.core as core_module
     import repro.core.api as api_module
 
-    with pytest.warns(DeprecationWarning, match="ALGORITHMS is deprecated"):
-        legacy = api_module.ALGORITHMS
-    assert set(legacy) == set(SPECS)
-    assert legacy["hk"](tiny_graph).cardinality == 3  # the shim still dispatches
-    with pytest.warns(DeprecationWarning):
-        again = api_module.ALGORITHMS
-    assert again is legacy  # stable identity, so legacy mutation patterns survive
-    with pytest.warns(DeprecationWarning):
-        import repro.core as core_module
-
-        core_module.ALGORITHMS
-    with pytest.raises(AttributeError):
-        api_module.NO_SUCH_ATTRIBUTE
+    for module in (api_module, core_module):
+        with pytest.raises(AttributeError, match="ALGORITHMS"):
+            module.ALGORITHMS
 
 
 @pytest.mark.parametrize("name", sorted(MAXIMUM_ALGORITHMS))

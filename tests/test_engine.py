@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import repro.engine.execution as execution_mod
+from repro.bench.harness import reference_device
+from repro.core.api import resolve_algorithm
 from repro.engine import (
-    DevicePoolBackend,
     Engine,
     InlineBackend,
     JobCancelledError,
@@ -39,7 +40,6 @@ BACKEND_FACTORIES = {
     "inline": lambda: InlineBackend(),
     "thread": lambda: ThreadBackend(max_workers=2),
     "process": lambda: ProcessPoolBackend(max_workers=2),
-    "device": lambda: DevicePoolBackend(devices=2),
 }
 
 # One instance per generator family, as in the invariant suite.
@@ -301,8 +301,10 @@ def test_engine_rejects_submissions_after_shutdown(family_graphs):
 
 
 def test_create_backend_validation():
-    with pytest.raises(ValueError, match="unknown backend"):
-        create_backend("quantum")
+    # Removed backend names ("device", "compiled") fail like any unknown name.
+    for name in ("quantum", "device", "compiled"):
+        with pytest.raises(ValueError, match="unknown backend.*available: inline, thread, process$"):
+            create_backend(name)
     with pytest.raises(TypeError, match="ExecutionBackend"):
         create_backend(42)
     backend = InlineBackend()
@@ -311,12 +313,6 @@ def test_create_backend_validation():
         ThreadBackend(max_workers=0)
     with pytest.raises(ValueError):
         ProcessPoolBackend(max_workers=-1)
-    with pytest.raises(ValueError):
-        DevicePoolBackend(devices=0)
-    with pytest.raises(ValueError):
-        DevicePoolBackend(devices=[])
-    with pytest.raises(ValueError):
-        create_backend("device", devices=0)  # explicit 0 is an error, not a default
 
 
 def test_abandoned_engine_releases_its_pool(family_graphs):
@@ -331,15 +327,18 @@ def test_abandoned_engine_releases_its_pool(family_graphs):
     assert backend._closed  # the finalizer shut the abandoned pool down
 
 
-def test_device_pool_resets_ledger_per_job(family_graphs):
+@pytest.mark.parametrize("algorithm", ["g-pr", "g-hkdw"])
+def test_plan_device_factory_gives_each_run_a_fresh_ledger(algorithm, family_graphs):
+    # One plan reused across runs, as the benchmark harness reuses its plans:
+    # every run builds its own device, so modelled time is per-run, not
+    # cumulative over the plan's lifetime.
     g = family_graphs[0]
-    job = MatchingJob(graph=g, algorithm="g-pr")
-    with Engine(backend=DevicePoolBackend(devices=1), own_backend=True) as engine:
-        first = engine.run(job)
-        second = engine.run(job)
-    # Same pooled device, fresh ledger each run: modelled time is per-job,
-    # not cumulative across the device's lifetime.
-    assert second.modeled_time == pytest.approx(first.modeled_time)
+    plan = resolve_algorithm(algorithm, device_factory=reference_device)
+    first = plan.run(g)
+    second = plan.run(g)
+    assert first.modeled_time > 0
+    assert second.modeled_time == first.modeled_time
+    assert second.counters == first.counters
 
 
 def test_suite_runner_backend_parity():

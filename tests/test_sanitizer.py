@@ -167,7 +167,7 @@ def test_unknown_kernel_gets_the_empty_policy():
 def test_device_arrays_record_under_shadow_mode():
     log = AccessLog()
     gpu = VirtualGPU(DeviceSpec().scaled(), shadow=log)
-    arr = gpu.zeros(8, name="buf")
+    arr = gpu.shadow_wrap(np.zeros(8, dtype=np.int64), "buf")
     arr[np.array([1, 2])] = 5
     _ = arr[3]
     gpu.charge_kernel("k", np.ones(1))
@@ -178,7 +178,7 @@ def test_device_arrays_record_under_shadow_mode():
 def test_charge_kernel_is_a_segment_boundary_and_barrier():
     log = AccessLog()
     gpu = VirtualGPU(DeviceSpec().scaled(), shadow=log)
-    arr = gpu.zeros(8, name="buf")
+    arr = gpu.shadow_wrap(np.zeros(8, dtype=np.int64), "buf")
     arr[np.array([2])] = 1
     gpu.charge_kernel("first", np.ones(1))
     arr[np.array([2])] = 2  # same location, next launch: not a WW
