@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.compiled import dispatch as _compiled
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.frontier import sorted_unique
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -79,7 +80,7 @@ def _bfs_phase(
         if np.any(row_matches == UNMATCHED):
             reached_free_row = True
         next_cols = row_matches[row_matches >= 0]
-        next_cols = np.unique(next_cols)
+        next_cols = sorted_unique(next_cols)
         next_cols = next_cols[level[next_cols] == _INF]
         level[next_cols] = current + 1
         # Charge-after-access: this level's frontier scan and level writes

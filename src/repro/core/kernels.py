@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.compiled import dispatch as _compiled
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.frontier import sorted_unique
 from repro.gpusim.kernel import wave_barrier
 from repro.gpusim.primitives import device_exclusive_scan
 from repro.matching import UNMATCHABLE, UNMATCHED
@@ -205,7 +206,7 @@ def global_relabel_kernel(
     nbr_cols = row_ind[flat]
 
     unvisited = psi_col[nbr_cols] == infinity
-    to_set = np.unique(nbr_cols[unvisited])
+    to_set = sorted_unique(nbr_cols[unvisited])
     if len(to_set) == 0:
         return False, thread_work
     psi_col[to_set] = c_level + 1

@@ -37,6 +37,18 @@ import numpy as np
 
 __all__ = ["KernelStats", "CostLedger", "GpuCostModel", "CpuCostModel", "MulticoreCostModel"]
 
+#: :meth:`GpuCostModel.launch_seconds` takes the per-warp maxima lane by lane
+#: (one ``np.maximum`` over all warps per lane) once a launch has at least
+#: this many warps per lane, and with ``np.maximum.reduceat`` at the warp
+#: starts below that.  The lane-wise form costs ``warp_size`` NumPy calls,
+#: ``reduceat`` a fixed step per warp, so the threshold is in warps per lane
+#: (``warp_size²`` threads per unit).  Measured crossovers: 32–40 warps per
+#: lane at ``warp_size`` 8 (2k–2.5k threads, the scaled reference device)
+#: and 64–96 at ``warp_size`` 32, where strided lanes cost more per element;
+#: see "The per-launch host path" in ``docs/benchmarks.md``.  Both forms give
+#: identical results.
+LANEWISE_MIN_WARPS_PER_LANE = 32
+
 
 @dataclass(frozen=True)
 class KernelStats:
@@ -124,38 +136,61 @@ class GpuCostModel:
     def launch_seconds(self, thread_work: np.ndarray) -> tuple[float, float, float, float]:
         """Model one launch.
 
+        Warp divergence: every thread of a warp pays for the slowest one, so
+        ``divergent_work`` is ``warp_size`` times the sum of the per-warp
+        maxima (a short last warp is a warp of its own).  The maxima are
+        built without a zero-padded copy and without a ``max(axis=1)``
+        reduce, whose per-row NumPy overhead dominates along an axis only
+        ``warp_size`` long; :data:`LANEWISE_MIN_WARPS_PER_LANE` picks one of
+        two forms by launch width.  Every field is bit-identical to the
+        padded ``reshape(-1, warp_size).max(axis=1)`` formula that
+        ``tests/test_gpusim.py`` keeps as its reference, because the same
+        per-warp maxima are summed once, as one vector in warp order.
+
         Parameters
         ----------
         thread_work:
-            One entry per logical thread: elementary operations performed.
+            A one-dimensional ``float64`` array with one non-negative entry
+            per logical thread: elementary operations performed.
+            :meth:`VirtualGPU.charge_kernel <repro.gpusim.device.VirtualGPU.charge_kernel>`
+            converts and checks the caller's vector once before it gets here.
 
         Returns
         -------
         (seconds, total_work, divergent_work, max_thread_work)
         """
         spec = self.spec
-        work = np.asarray(thread_work, dtype=np.float64)
-        if work.size == 0:
+        n_threads = thread_work.size
+        if n_threads == 0:
             return spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
-        total = float(work.sum())
-        max_thread = float(work.max())
-        # Warp divergence: every thread of a warp pays for the slowest one.
-        n_threads = work.size
-        pad = (-n_threads) % spec.warp_size
-        if pad:
-            work = np.concatenate([work, np.zeros(pad)])
-        warp_max = work.reshape(-1, spec.warp_size).max(axis=1)
-        divergent = float(warp_max.sum() * spec.warp_size)
+        ws = spec.warp_size
+        full, rest = divmod(n_threads, ws)
+        if full >= LANEWISE_MIN_WARPS_PER_LANE * ws:
+            warp_max = np.empty(full + (rest > 0))
+            lanes = thread_work[: full * ws].reshape(full, ws)
+            body = warp_max[:full]
+            # First and last lane in one call, then the lanes in between
+            # (for a warp of one, the "pair" is that lane twice).
+            np.maximum(lanes[:, 0], lanes[:, -1], out=body)
+            for lane in range(1, ws - 1):
+                np.maximum(body, lanes[:, lane], out=body)
+            if rest:
+                warp_max[full] = thread_work[full * ws :].max()
+        else:
+            warp_max = np.maximum.reduceat(thread_work, np.arange(0, n_threads, ws))
+        total = float(thread_work.sum())
+        max_thread = float(warp_max.max())
+        divergent = float(warp_max.sum() * ws)
         cycles = spec.cycles_per_op * max(divergent / spec.total_cores, max_thread)
         seconds = spec.kernel_launch_overhead_s + cycles / (spec.clock_ghz * 1e9)
         return seconds, total, divergent, max_thread
 
     def record(self, ledger: CostLedger, name: str, thread_work: np.ndarray) -> KernelStats:
-        """Model a launch and append it to ``ledger``."""
+        """Model a launch (see :meth:`launch_seconds`) and append it to ``ledger``."""
         seconds, total, divergent, max_thread = self.launch_seconds(thread_work)
         stats = KernelStats(
             name=name,
-            n_threads=int(np.asarray(thread_work).size),
+            n_threads=thread_work.size,
             total_work=total,
             divergent_work=divergent,
             max_thread_work=max_thread,

@@ -109,19 +109,28 @@ class VirtualGPU:
     def charge_kernel(self, name: str, thread_work) -> None:
         """Account one kernel launch given its per-thread work vector.
 
-        ``thread_work`` may be a scalar (same work for every thread — pass
-        ``np.full(n_threads, w)``), or a vector with one entry per logical
-        thread.  The vectorised kernels in :mod:`repro.core.kernels` compute
-        these vectors exactly (scanned adjacency entries per thread).
+        ``thread_work`` is a one-dimensional array (or list) with one
+        non-negative entry per logical thread; for the same work ``w`` on
+        every thread pass ``np.full(n_threads, w)``.  The vectorised kernels
+        in :mod:`repro.core.kernels` compute these vectors exactly (scanned
+        adjacency entries per thread).  It is converted to ``float64`` once
+        here; a scalar or a multi-dimensional array raises ``ValueError``
+        naming the kernel, before anything is charged.
 
         Under shadow mode the charge also closes the sanitizer segment: the
         repo convention is charge-after-access, so everything recorded since
         the previous charge is attributed to this kernel, and the launch
         boundary acts as a device-wide barrier.
         """
+        work = np.asarray(thread_work, dtype=np.float64)
+        if work.ndim != 1:
+            raise ValueError(
+                f"kernel {name!r}: thread_work must be a 1-D vector with one entry "
+                f"per thread, got shape {work.shape}"
+            )
         if self.shadow is not None:
             self.shadow.close_segment(name)
-        self.model.record(self.ledger, name, np.asarray(thread_work, dtype=np.float64))
+        self.model.record(self.ledger, name, work)
 
     # ------------------------------------------------------------ shadow mode
     def shadow_wrap(self, array: np.ndarray, name: str = "array") -> np.ndarray:

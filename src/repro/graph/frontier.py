@@ -17,7 +17,8 @@ for the measurement):
   frontiers hold hundreds of vertices: :func:`expand_frontier` gathers every
   out-edge of a frontier in one shot (``np.repeat`` on the CSR pointer
   diffs), :func:`first_occurrence_mask` deduplicates while preserving scan
-  order, and on top of them :func:`multi_source_bfs` (plain BFS),
+  order (:func:`sorted_unique` where ascending order will do), and on top of
+  them :func:`multi_source_bfs` (plain BFS),
   :func:`alternating_level_bfs` (the Hopcroft–Karp level structure) and
   :func:`distance_label_bfs` (push-relabel global relabeling, Algorithm 2)
   assign levels and count scanned edges in bulk.
@@ -65,6 +66,7 @@ __all__ = [
     "first_true",
     "multi_source_bfs",
     "reference_bfs",
+    "sorted_unique",
 ]
 
 #: Mirrors :data:`repro.matching.UNMATCHED` (kept local: ``repro.matching``
@@ -139,6 +141,22 @@ def first_occurrence_mask(values: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[order[lead]] = True
     return mask
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D integer array, ascending.
+
+    The same array as plain ``np.unique(values)``, computed by sorting and
+    keeping the head of every run of equal values.  NumPy 2 sends plain
+    integer ``np.unique`` through a hash table, which costs several times
+    more from a few hundred ids up (see ``docs/benchmarks.md``).  A mark
+    array would be cheaper still, but costs O(vertices) per level; this
+    keeps a level's dedup at O(frontier log frontier).
+    """
+    ranked = np.sort(values)
+    lead = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=lead[1:])
+    return ranked[lead]
 
 
 def first_true(mask: np.ndarray) -> int:
@@ -360,7 +378,7 @@ def alternating_level_bfs(
                 shortest = depth + 1
             next_cols = mates[mates >= 0]
             next_cols = next_cols[level[next_cols] == _INF]
-            next_cols = np.unique(next_cols)
+            next_cols = sorted_unique(next_cols)
             level[next_cols] = depth + 1
         depth += 1
         if depth >= shortest:
@@ -407,7 +425,7 @@ def distance_label_bfs(
         fresh = cols[psi_col[cols] == infinity]
         if len(fresh) == 0:
             break
-        fresh = np.unique(fresh)
+        fresh = sorted_unique(fresh)
         psi_col[fresh] = level + 1
         mates = col_match[fresh]
         mates = mates[mates >= 0]

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.engine import Engine, MatchingJob, as_completed
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import expand_frontier
+from repro.graph.frontier import expand_frontier, sorted_unique
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.sharded.partition import ShardedBipartiteGraph, partition_graph
 
@@ -294,7 +294,7 @@ class ShardedMatcher:
             mates = row_match[rows]
             if (mates == UNMATCHED).any():
                 shortest = depth + 1
-            next_cols = np.unique(mates[mates >= 0])
+            next_cols = sorted_unique(mates[mates >= 0])
             next_cols = next_cols[level[next_cols] == _INF]
             level[next_cols] = depth + 1
             depth += 1

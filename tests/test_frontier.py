@@ -38,6 +38,7 @@ from repro.graph.frontier import (
     first_true,
     multi_source_bfs,
     reference_bfs,
+    sorted_unique,
 )
 from repro.matching import UNMATCHED
 from repro.multicore.pdbfs import pdbfs_matching
@@ -106,6 +107,32 @@ def test_first_occurrence_mask_keeps_scan_order():
     mask = first_occurrence_mask(values)
     assert values[mask].tolist() == [7, 3, 1, 9]
     assert first_occurrence_mask(np.empty(0, np.int64)).tolist() == []
+
+
+_RNG = np.random.default_rng(20130421)
+UNIQUE_CASES = {
+    "empty": np.empty(0, np.int64),
+    "one": np.array([42], np.int64),
+    "all-equal": np.full(17, 5, np.int64),
+    "sorted": np.array([0, 1, 1, 2, 3, 3, 3, 9], np.int64),
+    "reversed": np.array([9, 3, 3, 3, 2, 1, 1, 0], np.int64),
+    "negative": np.array([-3, 7, -3, 0, -9, 7, -1], np.int64),
+    # Fewer distinct values than draws, so every random case has duplicates.
+    **{
+        f"random-{size}": _RNG.integers(-(size // 4) - 1, size // 4 + 1, size=size)
+        for size in (5, 64, 800, 6000)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIQUE_CASES), ids=str)
+def test_sorted_unique_equals_np_unique(case):
+    values = UNIQUE_CASES[case]
+    before = values.copy()
+    got, expected = sorted_unique(values), np.unique(values)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(values, before)  # the input is not sorted in place
 
 
 def test_first_true_and_first_free_offset():

@@ -12,7 +12,12 @@ from repro.gpusim import (
     device_exclusive_scan,
     launch_serialized,
 )
-from repro.gpusim.costmodel import CpuCostModel, GpuCostModel, MulticoreCostModel
+from repro.gpusim.costmodel import (
+    LANEWISE_MIN_WARPS_PER_LANE,
+    CpuCostModel,
+    GpuCostModel,
+    MulticoreCostModel,
+)
 
 
 # -------------------------------------------------------------------- device
@@ -67,6 +72,29 @@ def test_ledger_counter_schema():
     assert counters["per_kernel_seconds"] == {"a": counters["kernel_seconds"]}
 
 
+def test_charge_kernel_accepts_a_list_like_the_array():
+    listed, arrayed = VirtualGPU(), VirtualGPU()
+    listed.charge_kernel("k", [1, 4, 2, 0, 7])
+    arrayed.charge_kernel("k", np.array([1.0, 4.0, 2.0, 0.0, 7.0]))
+    assert listed.ledger.launches == arrayed.ledger.launches
+    assert listed.ledger.launches[0].n_threads == 5
+
+
+@pytest.mark.parametrize(
+    "thread_work",
+    [3.0, np.float64(3.0), np.ones((4, 8)), np.ones((2, 3))],
+    ids=["scalar", "numpy-scalar", "2d-warp-multiple", "2d-ragged"],
+)
+def test_charge_kernel_rejects_non_vector_work(thread_work):
+    # The accounting slices the vector into warps as if it were flat, so a
+    # 2-D array would be charged wrong: it must fail up front, name the
+    # kernel and charge nothing.
+    gpu = VirtualGPU()
+    with pytest.raises(ValueError, match="'g-gr-krnl'.*1-D"):
+        gpu.charge_kernel("g-gr-krnl", thread_work)
+    assert gpu.ledger.n_launches == 0
+
+
 # --------------------------------------------------------------- cost model
 def test_launch_overhead_charged_even_for_empty_launch():
     spec = DeviceSpec()
@@ -100,6 +128,54 @@ def test_divergence_penalty():
         DeviceSpec().clock_ghz * 1e9
     )
     assert t_single == pytest.approx(expected, rel=1e-6)
+
+
+def _padded_reference(spec, work):
+    """Reference accounting: zero-pad to whole warps, then
+    ``reshape(-1, warp_size).max(axis=1)``.  ``launch_seconds`` must agree bit for bit."""
+    if work.size == 0:
+        return spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
+    total = float(work.sum())
+    max_thread = float(work.max())
+    pad = (-work.size) % spec.warp_size
+    if pad:
+        work = np.concatenate([work, np.zeros(pad)])
+    warp_max = work.reshape(-1, spec.warp_size).max(axis=1)
+    divergent = float(warp_max.sum() * spec.warp_size)
+    cycles = spec.cycles_per_op * max(divergent / spec.total_cores, max_thread)
+    seconds = spec.kernel_launch_overhead_s + cycles / (spec.clock_ghz * 1e9)
+    return seconds, total, divergent, max_thread
+
+
+def _work_pattern(kind, n, rng):
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, 3.0)
+    if kind == "sparse-extras":  # like a relabel level: 1 per thread, degrees on the frontier
+        work = np.ones(n)
+        hit = rng.random(n) < 0.1
+        work[hit] += rng.integers(1, 40, size=int(hit.sum()))
+        return work
+    # Fractional entries make any change of summation order visible.
+    return rng.random(n) * 50.0
+
+
+@pytest.mark.parametrize("kind", ["zeros", "constant", "sparse-extras", "fractional"])
+@pytest.mark.parametrize("warp_size", [1, 2, 8, 32])
+def test_launch_accounting_is_bit_identical_to_the_padded_formula(warp_size, kind):
+    spec = DeviceSpec(warp_size=warp_size)
+    model = GpuCostModel(spec)
+    rng = np.random.default_rng(1000 * warp_size + len(kind))
+    # Both sides of the lane-wise / reduceat switch, short tails, exact warps.
+    crossover = LANEWISE_MIN_WARPS_PER_LANE * warp_size * warp_size
+    lengths = {0, 1, warp_size - 1, warp_size, warp_size + 1, 3 * warp_size + 5,
+               crossover - 1, crossover, crossover + 1}
+    lengths.update(int(n) for n in rng.integers(1, 20_000, size=6))
+    for n in sorted(lengths):
+        work = _work_pattern(kind, n, rng)
+        got = model.launch_seconds(work)
+        assert got == _padded_reference(spec, work), (n, got)
 
 
 def test_cpu_cost_model_linear():
