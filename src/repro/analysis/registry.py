@@ -63,9 +63,6 @@ KERNEL_POLICIES: dict[str, ConflictPolicy] = {
     "ghkdw-dw-augment": ConflictPolicy(
         serialized=True, note="Duff–Wassel round, same claim serialisation"
     ),
-    "ghkdw-correction": ConflictPolicy(
-        serialized=True, note="correction sweep with fresh claims, still serial per thread"
-    ),
     # Auction: bids are pure reads; the assign kernel writes one winner per
     # object (deduplicated by the lexsort-lead pass).
     "auction_bid": ConflictPolicy(note="bid scan is read-only over prices"),

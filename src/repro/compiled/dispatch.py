@@ -148,9 +148,7 @@ def _warm_ghkdw_augment() -> None:
     mu_col = np.array([-1, -1], dtype=np.int64)
     level = np.array([0, 0], dtype=np.int64)
     start_cols = np.array([0, 1], dtype=np.int64)
-    kernels_jit.ghkdw_augment(
-        col_ptr, col_ind, mu_row, mu_col, level, start_cols, False, False, True, 2
-    )
+    kernels_jit.ghkdw_augment(col_ptr, col_ind, mu_row, mu_col, level, start_cols, False, 2)
 
 
 _REGISTRY: dict[str, Entry] = {

@@ -183,16 +183,15 @@ def ghkdw_augment(
     level,
     start_cols,
     restrict_levels,
-    use_level,
-    shared_claims,
     n_rows,
 ):
-    """Twin of the DFS loop of :func:`repro.core.ghkdw._augment_phase`.
+    """Twin of the NumPy-tier walk of :func:`repro.core.ghkdw._augment_phase`.
 
-    A literal port of the claim-based alternating DFS, one sequential
-    logical thread per start column (the claims serialize the launch by
-    design).  Mutates ``mu_row`` / ``mu_col`` in place and returns
-    ``(thread_work, augmented)``.
+    A literal port of the claim-based alternating DFS
+    (:func:`repro.graph.frontier.augmenting_dfs`), one sequential logical
+    thread per start column (the claims serialize the launch by design).
+    Mutates ``mu_row`` / ``mu_col`` in place and returns
+    ``(thread_work, augmented)`` with each thread's scanned edges plus one.
     """
     n_starts = start_cols.shape[0]
     thread_work = np.ones(n_starts, np.float64)
@@ -204,8 +203,6 @@ def ghkdw_augment(
     path_rows = np.empty(cap, np.int64)
     for t in range(n_starts):
         start = start_cols[t]
-        if not shared_claims:
-            row_claimed[:] = False
         depth = 0
         stack_col[0] = start
         stack_idx[0] = col_ptr[start]
@@ -235,11 +232,10 @@ def ghkdw_augment(
                     augmented += 1
                     success = True
                     break
-                if use_level:
-                    if restrict_levels and level[w] != level[v] + 1:
-                        continue
-                    if not restrict_levels and level[w] == _INF:
-                        continue
+                if restrict_levels and level[w] != level[v] + 1:
+                    continue
+                if not restrict_levels and level[w] == _INF:
+                    continue
                 row_claimed[u] = True
                 stack_idx[depth] = idx
                 path_rows[depth] = u

@@ -17,7 +17,16 @@ round).  We reproduce it on the same virtual device:
 * **Duff–Wassel round** — a second augmentation kernel without the level
   restriction, run from the columns that are still unmatched.
 
-Phases repeat until the BFS proves no augmenting path exists.
+Phases repeat until the BFS proves no augmenting path exists.  A phase whose
+BFS reached a free row always augments: before the first augmentation a row
+is claimed only by entering its matched column, so no claim can stop the
+root of the BFS's shortest path from reaching that row.  The loop therefore
+needs no correction sweep, and a phase that augments nothing raises.
+
+On the NumPy tier both augmentation kernels run
+:func:`repro.graph.frontier.augmenting_dfs`, the walk HK/HKDW use, over the
+cached ``csr_lists()`` and zero-copy memoryviews of the device arrays; the
+compiled tier dispatches to the ``ghkdw_augment`` twin.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from repro.compiled import dispatch as _compiled
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import sorted_unique
+from repro.graph.frontier import augmenting_dfs, sorted_unique
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -103,28 +112,22 @@ def _augment_phase(
     gpu: VirtualGPU,
     restrict_levels: bool,
     kernel_name: str,
-    shared_claims: bool = True,
-    use_level: bool = True,
 ) -> int:
     """One augmentation kernel: a claim-based alternating DFS per unmatched column.
 
-    ``shared_claims`` models the lock-free row claiming of the GPU kernel
-    (claims persist across threads of the launch); the fallback pass used to
-    guarantee progress gives each thread a fresh claim set and no level
-    restriction (``shared_claims=False, use_level=False``), which corresponds
-    to the correction sweep of the original G-HKDW implementation.
-
-    Returns the number of augmentations performed.
+    Claims persist across the threads of the launch, which models the
+    lock-free row claiming of the GPU kernel.  Each thread's work is the
+    adjacency entries its walk scanned plus one.  Returns the number of
+    augmentations performed.
     """
-    col_ptr, col_ind = graph.col_ptr, graph.col_ind
     start_cols = np.flatnonzero(mu_col == UNMATCHED)
-    if use_level:
-        start_cols = start_cols[level[start_cols] != _INF]
+    start_cols = start_cols[level[start_cols] != _INF]
     if len(start_cols) == 0:
         gpu.charge_kernel(kernel_name, np.ones(1))
         return 0
     fn = _compiled.implementation_for("ghkdw_augment")
-    if fn is not None and not _compiled.recording(mu_row, mu_col, level):
+    recording = _compiled.recording(mu_row, mu_col, level)
+    if fn is not None and not recording:
         thread_work, augmented = fn(
             graph.col_ptr,
             graph.col_ind,
@@ -133,70 +136,21 @@ def _augment_phase(
             level,
             start_cols,
             restrict_levels,
-            use_level,
-            shared_claims,
             graph.n_rows,
         )
         gpu.charge_kernel(kernel_name, thread_work)
         return int(augmented)
-    row_claimed = np.zeros(graph.n_rows, dtype=bool)
-    thread_work = np.ones(len(start_cols), dtype=np.float64)
-    augmented = 0
-
-    # hot-path compiled=ghkdw_augment
-    for t, start in enumerate(start_cols):
-        if not shared_claims:
-            row_claimed = np.zeros(graph.n_rows, dtype=bool)
-        stack: list[list[int]] = [[int(start), int(col_ptr[start])]]
-        path_rows: list[int] = []
-        work = 1.0
-        success = False
-        while stack and not success:
-            v, idx = stack[-1]
-            stop = int(col_ptr[v + 1])
-            advanced = False
-            while idx < stop:
-                u = int(col_ind[idx])
-                idx += 1
-                work += 1.0
-                if row_claimed[u]:
-                    continue
-                w = int(mu_row[u])
-                if w == UNMATCHED:
-                    row_claimed[u] = True
-                    mu_row[u] = v
-                    mu_col[v] = u
-                    for depth in range(len(stack) - 2, -1, -1):
-                        prev_col = stack[depth][0]
-                        prev_row = path_rows[depth]
-                        mu_row[prev_row] = prev_col
-                        mu_col[prev_col] = prev_row
-                    augmented += 1
-                    success = True
-                    break
-                if use_level:
-                    if restrict_levels and level[w] != level[v] + 1:
-                        continue
-                    if not restrict_levels and level[w] == _INF:
-                        continue
-                row_claimed[u] = True
-                stack[-1][1] = idx
-                path_rows.append(u)
-                stack.append([w, int(col_ptr[w])])
-                advanced = True
-                break
-            if success:
-                break
-            if advanced:
-                continue
-            stack[-1][1] = idx
-            if idx >= stop:
-                stack.pop()
-                if path_rows:
-                    path_rows.pop()
-        thread_work[t] = work
-    # end hot-path
-    gpu.charge_kernel(kernel_name, thread_work)
+    col_ptr, col_ind = graph.csr_lists("col")
+    state = (level, mu_row, mu_col)
+    if not recording:
+        # Memoryviews read faster than ndarray scalars and write straight
+        # into the arrays the next BFS reads; the sanitizer's recording
+        # arrays are walked as they are, so every access still lands in its log.
+        state = tuple(memoryview(array) for array in state)
+    augmented, per_root = augmenting_dfs(
+        col_ptr, col_ind, start_cols.tolist(), *state, bytearray(graph.n_rows), restrict_levels
+    )
+    gpu.charge_kernel(kernel_name, np.asarray(per_root, dtype=np.float64) + 1.0)
     return augmented
 
 
@@ -235,23 +189,14 @@ def ghkdw_matching(
         got = _augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment")
         got += _augment_phase(graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment")
         if got == 0:
-            # The claim-based kernels can be blocked by each other's claims even
-            # though an augmenting path exists; run the correction sweep
-            # (fresh claims, no level restriction) to guarantee progress.
-            got = _augment_phase(
-                graph,
-                mu_row,
-                mu_col,
-                level,
-                gpu,
-                False,
-                "ghkdw-correction",
-                shared_claims=False,
-                use_level=False,
+            # The root of the BFS's shortest path always reaches its free row
+            # in the level-restricted pass (no claim can block it before the
+            # first augmentation), so a phase with a path augments.
+            raise RuntimeError(
+                f"G-HKDW invariant violated: a phase with an augmenting path "
+                f"augmented nothing on {graph.name!r}"
             )
         augmentations += got
-        if got == 0:
-            break
 
     wall = time.perf_counter() - t0
     counters = {

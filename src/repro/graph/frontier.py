@@ -1,5 +1,6 @@
-"""Shared frontier operations for the CPU baselines: vectorized where
-frontiers are wide, scalar-on-lists where they are not.
+"""Shared frontier operations for the CPU baselines and G-HKDW's
+augmentation walk: vectorized where frontiers are wide, scalar where they
+are not.
 
 The sequential and multicore baselines (HK/HKDW, PR, PFP, P-DBFS, the cheap
 greedy initialisation and the dynamic incremental matcher) all walk the same
@@ -22,12 +23,19 @@ for the measurement):
   :func:`alternating_level_bfs` (the Hopcroft–Karp level structure) and
   :func:`distance_label_bfs` (push-relabel global relabeling, Algorithm 2)
   assign levels and count scanned edges in bulk.
-* **Scalar walks over plain Python lists** for the traversals whose working
-  set is one adjacency slice at a time (DFS descents, the per-push minimum
-  scan, P-DBFS claim searches): :func:`claiming_bfs` and the algorithm-side
-  loops index :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists`
-  instead of ndarrays, which removes the per-element boxing (~4× on the
-  same loop body).
+* **Scalar walks over lists or zero-copy memoryviews** for the traversals
+  whose working set is one adjacency slice at a time (DFS descents, the
+  per-push minimum scan, P-DBFS claim searches): :func:`claiming_bfs`,
+  :func:`augmenting_dfs` and the algorithm-side loops index
+  :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` instead of
+  ndarrays, which removes the per-element boxing (~4× on the same loop
+  body).  Per-vertex state that already lives in an ``int64`` array and is
+  read by the next whole-array step is walked through a ``memoryview`` of
+  that array instead: O(1) to make, cheaper per read than ndarray
+  indexing, and writes land in the array itself, where a list would cost
+  an O(vertices) ``tolist()`` and ``np.array()`` per call.
+  :func:`augmenting_dfs` is the vertex-disjoint augmenting DFS of HK/HKDW
+  (over lists) and of G-HKDW's augmentation kernels (over memoryviews).
 
 :func:`reference_bfs` is the deque twin of :func:`multi_source_bfs`, kept
 (not deprecated) as the executable specification the property tests compare
@@ -58,6 +66,7 @@ from repro.compiled import dispatch as _compiled
 __all__ = [
     "BFSResult",
     "alternating_level_bfs",
+    "augmenting_dfs",
     "claiming_bfs",
     "distance_label_bfs",
     "expand_frontier",
@@ -507,3 +516,115 @@ def claiming_bfs(
                 queue.append(w)
     # end hot-path
     return None, 1.0 + work, atomics
+
+
+def augmenting_dfs(
+    col_ptr: list[int],
+    col_ind: list[int],
+    roots: list[int],
+    level,
+    row_match,
+    col_match,
+    row_used: bytearray,
+    restrict_levels: bool,
+) -> tuple[int, list[int]]:
+    """One round of vertex-disjoint augmenting DFS from the columns ``roots``.
+
+    The scalar walk shared by HK/HKDW and G-HKDW's augmentation kernels.
+    Each root runs an iterative DFS (explicit stack, so long paths hit no
+    recursion limit) over the cached
+    :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views, claiming
+    every row it passes in ``row_used``; claims persist across roots, so the
+    paths found are vertex-disjoint.  A search stops at the first unclaimed
+    unmatched row and flips the path in place.  With ``restrict_levels`` a
+    matched row is followed only into the column one ``level`` deeper (HK's
+    shortest-path round), otherwise into any column of finite level (the
+    Duff–Wassel round).  The two rounds scan in separate loops and the
+    level comparand is hoisted per stack frame, so a scanned edge pays no
+    mode test.
+
+    ``level``, ``row_match`` and ``col_match`` may be plain lists, zero-copy
+    ``memoryview``s of ``int64`` arrays (writes land in the arrays
+    themselves) or the ndarrays, e.g. the sanitizer's recording arrays,
+    which log every access.  Every root needs a finite level.  Returns
+    ``(augmentations, per_root_edges)``, the adjacency entries each root's
+    search scanned, in ``roots`` order.
+    """
+    unmatched = _UNMATCHED
+    inf = _INF
+    augmented = 0
+    per_root: list[int] = []
+    # hot-path
+    for start in roots:
+        edges = 0
+        # Stack of (column, next neighbour offset); path_rows[i] is the row
+        # taken out of stack[i].
+        stack: list[list[int]] = [[start, col_ptr[start]]]
+        path_rows: list[int] = []
+        while stack:
+            v, idx = stack[-1]
+            stop = col_ptr[v + 1]
+            advanced = False
+            done = False
+            if restrict_levels:
+                want = level[v] + 1
+                while idx < stop:
+                    u = col_ind[idx]
+                    idx += 1
+                    edges += 1
+                    if row_used[u]:
+                        continue
+                    w = row_match[u]
+                    if w != unmatched:
+                        if level[w] != want:
+                            continue
+                        row_used[u] = True
+                        stack[-1][1] = idx
+                        path_rows.append(u)
+                        stack.append([w, col_ptr[w]])
+                        advanced = True
+                        break
+                    row_used[u] = True
+                    done = True
+                    break
+            else:
+                while idx < stop:
+                    u = col_ind[idx]
+                    idx += 1
+                    edges += 1
+                    if row_used[u]:
+                        continue
+                    w = row_match[u]
+                    if w != unmatched:
+                        if level[w] == inf:
+                            continue
+                        row_used[u] = True
+                        stack[-1][1] = idx
+                        path_rows.append(u)
+                        stack.append([w, col_ptr[w]])
+                        advanced = True
+                        break
+                    row_used[u] = True
+                    done = True
+                    break
+            if advanced:
+                continue
+            if done:
+                # Augment along the stack.
+                row_match[u] = v
+                col_match[v] = u
+                for depth in range(len(stack) - 2, -1, -1):
+                    prev_col = stack[depth][0]
+                    prev_row = path_rows[depth]
+                    row_match[prev_row] = prev_col
+                    col_match[prev_col] = prev_row
+                augmented += 1
+                break
+            stack[-1][1] = idx
+            if idx >= stop:
+                stack.pop()
+                if path_rows:
+                    path_rows.pop()
+        per_root.append(edges)
+    # end hot-path
+    return augmented, per_root

@@ -15,11 +15,13 @@ Hot paths follow the frontier-layer split (:mod:`repro.graph.frontier`): the
 phase BFS is the whole-frontier vectorized
 :func:`~repro.graph.frontier.alternating_level_bfs` (with the scalar
 tail-level fallback enabled), while the vertex-disjoint DFS — whose working
-set is one small adjacency slice per stack frame — walks the cached
-``csr_lists()`` views with the matching and level state held in plain
-Python lists, one call per *phase* rather than per root.  Matchings and
-counter end-values are bit-identical to the historical per-edge
-implementation.
+set is one small adjacency slice per stack frame — is the shared
+:func:`~repro.graph.frontier.augmenting_dfs`, which G-HKDW's augmentation
+kernels run as well.  Here it walks the cached ``csr_lists()`` views with
+the matching and level state held in plain Python lists, one call per
+*round* rather than per root; the matching crosses to ndarrays once per
+phase for the BFS.  Matchings and counter end-values are bit-identical to
+the historical per-edge implementation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import alternating_level_bfs
+from repro.graph.frontier import alternating_level_bfs, augmenting_dfs
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -44,102 +46,6 @@ def _prepare(graph: BipartiteGraph, initial: Matching | None):
     else:
         matching = initial.copy().canonical()
     return matching.row_match, matching.col_match
-
-
-def _augment_phase(
-    col_ptr: list[int],
-    col_ind: list[int],
-    roots: list[int],
-    level: list[int],
-    row_match: list[int],
-    col_match: list[int],
-    row_used: bytearray,
-    restrict_levels: bool,
-) -> tuple[int, int]:
-    """One DFS augmentation round over ``roots`` (vertex-disjoint paths).
-
-    Iterative DFS with an explicit stack (no Python recursion limits on long
-    paths), pure list/bytearray state, the level comparand hoisted out of
-    the per-edge scan, and the restricted/unrestricted variants split so the
-    scan pays no per-edge mode test.  Returns ``(augmentations,
-    edges_scanned)`` so the caller can bulk-update counters.
-    """
-    unmatched = UNMATCHED
-    inf = _INF
-    augmented = 0
-    edges = 0
-    # hot-path
-    for start in roots:
-        # Stack of (column, next neighbour offset); path_rows[i] is the row
-        # taken out of stack[i].
-        stack: list[list[int]] = [[start, col_ptr[start]]]
-        path_rows: list[int] = []
-        while stack:
-            v, idx = stack[-1]
-            stop = col_ptr[v + 1]
-            advanced = False
-            done = False
-            if restrict_levels:
-                want = level[v] + 1
-                while idx < stop:
-                    u = col_ind[idx]
-                    idx += 1
-                    edges += 1
-                    if row_used[u]:
-                        continue
-                    w = row_match[u]
-                    if w != unmatched:
-                        if level[w] != want:
-                            continue
-                        row_used[u] = True
-                        stack[-1][1] = idx
-                        path_rows.append(u)
-                        stack.append([w, col_ptr[w]])
-                        advanced = True
-                        break
-                    row_used[u] = True
-                    done = True
-                    break
-            else:
-                while idx < stop:
-                    u = col_ind[idx]
-                    idx += 1
-                    edges += 1
-                    if row_used[u]:
-                        continue
-                    w = row_match[u]
-                    if w != unmatched:
-                        if level[w] == inf:
-                            continue
-                        row_used[u] = True
-                        stack[-1][1] = idx
-                        path_rows.append(u)
-                        stack.append([w, col_ptr[w]])
-                        advanced = True
-                        break
-                    row_used[u] = True
-                    done = True
-                    break
-            if advanced:
-                continue
-            if done:
-                # Augment along the stack.
-                row_match[u] = v
-                col_match[v] = u
-                for depth in range(len(stack) - 2, -1, -1):
-                    prev_col = stack[depth][0]
-                    prev_row = path_rows[depth]
-                    row_match[prev_row] = prev_col
-                    col_match[prev_col] = prev_row
-                augmented += 1
-                break
-            stack[-1][1] = idx
-            if stack[-1][1] >= stop:
-                stack.pop()
-                if path_rows:
-                    path_rows.pop()
-    # end hot-path
-    return augmented, edges
 
 
 def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
@@ -170,11 +76,11 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
             break
         level = level_arr.tolist()
         roots = np.flatnonzero(col_match_arr == UNMATCHED).tolist()
-        augmented, edges = _augment_phase(
+        augmented, per_root = augmenting_dfs(
             col_ptr_l, col_ind_l, roots, level, row_match, col_match,
             bytearray(graph.n_rows), restrict_levels=True,
         )
-        counters["edges_scanned"] += edges
+        counters["edges_scanned"] += sum(per_root)
         counters["augmentations"] += augmented
         extra = 0
         if duff_wassel:
@@ -184,11 +90,11 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
                 v for v in range(n_cols)
                 if col_match[v] == UNMATCHED and level[v] != _INF
             ]
-            extra, edges = _augment_phase(
+            extra, per_root = augmenting_dfs(
                 col_ptr_l, col_ind_l, roots, level, row_match, col_match,
                 bytearray(graph.n_rows), restrict_levels=False,
             )
-            counters["edges_scanned"] += edges
+            counters["edges_scanned"] += sum(per_root)
             counters["extra_augmentations"] += extra
         if augmented == 0 and extra == 0:
             break

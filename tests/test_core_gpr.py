@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import max_bipartite_matching
+from repro.core import ghkdw as ghkdw_module
 from repro.core import GPRConfig, GPRVariant, ghkdw_matching, gpr_matching
 from repro.core.api import MAXIMUM_ALGORITHMS, SPECS, resolve_algorithm
 from repro.core.strategies import AdaptiveStrategy, FixedStrategy, parse_strategy
@@ -204,6 +205,14 @@ def test_ghkdw_empty_and_star():
 def test_ghkdw_phase_guard(tiny_graph):
     with pytest.raises(RuntimeError):
         ghkdw_matching(tiny_graph, initial=Matching.empty(tiny_graph), max_phases=0)
+
+
+def test_ghkdw_phase_that_augments_nothing_raises(tiny_graph, monkeypatch):
+    # Cannot happen (a phase whose BFS reached a free row always augments),
+    # so a broken augment round must fail loudly instead of stopping short.
+    monkeypatch.setattr(ghkdw_module, "_augment_phase", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="invariant"):
+        ghkdw_matching(tiny_graph, initial=Matching.empty(tiny_graph))
 
 
 # ------------------------------------------------------------------- P-DBFS

@@ -12,7 +12,8 @@ Three guarantees:
   records counter end-values, cardinalities and full matchings captured
   from the pre-rewrite per-edge implementations on seeded graphs;
 * the scalar fallback of ``alternating_level_bfs`` agrees with the
-  vectorized path.
+  vectorized path, and ``augmenting_dfs`` reproduces G-HKDW's old
+  ndarray-scalar augmentation walk over lists, memoryviews and ndarrays.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.generators.random_bipartite import uniform_random_bipartite
 from repro.generators.rmat import rmat_bipartite
 from repro.graph.frontier import (
     alternating_level_bfs,
+    augmenting_dfs,
     claiming_bfs,
     distance_label_bfs,
     expand_frontier,
@@ -366,6 +368,128 @@ def test_claiming_bfs_blocked_by_other_threads_claims():
     path, work, atomics = claiming_bfs(ptr, ind, start, mu_row, owner, thread_id=1)
     assert path is None and atomics == 0
     assert work == 1.0 + (ptr[start + 1] - ptr[start])
+
+
+# ----------------------------------------- augmenting DFS (HK/HKDW, G-HKDW)
+def _reference_ghkdw_walk(graph, mu_row, mu_col, level, restrict_levels):
+    """G-HKDW's ndarray-scalar augmentation walk, as it was before it moved
+    onto ``augmenting_dfs``.  Mutates ``mu_row``/``mu_col``; returns the
+    per-thread work vector and the augmentation count."""
+    col_ptr, col_ind = graph.col_ptr, graph.col_ind
+    start_cols = np.flatnonzero(mu_col == UNMATCHED)
+    start_cols = start_cols[level[start_cols] != _INF]
+    row_claimed = np.zeros(graph.n_rows, dtype=bool)
+    thread_work = np.ones(len(start_cols), dtype=np.float64)
+    augmented = 0
+    for t, start in enumerate(start_cols):
+        stack = [[int(start), int(col_ptr[start])]]
+        path_rows = []
+        work = 1.0
+        success = False
+        while stack and not success:
+            v, idx = stack[-1]
+            stop = int(col_ptr[v + 1])
+            advanced = False
+            while idx < stop:
+                u = int(col_ind[idx])
+                idx += 1
+                work += 1.0
+                if row_claimed[u]:
+                    continue
+                w = int(mu_row[u])
+                if w == UNMATCHED:
+                    row_claimed[u] = True
+                    mu_row[u] = v
+                    mu_col[v] = u
+                    for depth in range(len(stack) - 2, -1, -1):
+                        mu_row[path_rows[depth]] = stack[depth][0]
+                        mu_col[stack[depth][0]] = path_rows[depth]
+                    augmented += 1
+                    success = True
+                    break
+                if restrict_levels and level[w] != level[v] + 1:
+                    continue
+                if not restrict_levels and level[w] == _INF:
+                    continue
+                row_claimed[u] = True
+                stack[-1][1] = idx
+                path_rows.append(u)
+                stack.append([w, int(col_ptr[w])])
+                advanced = True
+                break
+            if success or advanced:
+                continue
+            stack[-1][1] = idx
+            if idx >= stop:
+                stack.pop()
+                if path_rows:
+                    path_rows.pop()
+        thread_work[t] = work
+    return thread_work, augmented
+
+
+def _random_warm_start(graph, seed):
+    """A random partial matching: columns in random order take a random free
+    neighbour with probability 0.7, so many augmenting phases remain."""
+    rng = np.random.default_rng(seed)
+    row_match = np.full(graph.n_rows, UNMATCHED, dtype=np.int64)
+    col_match = np.full(graph.n_cols, UNMATCHED, dtype=np.int64)
+    for v in rng.permutation(graph.n_cols):
+        free = [int(u) for u in graph.column_neighbors(v) if row_match[u] == UNMATCHED]
+        if free and rng.random() < 0.7:
+            u = free[rng.integers(len(free))]
+            row_match[u], col_match[v] = v, u
+    return row_match, col_match
+
+
+#: How a caller hands ``augmenting_dfs`` its per-vertex state: HK's lists,
+#: G-HKDW's zero-copy memoryviews, and plain ndarrays (the sanitizer's case).
+WALK_CONTAINERS = {
+    "list": lambda array: array.tolist(),
+    "memoryview": memoryview,
+    "ndarray": lambda array: array,
+}
+
+
+@pytest.mark.parametrize("warm", ["cheap", "random"])
+def test_augmenting_dfs_matches_ndarray_ghkdw_walk(golden_graph, warm):
+    """Phase by phase, level-restricted round then unrestricted round, the
+    shared walk reproduces the old G-HKDW walk on every container: the same
+    matching, augmentation count and per-root work (scanned edges + 1)."""
+    _, graph = golden_graph
+    if warm == "cheap":
+        matching = cheap_matching(graph).matching
+        mu_row, mu_col = matching.row_match.copy(), matching.col_match.copy()
+    else:
+        mu_row, mu_col = _random_warm_start(graph, seed=graph.n_edges)
+    ptr, ind = graph.csr_lists("col")
+    phases = 0
+    while True:
+        level, shortest, _ = alternating_level_bfs(graph.col_ptr, graph.col_ind, mu_row, mu_col)
+        if shortest == _INF:
+            break
+        phases += 1
+        for restrict in (True, False):
+            roots = np.flatnonzero(mu_col == UNMATCHED)
+            roots = roots[level[roots] != _INF].tolist()
+            ref_row, ref_col = mu_row.copy(), mu_col.copy()
+            ref_work, ref_augmented = _reference_ghkdw_walk(
+                graph, ref_row, ref_col, level, restrict
+            )
+            for kind, wrap in WALK_CONTAINERS.items():
+                state = [wrap(array.copy()) for array in (level, mu_row, mu_col)]
+                augmented, per_root = augmenting_dfs(
+                    ptr, ind, roots, *state, bytearray(graph.n_rows), restrict
+                )
+                assert augmented == ref_augmented, kind
+                np.testing.assert_array_equal(
+                    np.asarray(per_root, dtype=np.float64) + 1.0, ref_work, err_msg=kind
+                )
+                np.testing.assert_array_equal(np.asarray(state[1]), ref_row, err_msg=kind)
+                np.testing.assert_array_equal(np.asarray(state[2]), ref_col, err_msg=kind)
+            mu_row, mu_col = ref_row, ref_col
+    assert phases >= 2
+    assert int(np.count_nonzero(mu_row >= 0)) == hopcroft_karp_matching(graph).cardinality
 
 
 # --------------------------------------------- counter-accounting regression

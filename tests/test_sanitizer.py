@@ -13,6 +13,7 @@ from repro.analysis.hazards import (
     shadow_wrap,
 )
 from repro.analysis.registry import KERNEL_POLICIES, sanitized_run, sanitized_sweep
+from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, gpr_matching
 from repro.generators import uniform_random_bipartite
 from repro.gpusim.device import DeviceSpec, VirtualGPU
@@ -197,15 +198,28 @@ def test_shadow_wrap_is_identity_without_shadow_mode():
 
 def test_shadow_mode_does_not_change_results_or_counters():
     graph = uniform_random_bipartite(120, 110, avg_degree=4, seed=11)
-    plain = gpr_matching(graph, config=GPRConfig(), device=VirtualGPU(DeviceSpec().scaled()))
-    shadow = gpr_matching(
-        graph, config=GPRConfig(), device=VirtualGPU(DeviceSpec().scaled(), shadow=AccessLog())
-    )
-    assert np.array_equal(plain.matching.row_match, shadow.matching.row_match)
-    assert np.array_equal(plain.matching.col_match, shadow.matching.col_match)
-    assert plain.counters == shadow.counters
-    assert plain.modeled_time == shadow.modeled_time
-    assert type(shadow.matching.row_match) is np.ndarray  # unwrapped at the boundary
+    solvers = {
+        "g-pr": lambda gpu: gpr_matching(graph, config=GPRConfig(), device=gpu),
+        # G-HKDW walks its augment DFS over memoryviews, but over the
+        # recording arrays themselves when shadow-wrapped.
+        "g-hkdw": lambda gpu: ghkdw_matching(graph, device=gpu),
+    }
+    logs = {label: AccessLog() for label in solvers}
+    for label, solve in solvers.items():
+        plain = solve(VirtualGPU(DeviceSpec().scaled()))
+        shadow = solve(VirtualGPU(DeviceSpec().scaled(), shadow=logs[label]))
+        assert np.array_equal(plain.matching.row_match, shadow.matching.row_match), label
+        assert np.array_equal(plain.matching.col_match, shadow.matching.col_match), label
+        assert plain.counters == shadow.counters, label
+        assert plain.modeled_time == shadow.modeled_time, label
+        # Unwrapped at the boundary.
+        assert type(shadow.matching.row_match) is np.ndarray, label
+        assert type(shadow.matching.col_match) is np.ndarray, label
+    augment = [
+        s for s in logs["g-hkdw"].segments if s.kernel in ("ghkdw-augment", "ghkdw-dw-augment")
+    ]
+    assert sum(s.reads for s in augment) > 0
+    assert sum(s.writes for s in augment) > 0
 
 
 # --------------------------------------------------------------------------
