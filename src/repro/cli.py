@@ -62,45 +62,35 @@ from repro.capacity import assignment_demand
 from repro.core.api import SPECS, resolve_algorithm
 from repro.dynamic import IncrementalMatcher, read_update_trace
 from repro.engine import BACKEND_NAMES, Engine, FaultSchedule, JobError
-from repro.engine.execution import validate_job_args
-from repro.generators.capacities import apply_capacity_spec, parse_capacity_spec
 from repro.generators.scenarios import generate_scenario, scenario_names
-from repro.generators.suite import SCALE_PROFILES, SUITE_SPECS, generate_instance, instance_names
+from repro.generators.suite import instance_names
 from repro.generators.updates import random_update_trace
-from repro.generators.weights import apply_weight_spec, parse_weight_spec
-from repro.graph.io import read_matrix_market
 from repro.service import DiskCache, MatchingJob, MatchingService
-from repro.service.jobs import INITIAL_CHOICES
 
 __all__ = ["main"]
 
 
+def _request_fields(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The job-request fields set by flags; ``--mtx`` overrides ``--graph``."""
+    fields = {"mtx": args.mtx} if args.mtx else {"graph": args.graph}
+    fields.update({name: getattr(args, name) for name in names
+                   if getattr(args, name) is not None})
+    return fields
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Imported here, as in every command using it: `list`/`lint` skip its cost.
+    from repro.server.protocol import GraphCache, parse_request
+
+    fields = _request_fields(args, (
+        "profile", "seed", "algorithm", "weights", "objective", "capacities",
+        "shards", "partition",
+    ))
     # Only input handling lives in the guard: a solver bug must surface as a
     # traceback, not masquerade as the exit-2 bad-input contract.
     try:
-        weights_kind = parse_weight_spec(args.weights)[0] if args.weights else None
-        if args.shards is not None and args.weights is not None:
-            raise ValueError(
-                "sharded matching is cardinality-only; drop --weights or --shards"
-            )
-        if args.capacities is not None:
-            parse_capacity_spec(args.capacities)
-            if args.shards is not None:
-                raise ValueError(
-                    "sharded matching is uncapacitated; drop --capacities or --shards"
-                )
-            spec_entry = SPECS.get(args.algorithm)
-            if spec_entry is not None and not spec_entry.capacitated:
-                raise ValueError(
-                    f"algorithm {args.algorithm!r} ignores vertex capacities; "
-                    "pick a capacitated algorithm (b-aug, b-expand, b-auction) "
-                    "or drop --capacities"
-                )
-        kwargs = {"objective": args.objective} if args.objective else {}
-        plan = resolve_algorithm(
-            args.algorithm, shards=args.shards, partition=args.partition, **kwargs
-        )
+        request = parse_request(fields)
+        plan = request.plan
         if args.mtx and args.shards is not None:
             # Out-of-core path: the file streams straight into disk-backed
             # shards, so peak memory follows the largest shard, not the file.
@@ -109,18 +99,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             graph = ingest_matrix_market_sharded(
                 args.mtx, args.shards, plan.partition_method
             )
-        elif args.mtx:
-            graph = read_matrix_market(args.mtx, with_weights=weights_kind == "values")
         else:
-            graph = generate_instance(args.graph, profile=args.profile, seed=args.seed)
-        if args.weights is not None:
-            graph = apply_weight_spec(graph, args.weights, seed=args.seed)
-        if args.capacities is not None:
-            graph = apply_capacity_spec(graph, args.capacities, seed=args.seed)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        # KeyError covers an unknown suite instance from generate_instance.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+            graph = GraphCache().resolve(request.source)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     result = plan.run(graph)
     payload = {
@@ -136,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "total_weight" in result.counters:
         payload["total_weight"] = result.counters["total_weight"]
         payload["objective"] = result.counters["objective"]
-    if graph.has_capacities:
+    if request.source.capacities is not None:
         demand = assignment_demand(graph)
         payload["demand"] = demand
         payload["assignment_rate"] = round(
@@ -161,216 +143,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_manifest(
-    path: str,
-    default_profile: str,
-    default_seed: int,
-    default_weights: str | None = None,
-    default_objective: str | None = None,
-    default_shards: int | None = None,
-    default_partition: str | None = None,
-    default_capacities: str | None = None,
-) -> list[MatchingJob]:
+def _load_manifest(path: str, defaults: dict) -> list[MatchingJob]:
     """Parse a JSONL job manifest into :class:`MatchingJob` objects.
 
-    Each line is an object with a ``graph`` (suite instance name or id) or
-    ``mtx`` (Matrix-Market path), plus optional ``algorithm``, ``kwargs``,
-    ``initial``, ``profile``, ``seed``, ``weights``, ``objective``,
-    ``shards``, ``partition``, ``capacities`` and ``id`` fields.  ``shards``
-    / ``partition`` fold into the job's kwargs exactly like ``objective``
-    does (the CLI-level defaults only apply to algorithms that can run
-    sharded, so a mixed manifest stays valid).  ``capacities`` is a
-    capacity-spec string (see :func:`repro.generators.capacities.
-    apply_capacity_spec`) layered onto the graph; it requires a capacitated
-    algorithm, and the CLI-level default only reaches those, so a manifest
-    mixing capacitated and plain jobs stays valid.  ``weights`` is a
-    weight-spec string (see
-    :func:`repro.generators.weights.apply_weight_spec`; ``"values"`` reads a
-    Matrix-Market file's value entries) and ``objective`` is folded into the
-    job's kwargs for the weighted algorithms.  Every line is parsed and
-    fully validated — including algorithm name, keyword arguments,
-    warm-start applicability and weight spec — *before* any graph is built,
-    so a malformed last line costs milliseconds, not the minutes of
-    generation work done for the lines above it.  Structural graph
-    construction is memoized per (source, profile, seed) with weight specs
-    layered on top, so a manifest sweeping one graph over several weight
-    specs generates it once.
+    Each line is one job request for :func:`repro.server.protocol.
+    parse_request`, with ``defaults`` (the CLI flags) filling absent fields;
+    the server-only fields are rejected by name.  Every line is validated,
+    with errors naming ``path:line``, before any graph is built, so a bad
+    last line costs milliseconds, not the generation work of the lines
+    above it.  One graph cache that never evicts then builds each graph,
+    and each structure under several weight specs, once.
     """
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    # Phase 1: parse and validate every line (cheap, no graph construction).
-    entries: list[tuple[int, dict, tuple]] = []
-    for lineno, line in enumerate(lines, start=1):
+    from repro.server.protocol import (
+        SERVER_ONLY_FIELDS, GraphCache, ProtocolError, build_job, parse_request,
+    )
+
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    requests = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             entry = json.loads(line)
+            for name in SERVER_ONLY_FIELDS:
+                if isinstance(entry, dict) and name in entry:
+                    raise ProtocolError(f"{name!r} only applies to server requests")
+            requests.append((lineno, parse_request(entry, defaults, f"job-{lineno}")))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}:{lineno}: expected an object, got {type(entry).__name__}")
-        if ("graph" in entry) == ("mtx" in entry):
-            raise ValueError(f"{path}:{lineno}: each job needs exactly one of 'graph' or 'mtx'")
-        profile = entry.get("profile", default_profile)
-        if not isinstance(profile, str):
-            raise ValueError(f"{path}:{lineno}: 'profile' must be a string")
-        if profile not in SCALE_PROFILES:
-            raise ValueError(
-                f"{path}:{lineno}: unknown profile {profile!r}; "
-                f"choose from {sorted(SCALE_PROFILES)}"
-            )
-        if not isinstance(entry.get("seed", 0), int):
-            raise ValueError(f"{path}:{lineno}: 'seed' must be an integer")
-        seed = int(entry.get("seed", default_seed))
-        if not isinstance(entry.get("kwargs", {}), dict):
-            raise ValueError(f"{path}:{lineno}: 'kwargs' must be an object")
-        if entry.get("initial") not in INITIAL_CHOICES:
-            raise ValueError(
-                f"{path}:{lineno}: unknown warm-start {entry.get('initial')!r}; "
-                f"choose from {INITIAL_CHOICES}"
-            )
-        algorithm = str(entry.get("algorithm", "g-pr")).strip().lower()
-        spec_entry = SPECS.get(algorithm)
-        # The CLI-level --weights/--objective defaults only apply where they
-        # are meaningful — to the weighted algorithms — so a manifest mixing
-        # weighted and cardinality jobs stays valid and the cardinality
-        # jobs keep their (weightless) cache keys.  Explicit per-line fields
-        # are still honoured (and validated) for every algorithm.
-        weighted_default_applies = spec_entry is not None and spec_entry.weighted
-        weights = entry.get(
-            "weights", default_weights if weighted_default_applies else None
-        )
-        weights_kind = None
-        if weights is not None:
-            if not isinstance(weights, str):
-                raise ValueError(f"{path}:{lineno}: 'weights' must be a weight-spec string")
-            try:
-                weights_kind, _weight_kwargs = parse_weight_spec(weights)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if weights_kind == "values" and "graph" in entry:
-                raise ValueError(
-                    f"{path}:{lineno}: weight spec 'values' needs an 'mtx' source "
-                    "(suite instances carry no value entries)"
-                )
-        # Capacities layer onto the graph (not the kwargs), so they gate on
-        # the capacitated algorithms: a cardinality solver silently ignoring
-        # a requested capacity pattern would be a wrong answer, not a run.
-        capacitated_default_applies = spec_entry is not None and spec_entry.capacitated
-        capacities = entry.get(
-            "capacities", default_capacities if capacitated_default_applies else None
-        )
-        if capacities is not None:
-            if not isinstance(capacities, str):
-                raise ValueError(
-                    f"{path}:{lineno}: 'capacities' must be a capacity-spec string"
-                )
-            try:
-                parse_capacity_spec(capacities)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if spec_entry is not None and not spec_entry.capacitated:
-                raise ValueError(
-                    f"{path}:{lineno}: algorithm {algorithm!r} ignores vertex "
-                    "capacities; pick b-aug, b-expand or b-auction, or drop "
-                    "'capacities'"
-                )
-        kwargs = dict(entry.get("kwargs", {}))
-        objective = entry.get("objective")
-        if objective is None and default_objective is not None and weighted_default_applies:
-            objective = default_objective
-        if objective is not None:
-            if "objective" in kwargs and kwargs["objective"] != objective:
-                raise ValueError(
-                    f"{path}:{lineno}: 'objective' conflicts with kwargs['objective']"
-                )
-            kwargs["objective"] = objective
-        # The --shards/--partition defaults only reach algorithms that can
-        # run sharded (maximum-cardinality, non-weighted); explicit per-line
-        # fields are honoured — and validated — for every algorithm.
-        sharded_default_applies = (
-            spec_entry is not None and spec_entry.maximum and not spec_entry.weighted
-        )
-        for field_name, default in (
-            ("shards", default_shards),
-            ("partition", default_partition),
-        ):
-            value = entry.get(
-                field_name, default if sharded_default_applies else None
-            )
-            if value is not None:
-                if field_name in kwargs and kwargs[field_name] != value:
-                    raise ValueError(
-                        f"{path}:{lineno}: {field_name!r} conflicts with "
-                        f"kwargs[{field_name!r}]"
-                    )
-                kwargs[field_name] = value
-        # Resolve the algorithm now (cheap) so a typo'd name, knob or
-        # warm-start on any line is caught before phase 2 generates a graph.
-        try:
-            validate_job_args(algorithm, kwargs, entry.get("initial"))
-        except (TypeError, ValueError) as exc:
+        except ProtocolError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if "mtx" in entry:
-            # The seed only matters when a weight spec draws random weights.
-            weight_seed = seed if weights is not None and weights_kind != "values" else None
-            source = ("mtx", entry["mtx"], weights, weight_seed, capacities, seed)
-            if not isinstance(entry["mtx"], str) or not Path(entry["mtx"]).is_file():
-                raise ValueError(f"{path}:{lineno}: no such Matrix-Market file {entry['mtx']!r}")
-        else:
-            ref = entry["graph"]
-            known = any(spec.name == ref or spec.instance_id == ref for spec in SUITE_SPECS)
-            if not known:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown suite instance {ref!r} "
-                    f"(see `repro.cli list` for the available names)"
-                )
-            source = ("suite", ref, profile, seed, weights, capacities)
-        entries.append(
-            (lineno, entry, source, kwargs, weights, weights_kind, capacities, seed)
-        )
-    # Phase 2: build graphs and jobs.  Memoization is two-level: the
-    # structural graph is generated once per (source, profile, seed) — a
-    # manifest sweeping one instance over several weight specs pays for
-    # generation once — and each weight spec layers on top of it.
-    structural: dict[tuple, object] = {}
-    graphs: dict[tuple, object] = {}
-    jobs: list[MatchingJob] = []
-    for lineno, entry, source, kwargs, weights, weights_kind, capacities, seed in entries:
+    # A request adds at most two entries: its layered and structural graphs.
+    graphs = GraphCache(max_entries=2 * len(requests) or 1)
+    jobs = []
+    for lineno, request in requests:
         try:
-            if source not in graphs:
-                if source[0] == "mtx":
-                    base_key = ("mtx", entry["mtx"], weights_kind == "values")
-                    if base_key not in structural:
-                        structural[base_key] = read_matrix_market(
-                            entry["mtx"], with_weights=weights_kind == "values"
-                        )
-                else:
-                    base_key = ("suite", source[1], source[2], source[3])
-                    if base_key not in structural:
-                        structural[base_key] = generate_instance(
-                            entry["graph"], profile=source[2], seed=source[3]
-                        )
-                graph = structural[base_key]
-                if weights is not None:
-                    graph = apply_weight_spec(graph, weights, seed=seed)
-                if capacities is not None:
-                    graph = apply_capacity_spec(graph, capacities, seed=seed)
-                graphs[source] = graph
-            jobs.append(
-                MatchingJob(
-                    graph=graphs[source],
-                    algorithm=entry.get("algorithm", "g-pr"),
-                    kwargs=kwargs,
-                    initial=entry.get("initial"),
-                    job_id=str(entry["id"]) if "id" in entry else f"job-{lineno}",
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            jobs.append(build_job(request, graphs))
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return jobs
 
@@ -408,12 +218,10 @@ def _summary_row(report, args: argparse.Namespace, backend: str) -> dict:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    names = ("profile", "seed", "weights", "objective", "capacities", "shards", "partition")
     try:
-        jobs = _load_manifest(
-            args.manifest, args.profile, args.seed, args.weights, args.objective,
-            args.shards, args.partition, args.capacities,
-        )
-    except (TypeError, ValueError, KeyError, OSError) as exc:
+        jobs = _load_manifest(args.manifest, {name: getattr(args, name) for name in names})
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not jobs:
@@ -426,15 +234,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
     try:
         with MatchingService(workers=args.workers, cache=cache, backend=args.backend) as service:
-            try:
-                report = service.submit_batch(jobs)
-            except (TypeError, ValueError) as exc:
-                # The service fails fast on unknown algorithms / keyword
-                # arguments before executing anything; surface that as a
-                # manifest error.  Runtime failures never raise — they come
-                # back per job with status="failed".
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            # Runtime failures never raise: they come back per job with
+            # status="failed", and the manifest loader validated every job.
+            report = service.submit_batch(jobs)
             backend = service.engine.backend.name
     except ValueError as exc:  # unknown backend name
         print(f"error: {exc}", file=sys.stderr)
@@ -491,20 +293,26 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             return 2
         graph = scenario.graph
         updates = list(scenario.updates)
+        algorithm = args.algorithm or scenario.algorithm
     else:
         if (args.trace is None) == (args.synthesize is None):
             print("error: pass exactly one of --trace or --synthesize", file=sys.stderr)
             return 2
+        from repro.server.protocol import GraphCache, parse_request
+
+        fields = _request_fields(args, ("profile", "seed", "capacities"))
+        # Without a scenario the graph carries no weights, so the repair
+        # backend only has to fit the capacities.
+        fields["algorithm"] = args.algorithm or (
+            "b-aug" if args.capacities is not None else "hk"
+        )
         try:
-            if args.mtx:
-                graph = read_matrix_market(args.mtx)
-            else:
-                graph = generate_instance(args.graph, profile=args.profile, seed=args.seed)
-            if args.capacities is not None:
-                graph = apply_capacity_spec(graph, args.capacities, seed=args.seed)
-        except (KeyError, ValueError, OSError) as exc:
+            request = parse_request(fields)
+            graph = GraphCache().resolve(request.source)
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        algorithm = request.algorithm
         try:
             if args.trace is not None:
                 source = sys.stdin if args.trace == "-" else args.trace
@@ -520,21 +328,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    # Pick the repair backend to fit the graph: capacitated and/or weighted
-    # graphs need a plan that maintains the matching invariant they define
-    # (scenarios name their own solver).
-    algorithm = args.algorithm
-    if algorithm is None:
-        if scenario is not None:
-            algorithm = scenario.algorithm
-        elif graph.has_capacities and graph.has_weights:
-            algorithm = "b-auction"
-        elif graph.has_capacities:
-            algorithm = "b-aug"
-        elif graph.has_weights:
-            algorithm = "weighted-sap"
-        else:
-            algorithm = "hk"
     slo = args.slo if args.slo is not None else (scenario.slo if scenario else None)
 
     rows: list[dict] = []

@@ -30,7 +30,7 @@ def check_warm_start(plan: ExecutionPlan, initial: str | None) -> None:
     """Raise ``TypeError`` if ``plan``'s algorithm cannot take the named warm-start.
 
     The single source of this rule — shared by :func:`resolve_job_plan`, the
-    engine's plan-provided submit path and the CLI's manifest validation.
+    engine's plan-provided submit path and the job-request parser.
     """
     if initial is not None and not plan.spec.accepts_initial:
         raise TypeError(
@@ -49,8 +49,9 @@ def validate_job_args(algorithm: str, kwargs=None, initial: str | None = None) -
 
     Resolves ``algorithm`` + ``kwargs`` into an
     :class:`~repro.core.api.ExecutionPlan` and checks the warm-start, without
-    needing a :class:`~repro.engine.job.MatchingJob` (and therefore a graph)
-    — manifest loaders use this to reject bad lines before building graphs.
+    needing a :class:`~repro.engine.job.MatchingJob` (and therefore a graph):
+    :func:`repro.server.protocol.parse_request` uses this to reject a bad job
+    request before building its graph.
     Raises ``ValueError`` for an unknown algorithm, ``TypeError`` for unknown
     keyword arguments or an inapplicable warm-start.
     """

@@ -188,9 +188,9 @@ class MatchingServer:
         self.metrics = ServerMetrics(latency_window)
         self.results = ResultCache(max_cache_entries)
         self.graphs = GraphCache(graph_cache_entries)
-        self.default_deadline = default_deadline
-        self.default_profile = default_profile
-        self.default_seed = default_seed
+        self.defaults = {
+            "profile": default_profile, "seed": default_seed, "deadline": default_deadline,
+        }
         self.grace = grace
         self.host: str | None = None
         self.port: int | None = None
@@ -326,21 +326,11 @@ class MatchingServer:
         self._request_counter += 1
         return f"req-{self._request_counter}"
 
-    def _parse(self, payload: Any, request_id: str, **overrides):
-        return parse_request(
-            payload,
-            default_profile=self.default_profile,
-            default_seed=self.default_seed,
-            default_deadline=self.default_deadline,
-            request_id=request_id,
-            **overrides,
-        )
-
     async def _serve_match(self, body: bytes) -> tuple[int, dict]:
         arrival = time.perf_counter()
         try:
             payload = json.loads(body or b"null")
-            request = self._parse(payload, self._next_request_id())
+            request = parse_request(payload, self.defaults, self._next_request_id())
             job = await asyncio.get_running_loop().run_in_executor(
                 None, build_job, request, self.graphs
             )
@@ -432,17 +422,21 @@ class MatchingServer:
                 for key in ("tenant", "deadline", "include_matching", "profile", "seed")
                 if key in payload
             }
-            requests = [
-                self._parse({**shared, **entry}, f"job-{index}")
-                if isinstance(entry, dict)
-                else self._parse(entry, f"job-{index}")  # delegates the type error
-                for index, entry in enumerate(jobs_payload)
-            ]
+            requests, jobs = [], []
             loop = asyncio.get_running_loop()
-            jobs = [
-                await loop.run_in_executor(None, build_job, request, self.graphs)
-                for request in requests
-            ]
+            try:
+                # Every job is validated before any graph is built.
+                for index, entry in enumerate(jobs_payload):
+                    requests.append(parse_request(
+                        {**shared, **entry} if isinstance(entry, dict) else entry,
+                        self.defaults, f"job-{index}",
+                    ))
+                for index, request in enumerate(requests):
+                    jobs.append(
+                        await loop.run_in_executor(None, build_job, request, self.graphs)
+                    )
+            except (ValueError, OSError) as exc:
+                raise ProtocolError(f"jobs[{index}]: {exc}") from exc
         except (ProtocolError, ValueError, OSError) as exc:
             self.metrics.record_bad_request()
             writer.write(_json_response(400, {"error": str(exc)}))

@@ -1,24 +1,28 @@
-"""Wire protocol: request validation, graph resolution and response rows.
+"""The job-request schema: one parser and one graph builder for every entry point.
 
-Requests reference graphs the same way JSONL manifests do — a suite instance
-name (``graph`` + ``profile`` + ``seed``) or a server-local Matrix-Market
-path (``mtx``), optionally layered with a ``weights`` spec — rather than
-shipping edge lists over the wire.  Resolved graphs are memoized in a
-:class:`GraphCache` keyed on the source tuple; results are memoized by the
-server's :class:`~repro.service.cache.ResultCache` keyed on
-:meth:`MatchingJob.cache_key`, which embeds the graph's ``content_hash()``,
-so renamed copies of the same structure share warm entries.
+A job request is one JSON object: a ``repro batch`` manifest line, the
+flags of ``repro run``/``stream``, or a server ``/v1/match`` body or
+``/v1/batch`` job.  :func:`parse_request` validates all of them into a
+:class:`JobRequest`, so every entry point accepts and rejects the same
+inputs with the same messages, raising :class:`ProtocolError` (HTTP 400,
+CLI exit code 2) before any graph is built.  ``repro batch`` alone also
+rejects :data:`SERVER_ONLY_FIELDS`, which it cannot act on.
 
-All validation errors raise :class:`ProtocolError` (HTTP 400): like the
-batch service, a malformed request must fail before anything executes.
+A request names its graph by recipe — a suite instance name or Table-I id
+(``graph`` + ``profile`` + ``seed``) or a Matrix-Market path (``mtx``),
+optionally layered with ``weights`` and ``capacities`` specs — and
+:class:`GraphCache` builds and memoizes it.  The server's result cache keys
+on :meth:`MatchingJob.cache_key`, which embeds the graph's
+``content_hash()``, so renamed copies of one structure share warm entries.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.api import SPECS
 from repro.engine.execution import validate_job_args
@@ -29,16 +33,54 @@ from repro.generators.suite import SCALE_PROFILES, SUITE_SPECS, generate_instanc
 from repro.generators.weights import apply_weight_spec, parse_weight_spec
 from repro.graph.io import read_matrix_market
 
-__all__ = ["GraphCache", "ProtocolError", "ServerRequest", "parse_request", "result_row"]
+__all__ = [
+    "GraphCache", "JobRequest", "ProtocolError", "SERVER_ONLY_FIELDS", "parse_request",
+    "result_row",
+]
+
+#: Every field a job request may carry; anything else is rejected.
+REQUEST_FIELDS = frozenset({
+    "graph", "mtx", "profile", "seed", "algorithm", "kwargs", "initial",
+    "weights", "objective", "capacities", "shards", "partition", "id",
+    "tenant", "deadline", "include_matching",
+})
+#: Fields only the server acts on; ``repro batch`` rejects them by name.
+SERVER_ONLY_FIELDS = ("tenant", "deadline", "include_matching")
+
+#: Suite instance name or Table-I id → canonical instance name.
+_SUITE_NAMES = {key: spec.name for spec in SUITE_SPECS for key in (spec.name, spec.instance_id)}
 
 
 class ProtocolError(ValueError):
-    """A malformed or invalid request payload (HTTP 400)."""
+    """A malformed or invalid job request (HTTP 400, CLI exit code 2)."""
+
+
+class GraphSource(NamedTuple):
+    """A request's graph recipe, and its :class:`GraphCache` key.
+
+    ``ref`` is a canonical suite instance name or an ``mtx`` path.  An
+    ``mtx`` source has no ``profile``, and a ``seed`` only when a random
+    weight or capacity layer draws from it.
+    """
+
+    kind: str
+    ref: str
+    profile: str | None
+    seed: int | None
+    weights: str | None
+    capacities: str | None
+
+    def structure(self) -> GraphSource:
+        """This source without its weight and capacity layers (an mtx keeps its values)."""
+        if self.kind == "suite":
+            return self._replace(weights=None, capacities=None)
+        values = self.weights is not None and parse_weight_spec(self.weights)[0] == "values"
+        return self._replace(seed=None, weights="values" if values else None, capacities=None)
 
 
 @dataclass(frozen=True)
-class ServerRequest:
-    """One validated ``/v1/match`` request (or one job of a ``/v1/batch``)."""
+class JobRequest:
+    """One validated job request: a manifest line, CLI flags or a server job."""
 
     tenant: str
     algorithm: str
@@ -47,7 +89,7 @@ class ServerRequest:
     deadline: float | None
     request_id: str
     include_matching: bool
-    source: tuple
+    source: GraphSource
     graph_label: str
     plan: Any = field(repr=False, default=None)
 
@@ -61,13 +103,13 @@ class ServerRequest:
 
 
 class GraphCache:
-    """Thread-safe memo of resolved graphs, keyed on their request source.
+    """Thread-safe memo of built graphs, keyed on their :class:`GraphSource`.
 
-    The *source* is the fully-determined recipe (suite instance + profile +
-    seed + weight spec, or mtx path + weight spec + seed), so two requests
-    naming the same recipe share one in-memory
-    :class:`~repro.graph.bipartite.BipartiteGraph` — generation cost is paid
-    once per distinct source for the server's lifetime.
+    Two requests naming the same recipe share one in-memory
+    :class:`~repro.graph.bipartite.BipartiteGraph`, so generation cost is
+    paid once per distinct source for the cache's lifetime.  A source with
+    a weight or capacity layer resolves its structural graph through the
+    cache too, so one structure swept over several specs is generated once.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -77,9 +119,9 @@ class GraphCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._graphs: dict[tuple, Any] = {}
+        self._graphs: dict[GraphSource, Any] = {}
 
-    def resolve(self, source: tuple):
+    def resolve(self, source: GraphSource):
         """The graph for ``source``, building (and caching) it on first use."""
         with self._lock:
             graph = self._graphs.get(source)
@@ -89,7 +131,7 @@ class GraphCache:
         # Built outside the lock: generation can take a while and concurrent
         # requests for *different* sources must not serialise on it.  A
         # racing duplicate build is benign — last writer wins, same content.
-        graph = _build_graph(source)
+        graph = self._build(source)
         with self._lock:
             self.misses += 1
             if len(self._graphs) >= self.max_entries:
@@ -97,6 +139,20 @@ class GraphCache:
                 # sources is tiny compared to the result cache's key space.
                 self._graphs.pop(next(iter(self._graphs)))
             self._graphs[source] = graph
+        return graph
+
+    def _build(self, source: GraphSource):
+        structure = source.structure()
+        if structure != source:
+            graph = self.resolve(structure)
+        elif source.kind == "suite":
+            graph = generate_instance(source.ref, profile=source.profile, seed=source.seed)
+        else:
+            graph = read_matrix_market(source.ref, with_weights=source.weights is not None)
+        if source.weights is not None:
+            graph = apply_weight_spec(graph, source.weights, seed=source.seed)
+        if source.capacities is not None:
+            graph = apply_capacity_spec(graph, source.capacities, seed=source.seed)
         return graph
 
     def __len__(self) -> int:
@@ -108,113 +164,114 @@ class GraphCache:
             return {"entries": len(self._graphs), "hits": self.hits, "misses": self.misses}
 
 
-def _build_graph(source: tuple):
-    kind = source[0]
-    if kind == "suite":
-        _, name, profile, seed, weights, capacities = source
-        graph = generate_instance(name, profile=profile, seed=seed)
-        cap_seed = seed
-    else:
-        _, path, weights, seed, capacities, cap_seed = source
-        weights_kind = parse_weight_spec(weights)[0] if weights else None
-        graph = read_matrix_market(path, with_weights=weights_kind == "values")
-    if weights is not None:
-        graph = apply_weight_spec(graph, weights, seed=seed)
-    if capacities is not None:
-        graph = apply_capacity_spec(graph, capacities, seed=cap_seed)
-    return graph
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
 
 
-def parse_request(
-    payload: Any,
-    *,
-    default_profile: str = "small",
-    default_seed: int = 20130421,
-    default_deadline: float | None = None,
-    default_tenant: str = "anonymous",
-    request_id: str = "",
-) -> ServerRequest:
-    """Validate one job payload into a :class:`ServerRequest`.
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    Mirrors the manifest loader's checks (graph/mtx exclusivity, known
-    profile and suite instance, weight-spec parsing, algorithm + kwargs +
-    warm-start validation via :func:`validate_job_args`) so a request that
-    would be rejected by ``repro batch`` is rejected here too — before any
-    graph is built or any quota consumed.
+
+def _check_spec(parse, spec: str) -> str:
+    """The kind of a weight or capacity spec, with its errors as ProtocolError."""
+    try:
+        return parse(spec)[0]
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
+def parse_request(
+    payload: Any, defaults: Mapping[str, Any] | None = None, request_id: str = ""
+) -> JobRequest:
+    """Validate one job request into a :class:`JobRequest`.
+
+    ``defaults`` maps field names to values that fill fields absent from
+    ``payload`` (``None`` values are skipped).  The server passes its
+    ``profile``, ``seed`` and ``deadline``; ``repro batch`` passes its
+    flags.  A default reaches only the algorithms it applies to, so one set
+    serves a mixed manifest: ``weights``/``objective`` reach the weighted
+    algorithms, ``capacities`` the capacitated ones and ``shards``/
+    ``partition`` those that can run sharded.  ``request_id`` is the ``id``
+    of a request that carries none.
+
+    Every check — fields, types, specs, and algorithm + kwargs + warm-start
+    via :func:`validate_job_args` — runs before any graph is built.
     """
     _require(isinstance(payload, dict), f"request must be an object, got {type(payload).__name__}")
-    known = {
-        "tenant", "graph", "mtx", "profile", "seed", "algorithm", "kwargs",
-        "initial", "weights", "objective", "capacities", "deadline", "id",
-        "include_matching",
-    }
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - REQUEST_FIELDS)
     _require(not unknown, f"unknown request fields: {', '.join(unknown)}")
-
-    tenant = payload.get("tenant", default_tenant)
-    _require(isinstance(tenant, str) and tenant, "'tenant' must be a non-empty string")
     _require(
         ("graph" in payload) != ("mtx" in payload),
         "each request needs exactly one of 'graph' or 'mtx'",
     )
-    profile = payload.get("profile", default_profile)
+    algorithm = str(payload.get("algorithm", "g-pr")).strip().lower()
+    spec = SPECS.get(algorithm)
+    weighted = spec is not None and spec.weighted
+    capacitated = spec is not None and spec.capacitated
+    shardable = spec is not None and spec.maximum and not weighted and not capacitated
+    reaches = {"weights": weighted, "objective": weighted, "capacities": capacitated,
+               "shards": shardable, "partition": shardable}
+    fields = dict(payload)
+    for name, value in (defaults or {}).items():
+        if value is not None and name not in fields and reaches.get(name, True):
+            fields[name] = value
+
+    tenant = fields.get("tenant", "anonymous")
+    _require(isinstance(tenant, str) and tenant, "'tenant' must be a non-empty string")
+    profile = fields.get("profile", "small")
     _require(isinstance(profile, str), "'profile' must be a string")
     _require(
         profile in SCALE_PROFILES,
         f"unknown profile {profile!r}; choose from {sorted(SCALE_PROFILES)}",
     )
-    seed = payload.get("seed", default_seed)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    kwargs = payload.get("kwargs", {})
+    seed = fields.get("seed", 20130421)
+    _require(_is_int(seed), "'seed' must be an integer")
+    kwargs = fields.get("kwargs", {})
     _require(isinstance(kwargs, dict), "'kwargs' must be an object")
     kwargs = dict(kwargs)
-    initial = payload.get("initial")
+    initial = fields.get("initial")
     _require(
         initial in INITIAL_CHOICES,
         f"unknown warm-start {initial!r}; choose from {INITIAL_CHOICES}",
     )
-    algorithm = str(payload.get("algorithm", "g-pr")).strip().lower()
 
-    weights = payload.get("weights")
-    weights_kind = None
+    weights = fields.get("weights")
+    values = False
     if weights is not None:
         _require(isinstance(weights, str), "'weights' must be a weight-spec string")
-        try:
-            weights_kind = parse_weight_spec(weights)[0]
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
+        values = _check_spec(parse_weight_spec, weights) == "values"
         _require(
-            weights_kind != "values" or "mtx" in payload,
+            not values or "mtx" in fields,
             "weight spec 'values' needs an 'mtx' source (suite instances carry no value entries)",
         )
-    objective = payload.get("objective")
-    if objective is not None:
-        _require(objective in ("max", "min"), "'objective' must be 'max' or 'min'")
-        _require(
-            kwargs.get("objective", objective) == objective,
-            "'objective' conflicts with kwargs['objective']",
-        )
-        kwargs["objective"] = objective
-    capacities = payload.get("capacities")
+    capacities = fields.get("capacities")
     if capacities is not None:
         _require(isinstance(capacities, str), "'capacities' must be a capacity-spec string")
-        try:
-            parse_capacity_spec(capacities)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        spec_entry = SPECS.get(algorithm)
+        _check_spec(parse_capacity_spec, capacities)
         _require(
-            spec_entry is None or spec_entry.capacitated,
+            spec is None or capacitated,
             f"algorithm {algorithm!r} ignores vertex capacities; pick b-aug, "
             "b-expand or b-auction, or drop 'capacities'",
         )
+    objective = fields.get("objective")
+    _require(objective in (None, "max", "min"), "'objective' must be 'max' or 'min'")
+    shards = fields.get("shards")
+    _require(shards is None or (_is_int(shards) and shards >= 1),
+             "'shards' must be a positive integer")
+    # These three fold into the plan's kwargs, where the server has always
+    # accepted them too.
+    for name, value in (("objective", objective), ("shards", shards),
+                        ("partition", fields.get("partition"))):
+        if value is not None:
+            _require(kwargs.get(name, value) == value, f"{name!r} conflicts with kwargs[{name!r}]")
+            kwargs[name] = value
+    _require(
+        weights is None or kwargs.get("shards") is None,
+        "sharded matching is cardinality-only; drop 'weights' or 'shards'",
+    )
 
-    deadline = payload.get("deadline", default_deadline)
+    deadline = fields.get("deadline")
     if deadline is not None:
         _require(
             isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
@@ -222,35 +279,35 @@ def parse_request(
             "'deadline' must be a positive number of seconds",
         )
         deadline = float(deadline)
-    include_matching = payload.get("include_matching", False)
+    include_matching = fields.get("include_matching", False)
     _require(isinstance(include_matching, bool), "'include_matching' must be a boolean")
-    rid = payload.get("id", request_id)
-    _require(isinstance(rid, (str, int)), "'id' must be a string or integer")
+    rid = fields.get("id", request_id)
+    _require(isinstance(rid, str) or _is_int(rid), "'id' must be a string or integer")
 
     try:
         plan = validate_job_args(algorithm, kwargs, initial)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(str(exc)) from exc
 
-    if "mtx" in payload:
-        path = payload["mtx"]
+    if "mtx" in fields:
+        path = fields["mtx"]
         _require(isinstance(path, str) and Path(path).is_file(),
                  f"no such Matrix-Market file {path!r}")
-        weight_seed = seed if weights is not None and weights_kind != "values" else None
-        cap_seed = seed if capacities is not None else None
-        source = ("mtx", path, weights, weight_seed, capacities, cap_seed)
+        layered = (weights is not None and not values) or capacities is not None
+        source = GraphSource("mtx", path, None, seed if layered else None, weights, capacities)
         graph_label = Path(path).name
     else:
-        ref = payload["graph"]
-        _require(isinstance(ref, str), "'graph' must be a string")
+        ref = fields["graph"]
+        _require(isinstance(ref, str) or _is_int(ref), "'graph' must be a suite instance name or id")
+        key = int(ref) if isinstance(ref, str) and ref.isdecimal() else ref
         _require(
-            any(spec.name == ref or spec.instance_id == ref for spec in SUITE_SPECS),
+            key in _SUITE_NAMES,
             f"unknown suite instance {ref!r} (see `repro.cli list` for the available names)",
         )
-        source = ("suite", ref, profile, seed, weights, capacities)
-        graph_label = ref
+        graph_label = _SUITE_NAMES[key]
+        source = GraphSource("suite", graph_label, profile, seed, weights, capacities)
 
-    return ServerRequest(
+    return JobRequest(
         tenant=tenant,
         algorithm=algorithm,
         kwargs=kwargs,
@@ -264,7 +321,7 @@ def parse_request(
     )
 
 
-def build_job(request: ServerRequest, graphs: GraphCache) -> MatchingJob:
+def build_job(request: JobRequest, graphs: GraphCache) -> MatchingJob:
     """Materialise the request's graph (cached) and wrap it into a job."""
     graph = graphs.resolve(request.source)
     return MatchingJob(
@@ -277,7 +334,7 @@ def build_job(request: ServerRequest, graphs: GraphCache) -> MatchingJob:
 
 
 def result_row(
-    request: ServerRequest,
+    request: JobRequest,
     *,
     status: str,
     result=None,
@@ -317,7 +374,7 @@ def result_row(
 
 
 def handle_row(
-    request: ServerRequest,
+    request: JobRequest,
     handle: JobHandle,
     *,
     server_seconds: float,

@@ -146,6 +146,21 @@ def test_cli_run_mtx(tmp_path, capsys, tiny_graph):
     assert payload["cardinality"] == 3
 
 
+def test_cli_run_mtx_out_of_core_shards(tmp_path, capsys, tiny_graph):
+    # Regression: the out-of-core path solved the matching, then crashed
+    # asking the disk-backed sharded graph whether it had capacities.
+    from repro.graph import write_matrix_market
+
+    path = tmp_path / "g.mtx"
+    write_matrix_market(tiny_graph, path)
+    assert main(["run", "--mtx", str(path), "--algorithm", "hk", "--shards", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cardinality"] == 3
+    assert payload["shards"] == 2
+    assert payload["shard_counters"]["shard_jobs"] == 2
+    assert "demand" not in payload
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -352,16 +367,16 @@ def test_cli_batch_generates_structural_graph_once_across_weight_specs(
 ):
     # Regression: keying the memo on the weight spec regenerated the same
     # structural instance once per distinct spec.
-    import repro.cli as cli_module
+    import repro.server.protocol as protocol
 
     calls = []
-    original = cli_module.generate_instance
+    original = protocol.generate_instance
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "generate_instance", counting)
+    monkeypatch.setattr(protocol, "generate_instance", counting)
     manifest = tmp_path / "jobs.jsonl"
     manifest.write_text(
         '{"graph": "roadNet-PA", "algorithm": "weighted-sap", "weights": "uniform:1:9"}\n'
@@ -421,13 +436,29 @@ def test_cli_batch_weights_default_only_touches_weighted_jobs(tmp_path, capsys):
     assert by_id["w"]["cardinality"] == by_id["card"]["cardinality"]
 
 
+def test_cli_batch_shards_default_only_touches_shardable_jobs(tmp_path, capsys):
+    # Regression: the --shards default also reached capacitated algorithms,
+    # which cannot run sharded, so a mixed manifest aborted.
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(
+        '{"graph": "roadNet-PA", "algorithm": "b-aug", "capacities": "fixed:2"}\n'
+        '{"graph": "roadNet-PA", "algorithm": "hk"}\n'
+    )
+    assert main([
+        "batch", "--manifest", str(manifest), "--profile", "tiny",
+        "--no-cache", "--shards", "3", "--format", "json",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in payload["results"]] == ["ok", "ok"]
+
+
 def test_cli_batch_values_spec_requires_mtx_source(tmp_path, capsys, monkeypatch):
     # Regression: weights="values" on a suite instance only failed in phase 2,
     # after graph generation; also spec kinds are case-insensitive.
-    import repro.cli as cli_module
+    import repro.server.protocol as protocol
 
     monkeypatch.setattr(
-        cli_module, "generate_instance",
+        protocol, "generate_instance",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("graph built")),
     )
     manifest = tmp_path / "jobs.jsonl"
@@ -459,12 +490,12 @@ def test_cli_batch_rejects_bad_weight_spec_before_building_graphs(
 ):
     # Regression: a bad spec on the last line used to surface only in phase 2,
     # after every earlier graph had been generated.
-    import repro.cli as cli_module
+    import repro.server.protocol as protocol
 
     def exploding(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("graph generation ran before manifest validation finished")
 
-    monkeypatch.setattr(cli_module, "generate_instance", exploding)
+    monkeypatch.setattr(protocol, "generate_instance", exploding)
     manifest = tmp_path / "jobs.jsonl"
     manifest.write_text(
         '{"graph": "roadNet-PA", "id": "ok"}\n'

@@ -130,7 +130,8 @@ def test_batch_validation_failure_rejects_whole_batch(server):
         "jobs": [{"graph": GRAPH}, {"graph": "no-such-instance"}],
     })
     assert status == 400
-    assert "error" in body
+    # The error names the offending job, as manifest errors name path:line.
+    assert body["error"].startswith("jobs[1]: unknown suite instance 'no-such-instance'")
 
 
 def test_metrics_document(server):

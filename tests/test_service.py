@@ -395,15 +395,16 @@ def test_cli_batch_rejects_unusable_cache_dir(tmp_path, capsys):
 
 def test_cli_batch_validates_whole_manifest_before_building_graphs(tmp_path, capsys, monkeypatch):
     from repro import cli
+    from repro.server import protocol
 
     built = []
-    original = cli.generate_instance
+    original = protocol.generate_instance
 
     def counting(*args, **kwargs):
         built.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "generate_instance", counting)
+    monkeypatch.setattr(protocol, "generate_instance", counting)
     manifest = tmp_path / "jobs.jsonl"
     manifest.write_text(
         '{"graph": "roadNet-PA", "algorithm": "pr", "profile": "tiny"}\n'
