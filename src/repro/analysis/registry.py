@@ -114,12 +114,12 @@ def _targets() -> list[tuple[str, Callable]]:
 
 def sanitized_run(runner: Callable, graph, label: str = "run") -> HazardReport:
     """Run one gpusim algorithm under shadow-access mode and evaluate it."""
-    from repro.gpusim.device import DeviceSpec, VirtualGPU
+    from repro.gpusim.device import VirtualGPU
 
     log = AccessLog()
     # The scaled device keeps wave_size small relative to the instances, so
     # the push kernels genuinely split their launches into several waves.
-    gpu = VirtualGPU(DeviceSpec().scaled(), shadow=log)
+    gpu = VirtualGPU(shadow=log)
     runner(graph, gpu)
     return evaluate(log, KERNEL_POLICIES, label=label)
 

@@ -20,7 +20,7 @@ from repro.core.api import ExecutionPlan, resolve_algorithm
 from repro.engine import Engine, ExecutionBackend, MatchingJob
 from repro.generators.suite import SUITE_SPECS, SuiteInstance, generate_instance
 from repro.gpusim.costmodel import CpuCostModel
-from repro.gpusim.device import DeviceSpec, VirtualGPU
+from repro.gpusim.device import VirtualGPU, reference_device
 from repro.matching import MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -37,16 +37,6 @@ _CPU_MODEL = CpuCostModel()
 
 #: Counter keys that constitute "work" for the sequential cost model.
 _SEQ_WORK_KEYS = ("edges_scanned", "gr_edges_scanned", "relabels")
-
-
-def reference_device() -> VirtualGPU:
-    """The virtual device used throughout the benchmark harness.
-
-    This is the scaled Tesla C2050 described in
-    :meth:`repro.gpusim.device.DeviceSpec.scaled`, matched to the scaled-down
-    synthetic instance suite.
-    """
-    return VirtualGPU(DeviceSpec().scaled())
 
 
 def modeled_seconds_for(result: MatchingResult) -> float:

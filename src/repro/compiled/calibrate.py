@@ -95,10 +95,10 @@ class _TimingGPU:
     launch's modelled seconds straight off the ledger.
     """
 
-    def __init__(self, spec) -> None:
+    def __init__(self) -> None:
         from repro.gpusim.device import VirtualGPU
 
-        self._gpu = VirtualGPU(spec)
+        self._gpu = VirtualGPU()
         #: kernel name -> [modeled_seconds, measured_seconds]
         self.samples: dict[str, list[float]] = {}
         self._mark = time.perf_counter()
@@ -125,9 +125,7 @@ def _measure_device_kernels(graph, repeats: int) -> dict[str, tuple[float, float
     """
     from repro.core.ghkdw import ghkdw_matching
     from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
-    from repro.gpusim.device import DeviceSpec
 
-    spec = DeviceSpec().scaled()
     best: dict[str, tuple[float, float]] = {}
     for _ in range(repeats):
         run: dict[str, list[float]] = {}
@@ -135,13 +133,13 @@ def _measure_device_kernels(graph, repeats: int) -> dict[str, tuple[float, float
             GPRConfig(variant=GPRVariant.FIRST),
             GPRConfig(variant=GPRVariant.SHRINK),
         ):
-            gpu = _TimingGPU(spec)
+            gpu = _TimingGPU()
             gpr_matching(graph, config=config, device=gpu)
             for name, (modeled, measured) in gpu.samples.items():
                 rec = run.setdefault(name, [0.0, 0.0])
                 rec[0] += modeled
                 rec[1] += measured
-        gpu = _TimingGPU(spec)
+        gpu = _TimingGPU()
         ghkdw_matching(graph, device=gpu)
         for name, (modeled, measured) in gpu.samples.items():
             rec = run.setdefault(name, [0.0, 0.0])

@@ -38,7 +38,7 @@ import numpy as np
 from repro.compiled import dispatch as _compiled
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import augmenting_dfs, sorted_unique
-from repro.gpusim.device import DeviceSpec, VirtualGPU
+from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -166,7 +166,7 @@ def ghkdw_matching(
     ``modeled_time`` is the GPU cost-model time of all BFS and augmentation
     kernels.
     """
-    gpu = device or VirtualGPU(DeviceSpec())
+    gpu = device or VirtualGPU()
     t0 = time.perf_counter()
     if initial is None:
         initial = cheap_matching(graph).matching

@@ -42,7 +42,7 @@ from repro.core.kernels import (
 from repro.core.relabel import gpu_global_relabel
 from repro.core.strategies import GlobalRelabelStrategy, parse_strategy
 from repro.graph.bipartite import BipartiteGraph
-from repro.gpusim.device import DeviceSpec, VirtualGPU
+from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -147,9 +147,8 @@ def gpr_matching(
     config:
         Variant / strategy / engine selection, see :class:`GPRConfig`.
     device:
-        A :class:`~repro.gpusim.device.VirtualGPU`; a fresh default device is
-        created when omitted.  Pass ``VirtualGPU(DeviceSpec().scaled())``
-        when running the scaled-down reproduction suite.
+        A :class:`~repro.gpusim.device.VirtualGPU`; a fresh reference device
+        is created when omitted.
 
     Returns
     -------
@@ -165,7 +164,7 @@ def gpr_matching(
         raise ValueError(f"unknown engine {config.engine!r}")
     if config.engine == "serialized" and variant is not GPRVariant.FIRST:
         raise ValueError("the serialized reference engine only supports the 'first' variant")
-    gpu = device or VirtualGPU(DeviceSpec())
+    gpu = device or VirtualGPU()
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
 
     t0 = time.perf_counter()

@@ -84,34 +84,6 @@ class CostLedger:
             out[k.name] = out.get(k.name, 0.0) + k.seconds
         return out
 
-    def stats_by_kernel(self) -> dict[str, dict[str, float]]:
-        """Launch count, total work and modelled seconds aggregated per kernel.
-
-        The calibration layer (:mod:`repro.compiled.calibrate`) fits measured
-        wall time against these aggregates, so they carry everything the fit
-        needs: ``launches``, ``total_work``, ``divergent_work``,
-        ``max_thread_work`` (summed — the per-launch critical paths add up
-        over a run) and ``seconds``.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for k in self.launches:
-            rec = out.setdefault(
-                k.name,
-                {
-                    "launches": 0,
-                    "total_work": 0.0,
-                    "divergent_work": 0.0,
-                    "max_thread_work": 0.0,
-                    "seconds": 0.0,
-                },
-            )
-            rec["launches"] += 1
-            rec["total_work"] += k.total_work
-            rec["divergent_work"] += k.divergent_work
-            rec["max_thread_work"] += k.max_thread_work
-            rec["seconds"] += k.seconds
-        return out
-
     def counters(self) -> dict:
         """Flat counter dictionary for :class:`repro.matching.MatchingResult`.
 

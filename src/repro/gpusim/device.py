@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.gpusim.costmodel import CostLedger, GpuCostModel
 
-__all__ = ["DeviceSpec", "VirtualGPU"]
+__all__ = ["DeviceSpec", "VirtualGPU", "reference_device"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ class VirtualGPU:
     Parameters
     ----------
     spec:
-        Device description; default is the full Tesla C2050.
+        Device description; default is the scaled reference device,
+        ``DeviceSpec().scaled()``, behind every published figure.
     shadow:
         Optional :class:`~repro.analysis.hazards.AccessLog`.  When set, the
         device hands out shadow-recording views (see :meth:`shadow_wrap`)
@@ -100,7 +101,7 @@ class VirtualGPU:
     """
 
     def __init__(self, spec: DeviceSpec | None = None, shadow=None) -> None:
-        self.spec = spec or DeviceSpec()
+        self.spec = spec or DeviceSpec().scaled()
         self.model = GpuCostModel(self.spec)
         self.ledger = CostLedger()
         self.shadow = shadow
@@ -164,3 +165,12 @@ class VirtualGPU:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VirtualGPU(spec={self.spec.name}, launches={self.ledger.n_launches})"
+
+
+def reference_device() -> VirtualGPU:
+    """A fresh :class:`VirtualGPU` on the reference device.
+
+    This is the scaled Tesla C2050 of :meth:`DeviceSpec.scaled`, matched to
+    the scaled-down synthetic suite; every published figure is modeled on it.
+    """
+    return VirtualGPU()

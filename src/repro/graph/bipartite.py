@@ -215,18 +215,6 @@ class BipartiteGraph:
             raise IndexError(f"row index {u} out of range [0, {self.n_rows})")
         return self.row_ind[self.row_ptr[u] : self.row_ptr[u + 1]]
 
-    def column_weights(self, v: int) -> np.ndarray:
-        """Weights of the edges incident to column ``v``, parallel to
-        :meth:`column_neighbors`.
-
-        Raises ``ValueError`` when the graph carries no weights.
-        """
-        if self.weights is None:
-            raise ValueError(f"graph {self.name!r} has no edge weights")
-        if not 0 <= v < self.n_cols:
-            raise IndexError(f"column index {v} out of range [0, {self.n_cols})")
-        return self.weights[self.col_ptr[v] : self.col_ptr[v + 1]]
-
     def row_aligned_weights(self) -> np.ndarray:
         """The edge weights permuted into row-CSR order (parallel to ``row_ind``).
 

@@ -27,7 +27,8 @@ class AdmissionError(RuntimeError):
     """The request was shed by admission control (HTTP 429 at the server edge).
 
     ``reason`` is machine-readable: ``"tenant-quota"`` (the tenant's
-    in-flight limit) or ``"queue-depth"`` (the server-wide bound).
+    in-flight limit) or ``"queue-depth"`` (the server-wide bound).  The
+    server sheds a job the engine refuses as ``"engine-saturated"``.
     """
 
     def __init__(self, reason: str, message: str) -> None:
@@ -97,33 +98,35 @@ class AdmissionController:
         submission — only the reject counters move.
         """
         with self._lock:
+            inflight = self._tenant_inflight.get(tenant, 0)
             if self.depth >= self.policy.max_queue_depth:
-                self.rejected += 1
-                self._stats(tenant)["rejected"] += 1
-                reason = "queue-depth"
-                self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                raise AdmissionError(
-                    reason,
+                error = AdmissionError(
+                    "queue-depth",
                     f"server at capacity: {self.depth} requests in flight "
                     f">= max_queue_depth={self.policy.max_queue_depth}",
                 )
-            inflight = self._tenant_inflight.get(tenant, 0)
-            if inflight >= self.policy.max_inflight_per_tenant:
-                self.rejected += 1
-                self._stats(tenant)["rejected"] += 1
-                reason = "tenant-quota"
-                self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                raise AdmissionError(
-                    reason,
+            elif inflight >= self.policy.max_inflight_per_tenant:
+                error = AdmissionError(
+                    "tenant-quota",
                     f"tenant {tenant!r} at quota: {inflight} requests in flight "
                     f">= max_inflight_per_tenant={self.policy.max_inflight_per_tenant}",
                 )
-            self._tenant_inflight[tenant] = inflight + 1
-            self.depth += 1
-            self.peak_depth = max(self.peak_depth, self.depth)
-            self.admitted += 1
-            self._stats(tenant)["admitted"] += 1
-            return AdmissionTicket(self, tenant)
+            else:
+                self._tenant_inflight[tenant] = inflight + 1
+                self.depth += 1
+                self.peak_depth = max(self.peak_depth, self.depth)
+                self.admitted += 1
+                self._stats(tenant)["admitted"] += 1
+                return AdmissionTicket(self, tenant)
+        self.record_shed(tenant, error.reason)
+        raise error
+
+    def record_shed(self, tenant: str, reason: str) -> None:
+        """Count one request of ``tenant`` shed for ``reason``, here or after admission."""
+        with self._lock:
+            self.rejected += 1
+            self._stats(tenant)["rejected"] += 1
+            self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
 
     def _release(self, ticket: AdmissionTicket) -> bool:
         with self._lock:

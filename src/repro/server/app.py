@@ -12,15 +12,17 @@ third-party web framework — the container ships none), serving four routes:
     requests get HTTP 429 with a machine-readable ``reason``.
 ``POST /v1/batch``
     Many requests from one tenant; the response streams newline-delimited
-    JSON rows **in completion order** (chunked transfer encoding) via the
-    engine's ``as_completed``, ending with a summary row.
+    JSON rows **in completion order** (chunked transfer encoding), ending
+    with a summary row.
 
-Execution runs on the engine's backend threads/processes; the event loop
-only parses, admits, submits and awaits.  Per-request deadlines map directly
-onto the engine's :class:`~repro.engine.JobHandle` deadline path; quota
-slots are released by the handle's done-callback, so a request that is
-answered early (deadline grace) keeps holding its slot until its worker
-actually finishes — in-flight accounting never undercounts busy workers.
+Every job — a ``/v1/match`` request or one ``/v1/batch`` entry — is served
+by one coroutine, :meth:`MatchingServer._serve_job`: admission, the result
+cache, engine submission, then a wait of at most ``grace`` past the job's
+deadline.  Execution runs on the engine's backend threads/processes; the
+event loop only parses, admits, submits and awaits.  Quota slots are
+released by the handle's done-callback, so a request answered at its
+deadline keeps holding its slot until its worker actually finishes —
+in-flight accounting never undercounts busy workers.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ import time
 from typing import Any
 
 from repro.engine import Engine, EngineSaturatedError, create_backend
-from repro.engine import as_completed as engine_as_completed
 from repro.engine.faults import FaultInjectingBackend, FaultSchedule
-from repro.engine.handles import JobStatus
 from repro.server.admission import AdmissionController, AdmissionError, QuotaPolicy
 from repro.server.metrics import METRICS_SCHEMA, ServerMetrics
 from repro.server.protocol import (
     GraphCache,
+    JobRequest,
     ProtocolError,
     build_job,
     handle_row,
@@ -60,6 +61,8 @@ _REASONS = {
 }
 _MAX_BODY = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 100
+#: ``/v1/match`` HTTP status of a job the server did not run.
+_UNRUN_STATUS = {"rejected": 429, "error": 500}
 
 
 def _encode_response(status: int, body: bytes, *, content_type: str = "application/json") -> bytes:
@@ -77,8 +80,17 @@ def _json_response(status: int, payload: Any) -> bytes:
     return _encode_response(status, json.dumps(payload).encode("utf-8"))
 
 
-def _chunk(data: bytes) -> bytes:
+def _row_chunk(row: dict) -> bytes:
+    """One NDJSON row as an HTTP/1.1 chunk."""
+    data = (json.dumps(row) + "\n").encode("utf-8")
     return f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n"
+
+
+def _shed_row(request: JobRequest, reason: str, error: Exception) -> dict:
+    return {
+        "type": "result", **request.describe(),
+        "status": "rejected", "reason": reason, "error": str(error),
+    }
 
 
 class _Request:
@@ -149,15 +161,15 @@ class MatchingServer:
         no deadline).
     default_profile / default_seed:
         Defaults for suite-instance graph references.
-    max_cache_entries / graph_cache_entries:
-        Bounds of the warm result- and graph-caches.
+    max_cache_entries:
+        Bound of the warm result cache.
     fault_schedule:
         A :class:`~repro.engine.faults.FaultSchedule` wrapping the backend in
         deterministic fault injection (the test/CI configuration); response
         rows then carry an ``injected_fault`` field for attribution.
     grace:
-        Seconds past a request's deadline the server keeps awaiting the
-        handle before answering ``timeout`` on its behalf.
+        Seconds past a job's deadline the server keeps awaiting the handle
+        before answering ``timeout`` on its behalf, queued or running.
     """
 
     def __init__(
@@ -170,10 +182,8 @@ class MatchingServer:
         default_profile: str = "small",
         default_seed: int = 20130421,
         max_cache_entries: int = 1024,
-        graph_cache_entries: int = 128,
         fault_schedule: FaultSchedule | None = None,
         grace: float = 0.25,
-        latency_window: int = 8192,
     ) -> None:
         self.policy = policy or QuotaPolicy()
         inner = create_backend(backend, max_workers=workers or None)
@@ -185,9 +195,9 @@ class MatchingServer:
             backend=inner, own_backend=True, max_inflight=self.policy.max_queue_depth
         )
         self.admission = AdmissionController(self.policy)
-        self.metrics = ServerMetrics(latency_window)
+        self.metrics = ServerMetrics()
         self.results = ResultCache(max_cache_entries)
-        self.graphs = GraphCache(graph_cache_entries)
+        self.graphs = GraphCache()
         self.defaults = {
             "profile": default_profile, "seed": default_seed, "deadline": default_deadline,
         }
@@ -281,8 +291,8 @@ class MatchingServer:
                 request = await _read_request(reader)
                 if request is None:
                     break
-                keep_alive = await self._route(request, writer)
-                if not keep_alive or request.close_requested:
+                await self._route(request, writer)
+                if request.close_requested:
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -293,7 +303,7 @@ class MatchingServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _route(self, request: _Request, writer: asyncio.StreamWriter) -> bool:
+    async def _route(self, request: _Request, writer: asyncio.StreamWriter) -> None:
         self.metrics.record_request()
         try:
             if request.path == "/healthz" and request.method == "GET":
@@ -310,7 +320,7 @@ class MatchingServer:
                 if request.method != "POST":
                     writer.write(_json_response(405, {"error": "POST required"}))
                 else:
-                    return await self._serve_batch(request.body, writer)
+                    await self._serve_batch(request.body, writer)
             else:
                 writer.write(_json_response(404, {"error": f"no route {request.path!r}"}))
         except (ConnectionError, asyncio.CancelledError):
@@ -319,12 +329,77 @@ class MatchingServer:
             self.metrics.record_server_error()
             writer.write(_json_response(500, {"error": f"{type(exc).__name__}: {exc}"}))
         await writer.drain()
-        return True
 
-    # ----------------------------------------------------------------- match
+    # ------------------------------------------------------------------- jobs
     def _next_request_id(self) -> str:
         self._request_counter += 1
         return f"req-{self._request_counter}"
+
+    async def _serve_job(self, request: JobRequest, job, arrival: float) -> dict:
+        """Serve one job: admit, try the result cache, submit, await the deadline.
+
+        Returns the job's response row.  A job shed by admission or refused
+        by a saturated engine gets a ``rejected`` row; a job the engine
+        cannot take (shut down) is a server error, an ``error`` row.  A job
+        not finished ``grace`` seconds past its deadline is answered
+        ``timeout``, whether it is still queued or running.
+        """
+        try:
+            ticket = self.admission.try_admit(request.tenant)
+        except AdmissionError as exc:
+            return _shed_row(request, exc.reason, exc)
+        cache_key = job.cache_key() if request.plan.deterministic else None
+        hit = self.results.get(cache_key) if cache_key is not None else None
+        if hit is not None:
+            ticket.release()
+            latency = time.perf_counter() - arrival
+            self.metrics.record_response("ok", latency, cached=True)
+            return result_row(
+                request, status="ok", result=hit, cached=True, worker="cache",
+                server_seconds=latency, fault_injection=self.fault_injection,
+            )
+        try:
+            handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
+        except EngineSaturatedError as exc:
+            ticket.release()
+            self.admission.record_shed(request.tenant, "engine-saturated")
+            return _shed_row(request, "engine-saturated", exc)
+        except RuntimeError as exc:  # engine shut down mid-request
+            ticket.release()
+            self.metrics.record_server_error()
+            return {"type": "result", **request.describe(), "status": "error", "error": str(exc)}
+        loop = asyncio.get_running_loop()
+        done = asyncio.Event()
+
+        def on_done(_handle) -> None:
+            ticket.release()
+            try:
+                loop.call_soon_threadsafe(done.set)
+            except RuntimeError:
+                pass  # loop already closed during shutdown
+
+        handle._add_done_callback(on_done)
+        wait = None
+        if handle.deadline is not None:
+            wait = max(0.0, handle.deadline - time.monotonic()) + self.grace
+        try:
+            await asyncio.wait_for(done.wait(), wait)
+        except asyncio.TimeoutError:
+            pass  # a handle still not done reads as ``timeout`` below
+        latency = time.perf_counter() - arrival
+        row = handle_row(
+            request, handle, server_seconds=latency, fault_injection=self.fault_injection
+        )
+        if row["status"] == "timeout":
+            # Take a queued job off the queue; a running one keeps its quota
+            # slot until it drains.
+            handle.cancel()
+        elif row["status"] == "ok" and cache_key is not None:
+            self.results.put(cache_key, handle._result)
+        self.metrics.record_response(
+            row["status"], latency, injected=getattr(handle, "injected_fault", None)
+        )
+        return row
 
     async def _serve_match(self, body: bytes) -> tuple[int, dict]:
         arrival = time.perf_counter()
@@ -339,76 +414,13 @@ class MatchingServer:
             # unreadable Matrix-Market content discovered on first read).
             self.metrics.record_bad_request()
             return 400, {"error": str(exc)}
-        try:
-            ticket = self.admission.try_admit(request.tenant)
-        except AdmissionError as exc:
-            return 429, {"error": str(exc), "reason": exc.reason, "id": request.request_id}
-        row, status = await self._execute(request, job, ticket, arrival)
+        row = await self._serve_job(request, job, arrival)
+        status = _UNRUN_STATUS.get(row["status"], 200)
+        if status != 200:
+            row = {key: row[key] for key in ("error", "reason", "id") if key in row}
         return status, row
 
-    async def _execute(self, request, job, ticket, arrival: float) -> tuple[dict, int]:
-        """Serve one admitted request: cache tier, then the engine."""
-        cache_key = job.cache_key() if request.plan.deterministic else None
-        if cache_key is not None:
-            hit = self.results.get(cache_key)
-            if hit is not None:
-                ticket.release()
-                latency = time.perf_counter() - arrival
-                self.metrics.record_response("ok", latency, cached=True)
-                return (
-                    result_row(
-                        request, status="ok", result=hit, cached=True, worker="cache",
-                        server_seconds=latency, fault_injection=self.fault_injection,
-                    ),
-                    200,
-                )
-        loop = asyncio.get_running_loop()
-        done = asyncio.Event()
-
-        def on_done(_handle) -> None:
-            ticket.release()
-            try:
-                loop.call_soon_threadsafe(done.set)
-            except RuntimeError:
-                pass  # loop already closed during shutdown
-
-        try:
-            handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
-        except EngineSaturatedError as exc:
-            ticket.release()
-            self.admission.rejected += 1
-            reason = "engine-saturated"
-            self.admission.rejected_by_reason[reason] = (
-                self.admission.rejected_by_reason.get(reason, 0) + 1
-            )
-            return {"error": str(exc), "reason": reason, "id": request.request_id}, 429
-        except RuntimeError as exc:  # engine shut down mid-request
-            ticket.release()
-            self.metrics.record_server_error()
-            return {"error": str(exc), "id": request.request_id}, 500
-        handle._add_done_callback(on_done)
-        wait = None
-        if handle.deadline is not None:
-            wait = max(0.0, handle.deadline - time.monotonic()) + self.grace
-        try:
-            await asyncio.wait_for(done.wait(), wait)
-        except asyncio.TimeoutError:
-            # Answer the deadline on the handle's behalf; a pending job is
-            # cancelled, a running one keeps its quota slot until it drains.
-            handle.cancel()
-        latency = time.perf_counter() - arrival
-        row = handle_row(
-            request, handle, server_seconds=latency, fault_injection=self.fault_injection
-        )
-        if handle.status is JobStatus.OK and cache_key is not None:
-            self.results.put(cache_key, handle._result)
-        self.metrics.record_response(
-            row["status"], latency, injected=getattr(handle, "injected_fault", None)
-        )
-        return row, 200
-
-    # ----------------------------------------------------------------- batch
-    async def _serve_batch(self, body: bytes, writer: asyncio.StreamWriter) -> bool:
+    async def _serve_batch(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         arrival = time.perf_counter()
         try:
             payload = json.loads(body or b"null")
@@ -440,8 +452,7 @@ class MatchingServer:
         except (ProtocolError, ValueError, OSError) as exc:
             self.metrics.record_bad_request()
             writer.write(_json_response(400, {"error": str(exc)}))
-            await writer.drain()
-            return True
+            return
 
         writer.write(
             "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
@@ -449,99 +460,25 @@ class MatchingServer:
         )
         counts = {"ok": 0, "failed": 0, "timeout": 0, "cancelled": 0,
                   "rejected": 0, "cached": 0}
-
-        async def emit(row: dict) -> None:
-            writer.write(_chunk((json.dumps(row) + "\n").encode("utf-8")))
+        # A task's first step admits its job, so the tasks are created in
+        # submission order; asyncio.as_completed would put coroutines in a set.
+        tasks = [
+            asyncio.create_task(self._serve_job(request, job, arrival))
+            for request, job in zip(requests, jobs, strict=True)
+        ]
+        for next_row in asyncio.as_completed(tasks):
+            row = await next_row
+            counts[row["status"]] = counts.get(row["status"], 0) + 1
+            counts["cached"] += bool(row.get("cached"))
+            writer.write(_row_chunk(row))
             await writer.drain()
-
-        pending: list[tuple[Any, Any]] = []  # (request, handle)
-        by_handle: dict[int, Any] = {}
-        for request, job in zip(requests, jobs, strict=True):
-            # Admission is per job: overflow is shed as a row, siblings run.
-            try:
-                ticket = self.admission.try_admit(request.tenant)
-            except AdmissionError as exc:
-                counts["rejected"] += 1
-                await emit({
-                    "type": "result", **request.describe(),
-                    "status": "rejected", "reason": exc.reason, "error": str(exc),
-                })
-                continue
-            cache_key = job.cache_key() if request.plan.deterministic else None
-            hit = self.results.get(cache_key) if cache_key is not None else None
-            if hit is not None:
-                ticket.release()
-                latency = time.perf_counter() - arrival
-                counts["ok"] += 1
-                counts["cached"] += 1
-                self.metrics.record_response("ok", latency, cached=True)
-                await emit(result_row(
-                    request, status="ok", result=hit, cached=True, worker="cache",
-                    server_seconds=latency, fault_injection=self.fault_injection,
-                ))
-                continue
-            try:
-                handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
-            except (EngineSaturatedError, RuntimeError) as exc:
-                ticket.release()
-                counts["rejected"] += 1
-                self.admission.rejected += 1
-                self.admission.rejected_by_reason["engine-saturated"] = (
-                    self.admission.rejected_by_reason.get("engine-saturated", 0) + 1
-                )
-                await emit({
-                    "type": "result", **request.describe(),
-                    "status": "rejected", "reason": "engine-saturated", "error": str(exc),
-                })
-                continue
-            handle._add_done_callback(lambda _h, t=ticket: t.release())
-            pending.append((request, handle))
-            by_handle[id(handle)] = (request, cache_key)
-
-        if pending:
-            loop = asyncio.get_running_loop()
-            queue: asyncio.Queue = asyncio.Queue()
-
-            def pump() -> None:
-                try:
-                    for finished in engine_as_completed([h for _, h in pending]):
-                        loop.call_soon_threadsafe(queue.put_nowait, finished)
-                finally:
-                    try:
-                        loop.call_soon_threadsafe(queue.put_nowait, None)
-                    except RuntimeError:
-                        pass
-
-            threading.Thread(target=pump, name="repro-batch-pump", daemon=True).start()
-            while True:
-                finished = await queue.get()
-                if finished is None:
-                    break
-                request, cache_key = by_handle[id(finished)]
-                latency = time.perf_counter() - arrival
-                row = handle_row(
-                    request, finished, server_seconds=latency,
-                    fault_injection=self.fault_injection,
-                )
-                if finished.status is JobStatus.OK and cache_key is not None:
-                    self.results.put(cache_key, finished._result)
-                counts[row["status"]] = counts.get(row["status"], 0) + 1
-                self.metrics.record_response(
-                    row["status"], latency,
-                    injected=getattr(finished, "injected_fault", None),
-                )
-                await emit(row)
-
-        await emit({
+        writer.write(_row_chunk({
             "type": "summary",
             "jobs": len(requests),
             "admitted": len(requests) - counts["rejected"],
             "wall_seconds": round(time.perf_counter() - arrival, 6),
             **counts,
-        })
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return True
+        }) + b"0\r\n\r\n")
 
     # --------------------------------------------------------------- metrics
     def metrics_snapshot(self) -> dict:

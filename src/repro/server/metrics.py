@@ -49,10 +49,10 @@ def classify_leak(status: str, injected: str | None) -> bool:
 
 
 class _LatencyWindow:
-    """Bounded reservoir of recent request latencies with nearest-rank percentiles."""
+    """The 8192 most recent request latencies, with nearest-rank percentiles."""
 
-    def __init__(self, window: int = 8192) -> None:
-        self._values: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._values: deque[float] = deque(maxlen=8192)
         self.count = 0
         self.total = 0.0
         self.max = 0.0
@@ -84,7 +84,7 @@ class _LatencyWindow:
 class ServerMetrics:
     """Aggregated request accounting for one server instance."""
 
-    def __init__(self, latency_window: int = 8192) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started_monotonic = time.monotonic()
         self.statuses = {status: 0 for status in TERMINAL_STATUSES}
@@ -94,7 +94,7 @@ class ServerMetrics:
         self.cached_responses = 0
         self.injected = {"crash": 0, "stall": 0, "slow": 0}
         self.leaked = 0
-        self.latency = _LatencyWindow(latency_window)
+        self.latency = _LatencyWindow()
 
     # ------------------------------------------------------------- recording
     def record_request(self) -> None:

@@ -17,6 +17,7 @@ from repro.generators import (
 from repro.graph import from_edges
 from repro.graph.builders import empty_graph
 from repro.gpusim import DeviceSpec, VirtualGPU
+from repro.gpusim.device import reference_device
 from repro.matching import Matching
 from repro.multicore import PDBFSConfig, pdbfs_matching
 from repro.seq import is_maximum_matching, is_valid_matching, maximum_matching_cardinality
@@ -181,6 +182,14 @@ def test_gpr_scaled_device():
     result = gpr_matching(g, device=gpu)
     assert result.cardinality == maximum_matching_cardinality(g)
     assert result.modeled_time == gpu.ledger.kernel_seconds
+
+
+@pytest.mark.parametrize("algorithm", ["g-pr", "g-hkdw"])
+def test_default_device_is_the_reference_device(algorithm):
+    g = chung_lu_bipartite(300, 300, avg_degree=5.0, seed=1)
+    default = max_bipartite_matching(g, algorithm)
+    reference = max_bipartite_matching(g, algorithm, device_factory=reference_device)
+    assert default.modeled_time == reference.modeled_time
 
 
 def test_gpr_max_iterations_guard(tiny_graph):

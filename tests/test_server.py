@@ -4,7 +4,9 @@ Three layers:
 
 * **HTTP** — a real :class:`MatchingServer` on an ephemeral port, driven
   with ``http.client``: match/caching, batch streaming, validation errors,
-  the metrics document, and 429 shedding under tiny quotas.
+  the metrics document, 429 shedding under tiny quotas, and the one
+  per-job path that answers deadlines and engine refusals alike on
+  ``/v1/match`` and ``/v1/batch``.
 * **Admission invariants** — seeded property-style campaigns against
   :class:`AdmissionController` directly (no sockets): per-tenant in-flight
   never exceeds its quota, global depth never exceeds the bound, release is
@@ -198,6 +200,122 @@ def test_queue_depth_sheds_with_429():
         assert status == 429
         assert body["reason"] == "queue-depth"
         thread.join()
+
+
+def _batch(port, payload):
+    """A ``/v1/batch`` response as ``(result rows, summary row)``."""
+    status, raw = _request(port, "POST", "/v1/batch", payload)
+    assert status == 200
+    rows = [json.loads(line) for line in raw.decode().strip().splitlines()]
+    assert rows[-1]["type"] == "summary"
+    return rows[:-1], rows[-1]
+
+
+@pytest.mark.parametrize("endpoint", ["/v1/match", "/v1/batch"])
+def test_wedged_job_is_answered_timeout_at_deadline_plus_grace(endpoint):
+    # The stall outlives the 0.2 s deadline by 2 s: the worker is wedged.
+    schedule = FaultSchedule(seed=1, stall_rate=1.0, stall_margin=2.0)
+    with MatchingServer(backend="thread", workers=1, default_profile="tiny",
+                        fault_schedule=schedule) as server:
+        server.start_in_background()
+        job = {"graph": GRAPH, "algorithm": "pr", "deadline": 0.2}
+        started = time.perf_counter()
+        if endpoint == "/v1/match":
+            status, row = _json(server.port, "POST", endpoint, job)
+            assert status == 200
+        else:
+            [row], summary = _batch(server.port, {"jobs": [job]})
+            assert summary["timeout"] == 1
+        assert time.perf_counter() - started < 1.0
+        assert row["status"] == "timeout"
+        assert row["server_seconds"] < 0.2 + server.grace + 0.2
+
+
+@pytest.mark.parametrize("endpoint", ["/v1/match", "/v1/batch"])
+def test_queued_job_is_answered_timeout_at_deadline_plus_grace(endpoint):
+    # One worker, held for 1.5 s by a stalled job without a deadline; the
+    # second job is still queued when its 0.2 s deadline and grace pass.
+    schedule = FaultSchedule(seed=1, stall_rate=1.0, stall_seconds=1.5)
+    with MatchingServer(backend="thread", workers=1, default_profile="tiny",
+                        fault_schedule=schedule) as server:
+        server.start_in_background()
+        blocker = {"graph": GRAPH, "algorithm": "hk"}
+        queued = {"graph": GRAPH, "algorithm": "pr", "deadline": 0.2}
+        if endpoint == "/v1/match":
+            thread = threading.Thread(
+                target=_request, args=(server.port, "POST", endpoint, blocker)
+            )
+            thread.start()
+            time.sleep(0.2)  # the blocker now holds the only worker
+            status, row = _json(server.port, "POST", endpoint, queued)
+            assert status == 200
+            thread.join(timeout=15)
+            assert not thread.is_alive()
+        else:
+            rows, _summary = _batch(server.port, {"jobs": [blocker, queued]})
+            [row] = [row for row in rows if row["id"] == "job-1"]
+        assert row["status"] == "timeout"
+        assert row["server_seconds"] < 1.0
+        doc = _json(server.port, "GET", "/metrics")[1]
+        assert doc["requests"]["timeout"] == 1
+        assert doc["requests"]["cancelled"] == 0
+
+
+def _refuse_submissions(monkeypatch, server, error):
+    def submit(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(server.engine, "submit", submit)
+
+
+def test_engine_saturation_is_shed_alike_on_both_endpoints(monkeypatch):
+    with MatchingServer(backend="thread", workers=1, default_profile="tiny") as server:
+        server.start_in_background()
+        _refuse_submissions(monkeypatch, server, EngineSaturatedError("engine full"))
+        job = {"tenant": "t", "graph": GRAPH, "algorithm": "pr"}
+        status, body = _json(server.port, "POST", "/v1/match", job)
+        assert status == 429
+        assert body == {"error": "engine full", "reason": "engine-saturated", "id": "req-1"}
+        [row], summary = _batch(server.port, {"jobs": [job]})
+        assert (row["status"], row["reason"]) == ("rejected", "engine-saturated")
+        assert (summary["rejected"], summary["admitted"]) == (1, 0)
+        admission = _json(server.port, "GET", "/metrics")[1]["admission"]
+        assert admission["rejected"] == 2
+        assert admission["rejected_by_reason"] == {"engine-saturated": 2}
+        assert admission["tenants"]["t"]["rejected"] == 2
+        assert admission["depth"] == 0  # the refused jobs' slots came back
+
+
+def test_shut_down_engine_is_a_server_error_on_both_endpoints(monkeypatch):
+    with MatchingServer(backend="thread", workers=1, default_profile="tiny") as server:
+        server.start_in_background()
+        _refuse_submissions(monkeypatch, server, RuntimeError("engine is shut down"))
+        job = {"graph": GRAPH, "algorithm": "pr"}
+        status, body = _json(server.port, "POST", "/v1/match", job)
+        assert (status, body) == (500, {"error": "engine is shut down", "id": "req-1"})
+        [row], summary = _batch(server.port, {"jobs": [job]})
+        assert (row["status"], row["error"]) == ("error", "engine is shut down")
+        assert summary["error"] == 1
+        doc = _json(server.port, "GET", "/metrics")[1]
+        assert doc["requests"]["server_errors"] == 2
+        assert doc["faults"]["leaked"] == 2
+        assert doc["admission"]["rejected"] == 0
+        assert doc["admission"]["depth"] == 0
+
+
+def test_batch_over_tenant_quota_sheds_its_trailing_jobs():
+    schedule = FaultSchedule(seed=1, stall_rate=1.0, stall_seconds=0.3)
+    with MatchingServer(
+        backend="thread", workers=2, default_profile="tiny",
+        policy=QuotaPolicy(max_inflight_per_tenant=2, max_queue_depth=16),
+        fault_schedule=schedule,
+    ) as server:
+        server.start_in_background()
+        jobs = [{"graph": GRAPH, "algorithm": "pr"}] * 5
+        rows, summary = _batch(server.port, {"tenant": "t", "jobs": jobs})
+        shed = {row["id"]: row["reason"] for row in rows if row["status"] == "rejected"}
+        assert shed == {f"job-{i}": "tenant-quota" for i in (2, 3, 4)}
+        assert (summary["admitted"], summary["ok"], summary["rejected"]) == (2, 2, 3)
 
 
 # ------------------------------------------------------- admission invariants
