@@ -120,23 +120,21 @@ class SuiteRunner:
     seed:
         Suite generation seed.
     algorithms:
-        Mapping name → :class:`~repro.core.api.ExecutionPlan` (or a legacy
-        ``f(graph, initial_matching) -> MatchingResult`` callable); defaults
-        to the four algorithms of Table I.
+        Mapping name → :class:`~repro.core.api.ExecutionPlan`; defaults to
+        the four algorithms of Table I.
     instances:
         Restrict to these instance names (default: all 28).
     device_factory:
         Factory for the virtual GPU handed to each GPU-algorithm run.
     backend:
-        Execution backend the runner's :class:`~repro.engine.Engine` uses
-        for :class:`~repro.core.api.ExecutionPlan` algorithms: a name
-        (``"inline"`` default, ``"thread"``, ``"process"``) or a ready
-        :class:`~repro.engine.backends.ExecutionBackend`.
+        Execution backend the runner's :class:`~repro.engine.Engine` uses:
+        a name (``"inline"`` default, ``"thread"``, ``"process"``) or a
+        ready :class:`~repro.engine.backends.ExecutionBackend`.
     """
 
     profile: str = "small"
     seed: int = 20130421
-    algorithms: dict[str, Callable] | None = None
+    algorithms: dict[str, ExecutionPlan] | None = None
     instances: Sequence[str] | None = None
     device_factory: Callable[[], VirtualGPU] = field(default=reference_device)
     backend: "str | ExecutionBackend" = "inline"
@@ -165,31 +163,29 @@ class SuiteRunner:
     def run_instance(self, spec: SuiteInstance) -> InstanceResult:
         """Run every configured algorithm on one instance.
 
-        :class:`~repro.core.api.ExecutionPlan` algorithms are submitted to
-        the runner's engine (every plan starts from one common cheap
-        matching, per the paper's protocol) and awaited together; a failing
-        run raises :class:`~repro.engine.handles.JobFailedError` carrying
-        the captured failure (original type, message and traceback on
-        ``.failure``) — the harness wants hard failures loud, not isolated.
-        Legacy ``f(graph, initial)`` callables run inline as before.
+        Every plan is submitted to the runner's engine (each starts from one
+        common cheap matching, per the paper's protocol) and awaited
+        together; a failing run raises
+        :class:`~repro.engine.handles.JobFailedError` carrying the captured
+        failure (original type, message and traceback on ``.failure``) — the
+        harness wants hard failures loud, not isolated.
         """
         graph = generate_instance(spec.instance_id, profile=self.profile, seed=self.seed)
         initial = cheap_matching(graph).matching
         handles = {}
-        for name, algo in self.algorithms.items():
-            if isinstance(algo, ExecutionPlan):
-                # Sharded plans refuse warm starts (every shard begins from
-                # its own local solve), so they run cold instead.
-                warm = initial.copy() if algo.shards is None else None
-                handles[name] = self._engine.submit(
-                    MatchingJob(graph=graph, algorithm=algo.algorithm, job_id=name),
-                    plan=algo,
-                    initial_matching=warm,
-                )
+        for name, plan in self.algorithms.items():
+            # Sharded plans refuse warm starts (every shard begins from its
+            # own local solve), so they run cold instead.
+            warm = initial.copy() if plan.shards is None else None
+            handles[name] = self._engine.submit(
+                MatchingJob(graph=graph, algorithm=plan.algorithm, job_id=name),
+                plan=plan,
+                initial_matching=warm,
+            )
         runs: dict[str, AlgorithmRun] = {}
         maximum = 0
-        for name, algo in self.algorithms.items():
-            result = handles[name].result() if name in handles else algo(graph, initial.copy())
+        for name, handle in handles.items():
+            result = handle.result()
             runs[name] = AlgorithmRun(
                 algorithm=name,
                 cardinality=result.cardinality,

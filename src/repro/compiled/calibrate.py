@@ -9,13 +9,16 @@ paper's figures are ratios — but once the compiled tier exists the measured
 wall time of each kernel becomes cheap enough to compare against the model
 directly.  This module does that comparison:
 
-* every device kernel of a G-PR / G-HKDW run is timed through a
-  charge-interval proxy (:class:`_TimingGPU`): the wall time between two
-  consecutive ``charge_kernel`` calls is attributed to the launch being
-  charged, matching the repo's charge-after-access convention;
-* every frontier primitive is timed directly on per-instance prepared
-  state, against a :class:`~repro.gpusim.costmodel.CpuCostModel` prediction
-  for the operations it reports;
+* every device kernel of a G-PR / G-HKDW run is timed by a
+  :class:`~repro.gpusim.device.VirtualGPU` subclass (:class:`_TimingGPU`):
+  the wall time between two consecutive ``charge_kernel`` calls is
+  attributed to the launch being charged, matching the repo's
+  charge-after-access convention;
+* the three vectorized frontier primitives the CPU baselines run
+  (``expand_frontier``, ``alternating_level_bfs``, ``distance_label_bfs``)
+  are timed directly on per-instance prepared state, against a
+  :class:`~repro.gpusim.costmodel.CpuCostModel` prediction for the
+  operations they report;
 * per kernel, a least-squares constant through the origin is fitted over
   the per-instance ``(modeled, measured)`` points —
   ``c_k = Σ(m·w) / Σ(m²)`` — with an ``r²`` and an RMS ``log10`` residual,
@@ -41,6 +44,7 @@ import time
 import numpy as np
 
 from repro.compiled import dispatch
+from repro.gpusim.device import VirtualGPU
 
 __all__ = ["CALIBRATION_SCHEMA", "CALIBRATION_PROFILES", "calibrate", "default_instances"]
 
@@ -84,35 +88,28 @@ def default_instances(profile: str = "small", seed: int = 20130421) -> list:
     ]
 
 
-class _TimingGPU:
+class _TimingGPU(VirtualGPU):
     """A :class:`~repro.gpusim.device.VirtualGPU` that wall-times its launches.
 
     The repo convention is charge-after-access: everything a driver does
     since the previous charge belongs to the launch being charged.  The
-    proxy applies the same attribution to wall time — the interval between
-    two consecutive charges is the measured cost of producing that launch
-    (kernel work plus its share of driver overhead), paired with the
+    subclass applies the same attribution to wall time — the interval
+    between two consecutive charges is the measured cost of producing that
+    launch (kernel work plus its share of driver overhead), paired with the
     launch's modelled seconds straight off the ledger.
     """
 
     def __init__(self) -> None:
-        from repro.gpusim.device import VirtualGPU
-
-        self._gpu = VirtualGPU()
+        super().__init__()
         #: kernel name -> [modeled_seconds, measured_seconds]
         self.samples: dict[str, list[float]] = {}
         self._mark = time.perf_counter()
 
-    def __getattr__(self, name):
-        return getattr(self._gpu, name)
-
     def charge_kernel(self, name: str, thread_work) -> None:
-        now = time.perf_counter()
-        interval = now - self._mark
-        self._gpu.charge_kernel(name, thread_work)
-        modeled = self._gpu.ledger.launches[-1].seconds
+        interval = time.perf_counter() - self._mark
+        super().charge_kernel(name, thread_work)
         rec = self.samples.setdefault(name, [0.0, 0.0])
-        rec[0] += modeled
+        rec[0] += self.ledger.launches[-1].seconds
         rec[1] += interval
         self._mark = time.perf_counter()
 
@@ -126,25 +123,21 @@ def _measure_device_kernels(graph, repeats: int) -> dict[str, tuple[float, float
     from repro.core.ghkdw import ghkdw_matching
     from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
 
+    solves = (
+        lambda gpu: gpr_matching(graph, config=GPRConfig(variant=GPRVariant.FIRST), device=gpu),
+        lambda gpu: gpr_matching(graph, config=GPRConfig(variant=GPRVariant.SHRINK), device=gpu),
+        lambda gpu: ghkdw_matching(graph, device=gpu),
+    )
     best: dict[str, tuple[float, float]] = {}
     for _ in range(repeats):
         run: dict[str, list[float]] = {}
-        for config in (
-            GPRConfig(variant=GPRVariant.FIRST),
-            GPRConfig(variant=GPRVariant.SHRINK),
-        ):
+        for solve in solves:
             gpu = _TimingGPU()
-            gpr_matching(graph, config=config, device=gpu)
+            solve(gpu)
             for name, (modeled, measured) in gpu.samples.items():
                 rec = run.setdefault(name, [0.0, 0.0])
                 rec[0] += modeled
                 rec[1] += measured
-        gpu = _TimingGPU()
-        ghkdw_matching(graph, device=gpu)
-        for name, (modeled, measured) in gpu.samples.items():
-            rec = run.setdefault(name, [0.0, 0.0])
-            rec[0] += modeled
-            rec[1] += measured
         for name, (modeled, measured) in run.items():
             prev = best.get(name)
             best[name] = (modeled, measured if prev is None else min(prev[1], measured))
@@ -159,13 +152,7 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
     sequential :class:`~repro.gpusim.costmodel.CpuCostModel` — the same
     pricing the CPU baselines charge for the equivalent loops.
     """
-    from repro.graph.frontier import (
-        alternating_level_bfs,
-        distance_label_bfs,
-        expand_frontier,
-        first_occurrence_mask,
-        multi_source_bfs,
-    )
+    from repro.graph.frontier import alternating_level_bfs, distance_label_bfs, expand_frontier
     from repro.gpusim.costmodel import CpuCostModel
     from repro.seq.greedy import cheap_matching
 
@@ -173,9 +160,6 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
     matching = cheap_matching(graph).matching
     row_match = matching.row_match
     col_match = matching.col_match
-    sources = np.flatnonzero(col_match == -1)
-    if len(sources) == 0:
-        sources = np.arange(min(4, graph.n_cols), dtype=np.int64)
     frontier = np.flatnonzero(col_match >= -1).astype(np.int64)  # every column
     infinity = graph.infinity_label
 
@@ -194,19 +178,8 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
 
     timed(
         "expand_frontier",
-        lambda res: float(len(res[0]) + len(frontier)),
+        lambda res: float(len(res) + len(frontier)),
         lambda: expand_frontier(graph.col_ptr, graph.col_ind, frontier),
-    )
-    targets, _ = expand_frontier(graph.col_ptr, graph.col_ind, frontier)
-    timed(
-        "first_occurrence_mask",
-        lambda res: float(len(targets)),
-        lambda: first_occurrence_mask(targets),
-    )
-    timed(
-        "multi_source_bfs",
-        lambda res: float(res.edges_scanned + graph.n_rows + graph.n_cols),
-        lambda: multi_source_bfs(graph, sources, side="col"),
     )
     timed(
         "alternating_level_bfs",

@@ -1,10 +1,11 @@
 """Per-function dispatch between the NumPy paths and their compiled twins.
 
-The hot frontier primitives (:mod:`repro.graph.frontier`) and the
-lockstep wave kernels (:mod:`repro.core`) each carry a small shim: they
-ask :func:`implementation_for` for a compiled twin and fall back to the
-vectorized NumPy body when it returns ``None``.  The answer is ``None``
-whenever
+Seven functions carry a small shim: the three vectorized frontier
+primitives the CPU baselines and the sharded reconcile run
+(:mod:`repro.graph.frontier`) and the four lockstep wave kernels of G-PR
+and G-HKDW (:mod:`repro.core`).  Each shim asks :func:`implementation_for`
+for a compiled twin and falls back to the vectorized NumPy body when it
+returns ``None``.  The answer is ``None`` whenever
 
 * numba is not installed (the ``[compiled]`` extra; a numpy-only install
   runs the NumPy paths unchanged), or
@@ -82,16 +83,6 @@ def _warm_expand_frontier() -> None:
     frontier_jit.expand_frontier(col_ptr, col_ind, np.array([0, 1], dtype=np.int64))
 
 
-def _warm_first_occurrence_mask() -> None:
-    frontier_jit.first_occurrence_mask(np.array([1, 0, 1], dtype=np.int64))
-
-
-def _warm_multi_source_bfs() -> None:
-    col_ptr, col_ind, row_ptr, row_ind = _micro_graph()
-    sources = np.array([0], dtype=np.int64)
-    frontier_jit.multi_source_bfs(col_ptr, col_ind, row_ptr, row_ind, sources, 2, 2)
-
-
 def _warm_alternating_level_bfs() -> None:
     col_ptr, col_ind, _, _ = _micro_graph()
     row_match = np.array([0, -1], dtype=np.int64)
@@ -155,12 +146,6 @@ _REGISTRY: dict[str, Entry] = {
     entry.name: entry
     for entry in (
         Entry("expand_frontier", frontier_jit.expand_frontier, _warm_expand_frontier),
-        Entry(
-            "first_occurrence_mask",
-            frontier_jit.first_occurrence_mask,
-            _warm_first_occurrence_mask,
-        ),
-        Entry("multi_source_bfs", frontier_jit.multi_source_bfs, _warm_multi_source_bfs),
         Entry(
             "alternating_level_bfs",
             frontier_jit.alternating_level_bfs,

@@ -1,6 +1,9 @@
 """Numba twins of the hot frontier primitives in :mod:`repro.graph.frontier`.
 
-Every function here is a scalar-loop port of a vectorized NumPy path and
+One twin per vectorized primitive a solver runs: ``expand_frontier`` (the
+HK and PR level bodies and the sharded reconcile), ``alternating_level_bfs``
+(HK/HKDW) and ``distance_label_bfs`` (PR's global relabeling).  Every
+function here is a scalar-loop port of a vectorized NumPy path and
 must be *bit-identical* to it: same output arrays, same dtypes, same
 ``edges_scanned`` counters.  The ports deliberately mirror the NumPy
 semantics rather than "improving" them -- e.g. ``alternating_level_bfs``
@@ -28,128 +31,21 @@ _INF = np.iinfo(np.int64).max
 def expand_frontier(ptr, ind, frontier):
     """Scalar twin of :func:`repro.graph.frontier.expand_frontier`.
 
-    Emits ``(targets, origins)`` in frontier-major, adjacency-minor
-    order -- the exact order ``np.repeat`` + sliced gathers produce.
+    Emits the targets in frontier-major, adjacency-minor order -- the exact
+    order ``np.repeat`` + sliced gathers produce.
     """
     total = np.int64(0)
     for i in range(frontier.shape[0]):
         v = frontier[i]
         total += ptr[v + 1] - ptr[v]
     targets = np.empty(total, np.int64)
-    origins = np.empty(total, np.int64)
     out = 0
     for i in range(frontier.shape[0]):
         v = frontier[i]
         for idx in range(ptr[v], ptr[v + 1]):
             targets[out] = ind[idx]
-            origins[out] = v
             out += 1
-    return targets, origins
-
-
-@jit
-def first_occurrence_mask(values):
-    """Scalar twin of :func:`repro.graph.frontier.first_occurrence_mask`.
-
-    ``True`` exactly at the first occurrence (in scan order) of each
-    distinct value.  Uses a span-marking table when the value range is
-    modest (it always is for vertex ids), falling back to a sort for
-    pathological ranges.
-    """
-    n = values.shape[0]
-    mask = np.zeros(n, np.bool_)
-    if n == 0:
-        return mask
-    vmin = values[0]
-    vmax = values[0]
-    for i in range(n):
-        v = values[i]
-        if v < vmin:
-            vmin = v
-        if v > vmax:
-            vmax = v
-    span = vmax - vmin + 1
-    if span <= max(1024, 4 * n):
-        seen = np.zeros(span, np.bool_)
-        for i in range(n):
-            slot = values[i] - vmin
-            if not seen[slot]:
-                seen[slot] = True
-                mask[i] = True
-        return mask
-    # Huge sparse range: sort (stability not required -- for each run of
-    # equal values we keep the smallest original index).
-    order = np.argsort(values)
-    i = 0
-    while i < n:
-        j = i
-        first = order[i]
-        v = values[first]
-        while j + 1 < n and values[order[j + 1]] == v:
-            j += 1
-            if order[j] < first:
-                first = order[j]
-        mask[first] = True
-        i = j + 1
-    return mask
-
-
-@jit
-def multi_source_bfs(ptr_a, ind_a, ptr_b, ind_b, sources, n_a, n_b):
-    """Scalar twin of the level-synchronous core of ``multi_source_bfs``.
-
-    Side ``a`` is the source side.  Returns
-    ``(level_a, level_b, parent_a, parent_b, edges_scanned)`` with the
-    same first-encounter parent choice as the vectorized path: within a
-    level, the winning origin for a vertex is its first appearance in
-    frontier-major, adjacency-minor order.
-    """
-    level_a = np.full(n_a, _INF, np.int64)
-    level_b = np.full(n_b, _INF, np.int64)
-    parent_a = np.full(n_a, -1, np.int64)
-    parent_b = np.full(n_b, -1, np.int64)
-    cap = n_a if n_a > n_b else n_b
-    frontier = np.empty(cap, np.int64)
-    nxt = np.empty(cap, np.int64)
-    fsize = 0
-    for i in range(sources.shape[0]):
-        s = sources[i]
-        if level_a[s] == _INF:
-            level_a[s] = 0
-            frontier[fsize] = s
-            fsize += 1
-    edges = np.int64(0)
-    depth = np.int64(0)
-    on_a = True
-    while fsize > 0:
-        nsize = 0
-        if on_a:
-            for i in range(fsize):
-                v = frontier[i]
-                for idx in range(ptr_a[v], ptr_a[v + 1]):
-                    edges += 1
-                    u = ind_a[idx]
-                    if level_b[u] == _INF:
-                        level_b[u] = depth + 1
-                        parent_b[u] = v
-                        nxt[nsize] = u
-                        nsize += 1
-        else:
-            for i in range(fsize):
-                v = frontier[i]
-                for idx in range(ptr_b[v], ptr_b[v + 1]):
-                    edges += 1
-                    u = ind_b[idx]
-                    if level_a[u] == _INF:
-                        level_a[u] = depth + 1
-                        parent_a[u] = v
-                        nxt[nsize] = u
-                        nsize += 1
-        frontier, nxt = nxt, frontier
-        fsize = nsize
-        depth += 1
-        on_a = not on_a
-    return level_a, level_b, parent_a, parent_b, edges
+    return targets
 
 
 @jit
@@ -262,6 +158,4 @@ __all__ = [
     "alternating_level_bfs",
     "distance_label_bfs",
     "expand_frontier",
-    "first_occurrence_mask",
-    "multi_source_bfs",
 ]

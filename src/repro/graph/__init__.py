@@ -22,27 +22,22 @@ Public classes / functions
     bounded-memory substrate of the out-of-core ingest
     (:mod:`repro.sharded`).
 :func:`degree_statistics`, :func:`structure_summary`
-    Descriptive statistics used by the benchmark reports.
+    Descriptive degree and structure statistics of a graph, for user code.
 :func:`validate_graph`
     Structural validation with informative errors.
 :mod:`repro.graph.frontier`
-    Vectorized whole-frontier CSR operations (multi-source BFS, alternating
-    level/label BFS variants, first-admissible-neighbour selection) — the
-    shared hot path of every CPU baseline.
+    The shared frontier walks of the CPU baselines and G-HKDW:
+    whole-frontier CSR expansion, the Hopcroft–Karp level BFS and
+    push-relabel distance-label BFS, the P-DBFS claiming search and the
+    vertex-disjoint augmenting DFS.
 """
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import (
-    BFSResult,
     alternating_level_bfs,
     claiming_bfs,
     distance_label_bfs,
     expand_frontier,
-    first_free_offset,
-    first_occurrence_mask,
-    first_true,
-    multi_source_bfs,
-    reference_bfs,
 )
 from repro.graph.builders import (
     from_biadjacency,
@@ -66,16 +61,10 @@ from repro.graph.validate import GraphValidationError, validate_graph
 
 __all__ = [
     "BipartiteGraph",
-    "BFSResult",
     "alternating_level_bfs",
     "claiming_bfs",
     "distance_label_bfs",
     "expand_frontier",
-    "first_free_offset",
-    "first_occurrence_mask",
-    "first_true",
-    "multi_source_bfs",
-    "reference_bfs",
     "from_edges",
     "from_dense",
     "from_scipy_sparse",

@@ -17,9 +17,7 @@ for the measurement):
 * **Whole-frontier array ops** for the level-synchronous traversals, whose
   frontiers hold hundreds of vertices: :func:`expand_frontier` gathers every
   out-edge of a frontier in one shot (``np.repeat`` on the CSR pointer
-  diffs), :func:`first_occurrence_mask` deduplicates while preserving scan
-  order (:func:`sorted_unique` where ascending order will do), and on top of
-  them :func:`multi_source_bfs` (plain BFS),
+  diffs), :func:`sorted_unique` deduplicates a level, and on top of them
   :func:`alternating_level_bfs` (the Hopcroft–Karp level structure) and
   :func:`distance_label_bfs` (push-relabel global relabeling, Algorithm 2)
   assign levels and count scanned edges in bulk.
@@ -37,15 +35,10 @@ for the measurement):
   :func:`augmenting_dfs` is the vertex-disjoint augmenting DFS of HK/HKDW
   (over lists) and of G-HKDW's augmentation kernels (over memoryviews).
 
-:func:`reference_bfs` is the deque twin of :func:`multi_source_bfs`, kept
-(not deprecated) as the executable specification the property tests compare
-against.  :func:`first_true` / :func:`first_free_offset` are the vectorized
-"first unmatched / first admissible neighbour" selectors for the callers
-that do hold an ndarray burst.
-
 Every function is bit-compatible with the historical per-edge loops: same
-levels, same parents, same matchings, same counter end-values
-(``tests/test_frontier.py`` pins all of it, golden values included).
+levels, same claim order, same matchings, same counter end-values
+(``tests/test_frontier.py`` pins all of it against deque references and
+golden values).
 
 Counter convention
 ------------------
@@ -57,24 +50,17 @@ Python dict entry inside a per-edge loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compiled import dispatch as _compiled
 
 __all__ = [
-    "BFSResult",
     "alternating_level_bfs",
     "augmenting_dfs",
     "claiming_bfs",
     "distance_label_bfs",
     "expand_frontier",
-    "first_free_offset",
-    "first_occurrence_mask",
-    "first_true",
-    "multi_source_bfs",
-    "reference_bfs",
     "sorted_unique",
 ]
 
@@ -88,7 +74,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- primitives
-def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray):
+def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """All out-edges of ``frontier``, flattened in scan order.
 
     Parameters
@@ -100,16 +86,14 @@ def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray):
 
     Returns
     -------
-    (targets, origins):
-        Parallel ``int64`` arrays with one entry per scanned edge:
-        ``targets[k]`` is the ``k``-th neighbour a deque BFS would scan and
-        ``origins[k]`` the frontier vertex it was scanned from.  The order is
-        frontier-major, adjacency-minor — exactly the order a FIFO traversal
-        visits edges, which the dedup helpers below rely on.
+    targets:
+        One ``int64`` entry per scanned edge: ``targets[k]`` is the ``k``-th
+        neighbour a deque BFS would scan.  The order is frontier-major,
+        adjacency-minor — exactly the order a FIFO traversal visits edges.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
     if len(frontier) == 0:
-        return _EMPTY, _EMPTY
+        return _EMPTY
     fn = _compiled.implementation_for("expand_frontier")
     if fn is not None and not _compiled.recording(ptr, ind, frontier):
         return fn(ptr, ind, frontier)
@@ -117,39 +101,11 @@ def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray):
     degrees = ptr[frontier + 1] - starts
     total = int(degrees.sum())
     if total == 0:
-        return _EMPTY, _EMPTY
+        return _EMPTY
     offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1] - starts, degrees)
-    return ind[flat], np.repeat(frontier, degrees)
-
-
-def first_occurrence_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask selecting the *first* occurrence of each value, in order.
-
-    ``values[first_occurrence_mask(values)]`` deduplicates while preserving
-    scan order — the vectorized equivalent of a ``seen``-set guard inside a
-    per-edge loop.
-    """
-    n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    fn = _compiled.implementation_for("first_occurrence_mask")
-    if (
-        fn is not None
-        and isinstance(values, np.ndarray)
-        and values.dtype == np.int64
-        and not _compiled.recording(values)
-    ):
-        return fn(values)
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    lead = np.empty(n, dtype=bool)
-    lead[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=lead[1:])
-    mask = np.zeros(n, dtype=bool)
-    mask[order[lead]] = True
-    return mask
+    return ind[flat]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -166,149 +122,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     lead = np.ones(len(ranked), dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=lead[1:])
     return ranked[lead]
-
-
-def first_true(mask: np.ndarray) -> int:
-    """Offset of the first ``True`` in a boolean array, or ``-1``."""
-    if not mask.size:
-        return -1
-    k = int(np.argmax(mask))
-    return k if mask[k] else -1
-
-
-def first_free_offset(targets: np.ndarray, partner_match: np.ndarray) -> int:
-    """Offset of the first unmatched vertex in ``targets``, or ``-1``.
-
-    The vectorized "first unmatched neighbour" selection over an adjacency
-    burst — one ``argmax`` instead of a per-edge loop.
-    """
-    if not targets.size:
-        return -1
-    return first_true(partner_match[targets] == _UNMATCHED)
-
-
-# ----------------------------------------------------------- plain multi-BFS
-@dataclass(frozen=True)
-class BFSResult:
-    """Levels and parents of a (multi-source) bipartite BFS.
-
-    ``row_parent[u]`` is the column that first discovered row ``u`` (``-1``
-    when undiscovered or a source); ``col_parent`` mirrors it.  Levels count
-    hops from the nearest source (``row_level``/``col_level``; unreached
-    vertices keep ``numpy.iinfo(int64).max``).  ``edges_scanned`` is the
-    total adjacency entries a deque BFS would have touched.
-    """
-
-    row_level: np.ndarray
-    col_level: np.ndarray
-    row_parent: np.ndarray
-    col_parent: np.ndarray
-    edges_scanned: int
-
-
-def _bfs_state(graph):
-    row_level = np.full(graph.n_rows, _INF, dtype=np.int64)
-    col_level = np.full(graph.n_cols, _INF, dtype=np.int64)
-    row_parent = np.full(graph.n_rows, -1, dtype=np.int64)
-    col_parent = np.full(graph.n_cols, -1, dtype=np.int64)
-    return row_level, col_level, row_parent, col_parent
-
-
-def _check_sources(sources: np.ndarray, bound: int, side: str) -> np.ndarray:
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= bound):
-        raise IndexError(f"BFS {side} sources out of range [0, {bound})")
-    return sources
-
-
-def multi_source_bfs(graph, sources, side: str = "col") -> BFSResult:
-    """Level-synchronous multi-source BFS over the bipartite graph.
-
-    Starts from ``sources`` on ``side`` (``"col"`` or ``"row"``) and explores
-    structural adjacency in both directions, one whole frontier per step: the
-    frontier's out-edges are gathered with :func:`expand_frontier`, already
-    visited targets are masked out, and :func:`first_occurrence_mask` picks
-    each new vertex's parent — the same parent a FIFO/deque BFS assigns,
-    which :func:`reference_bfs` (the kept executable specification) asserts.
-
-    An empty ``sources`` array is valid and returns an all-unreached result.
-    """
-    if side not in ("col", "row"):
-        raise ValueError(f"side must be 'col' or 'row', not {side!r}")
-    bound = graph.n_cols if side == "col" else graph.n_rows
-    frontier = _check_sources(sources, bound, side)
-    fn = _compiled.implementation_for("multi_source_bfs")
-    if fn is not None and not _compiled.recording(
-        graph.col_ptr, graph.col_ind, graph.row_ptr, graph.row_ind, frontier
-    ):
-        # The twin dedups the sources internally (level-0 check) and uses
-        # the same first-encounter parent rule as the vectorized path.
-        if side == "col":
-            col_level, row_level, col_parent, row_parent, edges = fn(
-                graph.col_ptr, graph.col_ind, graph.row_ptr, graph.row_ind,
-                frontier, graph.n_cols, graph.n_rows,
-            )
-        else:
-            row_level, col_level, row_parent, col_parent, edges = fn(
-                graph.row_ptr, graph.row_ind, graph.col_ptr, graph.col_ind,
-                frontier, graph.n_rows, graph.n_cols,
-            )
-        return BFSResult(row_level, col_level, row_parent, col_parent, int(edges))
-    row_level, col_level, row_parent, col_parent = _bfs_state(graph)
-    structures = {
-        "col": (graph.col_ptr, graph.col_ind, col_level, row_level, row_parent),
-        "row": (graph.row_ptr, graph.row_ind, row_level, col_level, col_parent),
-    }
-    # Dedupe the sources in scan order — the deque reference enqueues only
-    # the first occurrence (its level check guards re-enqueueing), so a
-    # duplicated source must not be expanded twice here either.
-    frontier = frontier[first_occurrence_mask(frontier)]
-    structures[side][2][frontier] = 0
-    edges = 0
-    depth = 0
-    while len(frontier):
-        ptr, ind, _, target_level, target_parent = structures[side]
-        targets, origins = expand_frontier(ptr, ind, frontier)
-        edges += len(targets)
-        new = target_level[targets] == _INF
-        keep = new & first_occurrence_mask(targets)
-        fresh = targets[keep]
-        target_level[fresh] = depth + 1
-        target_parent[fresh] = origins[keep]
-        frontier = fresh
-        side = "row" if side == "col" else "col"
-        depth += 1
-    return BFSResult(row_level, col_level, row_parent, col_parent, int(edges))
-
-
-def reference_bfs(graph, sources, side: str = "col") -> BFSResult:
-    """Deque reference for :func:`multi_source_bfs` (kept as the executable
-    specification; the property suite compares the two bit-for-bit)."""
-    if side not in ("col", "row"):
-        raise ValueError(f"side must be 'col' or 'row', not {side!r}")
-    row_level, col_level, row_parent, col_parent = _bfs_state(graph)
-    level = {"col": col_level, "row": row_level}
-    parent = {"col": col_parent, "row": row_parent}
-    bound = graph.n_cols if side == "col" else graph.n_rows
-    sources = _check_sources(sources, bound, side)
-    queue: deque[tuple[str, int]] = deque()
-    for v in sources:
-        if level[side][v] == _INF:
-            level[side][v] = 0
-            queue.append((side, int(v)))
-    edges = 0
-    while queue:
-        at, v = queue.popleft()
-        neighbors = graph.column_neighbors(v) if at == "col" else graph.row_neighbors(v)
-        other = "row" if at == "col" else "col"
-        for u in neighbors:
-            edges += 1
-            u = int(u)
-            if level[other][u] == _INF:
-                level[other][u] = level[at][v] + 1
-                parent[other][u] = v
-                queue.append((other, u))
-    return BFSResult(row_level, col_level, row_parent, col_parent, edges)
 
 
 # ----------------------------------------------------- matching-aware BFS'es
@@ -380,7 +193,7 @@ def alternating_level_bfs(
                 shortest = depth + 1
             next_cols = np.array(nxt, dtype=np.int64)
         else:
-            rows, _ = expand_frontier(col_ptr, col_ind, frontier)
+            rows = expand_frontier(col_ptr, col_ind, frontier)
             edges += len(rows)
             mates = row_match[rows]
             if np.any(mates == _UNMATCHED):
@@ -429,7 +242,7 @@ def distance_label_bfs(
     edges = 0
     level = 0
     while len(frontier):
-        cols, _ = expand_frontier(row_ptr, row_ind, frontier)
+        cols = expand_frontier(row_ptr, row_ind, frontier)
         edges += len(cols)
         fresh = cols[psi_col[cols] == infinity]
         if len(fresh) == 0:

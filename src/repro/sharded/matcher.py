@@ -275,7 +275,7 @@ class ShardedMatcher:
             for index in np.unique(shard_ids):
                 local = frontier[shard_ids == index] - boundaries[index]
                 ptr, ind, _ = views[int(index)]
-                targets, _ = expand_frontier(ptr, ind, local)
+                targets = expand_frontier(ptr, ind, local)
                 if targets.size:
                     rows_parts.append(targets)
                     mates = row_match[targets]

@@ -24,13 +24,7 @@ from repro.generators import (
     rmat_bipartite,
     uniform_random_bipartite,
 )
-from repro.graph.frontier import (
-    alternating_level_bfs,
-    distance_label_bfs,
-    expand_frontier,
-    first_occurrence_mask,
-    multi_source_bfs,
-)
+from repro.graph.frontier import alternating_level_bfs, distance_label_bfs, expand_frontier
 from repro.seq.greedy import cheap_matching
 
 # Four generator families x seeds: distinct degree structure so the twins
@@ -66,37 +60,11 @@ def _both_tiers(fn):
 # ---------------------------------------------------------------- primitives
 def test_expand_frontier_parity(graph):
     frontier = np.flatnonzero(np.arange(graph.n_cols) % 3 == 0)
-    (bt, bo), (tt, to) = _both_tiers(
+    base, twin = _both_tiers(
         lambda: expand_frontier(graph.col_ptr, graph.col_ind, frontier)
     )
-    np.testing.assert_array_equal(bt, tt)
-    np.testing.assert_array_equal(bo, to)
-    assert tt.dtype == np.int64 and to.dtype == np.int64
-
-
-def test_first_occurrence_mask_parity(graph):
-    frontier = np.arange(graph.n_cols, dtype=np.int64)
-    targets, _ = expand_frontier(graph.col_ptr, graph.col_ind, frontier)
-    base, twin = _both_tiers(lambda: first_occurrence_mask(targets))
     np.testing.assert_array_equal(base, twin)
-    assert twin.dtype == np.bool_
-
-
-def test_multi_source_bfs_parity(graph):
-    matching = cheap_matching(graph).matching
-    for side in ("col", "row"):
-        mates = matching.col_match if side == "col" else matching.row_match
-        sources = np.flatnonzero(mates == -1)
-        if len(sources) == 0:
-            sources = np.array([0], dtype=np.int64)
-        base, twin = _both_tiers(
-            lambda side=side, sources=sources: multi_source_bfs(graph, sources, side=side)
-        )
-        np.testing.assert_array_equal(base.row_level, twin.row_level)
-        np.testing.assert_array_equal(base.col_level, twin.col_level)
-        np.testing.assert_array_equal(base.row_parent, twin.row_parent)
-        np.testing.assert_array_equal(base.col_parent, twin.col_parent)
-        assert base.edges_scanned == twin.edges_scanned
+    assert twin.dtype == np.int64
 
 
 def test_alternating_level_bfs_parity(graph):
@@ -188,10 +156,8 @@ def test_registered_names_cover_all_shims():
         "alternating_level_bfs",
         "distance_label_bfs",
         "expand_frontier",
-        "first_occurrence_mask",
         "ghkdw_augment",
         "global_relabel",
-        "multi_source_bfs",
         "push_active_wave",
         "push_wave",
     )

@@ -1,23 +1,26 @@
 """The vectorized frontier layer: property suite and counter-accounting goldens.
 
-Three guarantees:
+Four guarantees:
 
-* the whole-frontier traversals (``multi_source_bfs`` and the
-  matching-aware variants) are bit-identical to their kept deque
-  references — levels, parents, shortest lengths, claim order and
+* the matching-aware traversals (``alternating_level_bfs``,
+  ``distance_label_bfs``, ``claiming_bfs``) are bit-identical to their
+  kept deque references — levels, shortest lengths, claim order and
   scanned-edge totals — across the generator families, seeds and the
-  empty-frontier / all-matched edge cases;
+  all-matched edge case;
 * the bulk counter accounting of the rewritten CPU baselines reproduces
   the historical per-edge accounting exactly: ``tests/data/counter_goldens.json``
   records counter end-values, cardinalities and full matchings captured
   from the pre-rewrite per-edge implementations on seeded graphs;
 * the scalar fallback of ``alternating_level_bfs`` agrees with the
   vectorized path, and ``augmenting_dfs`` reproduces G-HKDW's old
-  ndarray-scalar augmentation walk over lists, memoryviews and ndarrays.
+  ndarray-scalar augmentation walk over lists, memoryviews and ndarrays;
+* every public primitive has a caller among the solvers, so none is kept
+  alive by its tests alone.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from collections import deque
 from pathlib import Path
@@ -35,11 +38,6 @@ from repro.graph.frontier import (
     claiming_bfs,
     distance_label_bfs,
     expand_frontier,
-    first_free_offset,
-    first_occurrence_mask,
-    first_true,
-    multi_source_bfs,
-    reference_bfs,
     sorted_unique,
 )
 from repro.matching import UNMATCHED
@@ -85,30 +83,21 @@ def golden_graph(request):
 
 # ---------------------------------------------------------------- primitives
 def test_expand_frontier_orders_edges_like_a_fifo_scan(tiny_graph):
-    targets, origins = expand_frontier(
+    targets = expand_frontier(
         tiny_graph.col_ptr, tiny_graph.col_ind, np.array([1, 0])
     )
-    expected_t, expected_o = [], []
+    expected_t = []
     for v in (1, 0):
         for u in tiny_graph.column_neighbors(v):
             expected_t.append(int(u))
-            expected_o.append(v)
     assert targets.tolist() == expected_t
-    assert origins.tolist() == expected_o
 
 
 def test_expand_frontier_empty_and_isolated():
-    targets, origins = expand_frontier(np.array([0, 0, 0]), np.empty(0, np.int64), np.array([0, 1]))
-    assert targets.size == 0 and origins.size == 0
-    targets, _ = expand_frontier(np.array([0]), np.empty(0, np.int64), np.empty(0, np.int64))
+    targets = expand_frontier(np.array([0, 0, 0]), np.empty(0, np.int64), np.array([0, 1]))
+    assert targets.size == 0 and targets.dtype == np.int64
+    targets = expand_frontier(np.array([0]), np.empty(0, np.int64), np.empty(0, np.int64))
     assert targets.size == 0
-
-
-def test_first_occurrence_mask_keeps_scan_order():
-    values = np.array([7, 3, 7, 1, 3, 1, 9])
-    mask = first_occurrence_mask(values)
-    assert values[mask].tolist() == [7, 3, 1, 9]
-    assert first_occurrence_mask(np.empty(0, np.int64)).tolist() == []
 
 
 _RNG = np.random.default_rng(20130421)
@@ -135,74 +124,6 @@ def test_sorted_unique_equals_np_unique(case):
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(values, before)  # the input is not sorted in place
-
-
-def test_first_true_and_first_free_offset():
-    assert first_true(np.array([False, False, True, True])) == 2
-    assert first_true(np.array([False, False])) == -1
-    assert first_true(np.empty(0, dtype=bool)) == -1
-    match = np.array([0, UNMATCHED, 2, UNMATCHED])
-    assert first_free_offset(np.array([0, 2, 3]), match) == 2
-    assert first_free_offset(np.array([0, 2]), match) == -1
-    assert first_free_offset(np.empty(0, np.int64), match) == -1
-
-
-# ------------------------------------------------- multi-source BFS property
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("side", ["col", "row"])
-def test_multi_source_bfs_matches_reference(golden_graph, side, seed):
-    _, graph = golden_graph
-    rng = np.random.default_rng(seed)
-    bound = graph.n_cols if side == "col" else graph.n_rows
-    sources = rng.choice(bound, size=min(5, bound), replace=False)
-    fast = multi_source_bfs(graph, sources, side=side)
-    ref = reference_bfs(graph, sources, side=side)
-    np.testing.assert_array_equal(fast.row_level, ref.row_level)
-    np.testing.assert_array_equal(fast.col_level, ref.col_level)
-    np.testing.assert_array_equal(fast.row_parent, ref.row_parent)
-    np.testing.assert_array_equal(fast.col_parent, ref.col_parent)
-    assert fast.edges_scanned == ref.edges_scanned
-
-
-def test_multi_source_bfs_empty_frontier(golden_graph):
-    _, graph = golden_graph
-    fast = multi_source_bfs(graph, np.empty(0, np.int64))
-    ref = reference_bfs(graph, np.empty(0, np.int64))
-    assert np.all(fast.row_level == _INF) and np.all(fast.col_level == _INF)
-    np.testing.assert_array_equal(fast.row_parent, ref.row_parent)
-    assert fast.edges_scanned == ref.edges_scanned == 0
-
-
-def test_multi_source_bfs_all_matched_edge_case():
-    # On a graph with a perfect matching, HK's source frontier (the unmatched
-    # columns) is empty after the solve — the BFS layer must handle it.
-    graph = uniform_random_bipartite(60, 60, avg_degree=8.0, seed=5)
-    matching = hopcroft_karp_matching(graph).matching
-    sources = np.flatnonzero(matching.col_match == UNMATCHED)
-    fast = multi_source_bfs(graph, sources)
-    ref = reference_bfs(graph, sources)
-    np.testing.assert_array_equal(fast.col_level, ref.col_level)
-    assert fast.edges_scanned == ref.edges_scanned
-
-
-def test_multi_source_bfs_duplicate_sources_match_reference(tiny_graph):
-    # The deque reference enqueues only the first occurrence of a duplicated
-    # source; the vectorized frontier must not expand it twice.
-    sources = np.array([1, 0, 1, 1])
-    fast = multi_source_bfs(tiny_graph, sources)
-    ref = reference_bfs(tiny_graph, sources)
-    np.testing.assert_array_equal(fast.row_level, ref.row_level)
-    np.testing.assert_array_equal(fast.row_parent, ref.row_parent)
-    assert fast.edges_scanned == ref.edges_scanned
-
-
-def test_multi_source_bfs_validates_inputs(tiny_graph):
-    with pytest.raises(ValueError):
-        multi_source_bfs(tiny_graph, [0], side="diagonal")
-    with pytest.raises(IndexError):
-        multi_source_bfs(tiny_graph, [tiny_graph.n_cols])
-    with pytest.raises(IndexError):
-        reference_bfs(tiny_graph, [-1])
 
 
 # --------------------------------------- matching-aware BFS deque references
@@ -537,3 +458,28 @@ def test_csr_lists_cached_and_consistent(tiny_graph):
     assert rind == tiny_graph.row_ind.tolist()
     with pytest.raises(ValueError):
         tiny_graph.csr_lists("diagonal")
+
+
+# ------------------------------------------------------------ solver callers
+def test_every_frontier_primitive_is_imported_by_a_solver_module():
+    """No public primitive is kept alive only by its tests and twins.
+
+    Scans every module of the package outside ``repro/graph/`` and
+    ``repro/compiled/`` for ``from repro.graph.frontier import ...`` and
+    ``from repro.graph import ...``.
+    """
+    import repro
+    import repro.graph.frontier as frontier
+
+    package = Path(repro.__file__).parent
+    imported: set[str] = set()
+    for path in package.rglob("*.py"):
+        if path.relative_to(package).parts[0] in ("graph", "compiled"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "repro.graph.frontier",
+                "repro.graph",
+            ):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(set(frontier.__all__) - imported) == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.generators import (
     grid_graph,
     instance_names,
     kronecker_graph,
+    materialize_instance,
     perfect_matching_plus_noise,
     power_law_web_graph,
     rmat_bipartite,
@@ -22,6 +25,7 @@ from repro.generators import (
     trace_graph,
     uniform_random_bipartite,
 )
+from repro.graph.io import read_matrix_market, read_matrix_market_header
 from repro.graph.validate import validate_graph
 from repro.seq.verify import maximum_matching_cardinality
 
@@ -186,6 +190,30 @@ def test_generate_instance_deterministic():
     a = generate_instance("roadNet-PA", profile="tiny", seed=5)
     b = generate_instance("roadNet-PA", profile="tiny", seed=5)
     assert np.array_equal(a.col_ind, b.col_ind)
+
+
+@pytest.mark.parametrize("gz", [True, False], ids=["gz", "plain"])
+def test_materialize_instance_writes_reuses_and_overwrites(tmp_path, gz):
+    graph = generate_instance("amazon0505", profile="tiny")
+
+    def materialize(**kwargs):
+        return materialize_instance(
+            "amazon0505", profile="tiny", directory=tmp_path, gz=gz, **kwargs
+        )
+
+    path = materialize()
+    header = read_matrix_market_header(path)
+    assert (header.n_rows, header.n_cols, header.n_entries) == (
+        graph.n_rows, graph.n_cols, graph.n_edges,
+    )
+    assert read_matrix_market(path).content_hash() == graph.content_hash()
+    # Back-date the file so a rewrite cannot hide inside the clock's resolution.
+    os.utime(path, ns=(0, 0))
+    assert materialize() == path
+    assert path.stat().st_mtime_ns == 0
+    assert materialize(overwrite=True) == path
+    assert path.stat().st_mtime_ns > 0
+    assert read_matrix_market(path).content_hash() == graph.content_hash()
 
 
 def test_generate_instance_unknown():
