@@ -75,5 +75,5 @@ def test_wallclock_push_kernel(benchmark, workload):
             graph, matching.row_match, matching.col_match, psi_row, psi_col
         )
 
-    act, _ = benchmark(run)
+    act, _, _ = benchmark(run)
     assert act

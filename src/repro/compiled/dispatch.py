@@ -21,9 +21,10 @@ sanitizer therefore always certifies the NumPy tier; the parity suites
 prove the compiled tier bit-identical to it.
 
 Cost-ledger charges are unchanged by construction: the shims return the
-same per-thread work vectors and counters either way, and the callers
-charge those to the :class:`~repro.gpusim.device.VirtualGPU` ledger
-exactly as before -- only wall time drops.
+same frontiers, candidates, per-thread work and counters either way, and
+the callers charge that work to the
+:class:`~repro.gpusim.device.VirtualGPU` ledger exactly as before -- only
+wall time drops.
 
 :func:`warm_up` compiles every registered twin on micro inputs with the
 production dtypes, so min-of-repeats measurements never include one-time
@@ -130,7 +131,10 @@ def _warm_global_relabel() -> None:
     mu_col = np.array([1, -1], dtype=np.int64)
     psi_row = np.array([0, 4], dtype=np.int64)
     psi_col = np.array([4, 4], dtype=np.int64)
-    kernels_jit.global_relabel(row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, 0, 4)
+    frontier = np.array([0], dtype=np.int64)
+    kernels_jit.global_relabel(
+        row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, 0, 4, frontier
+    )
 
 
 def _warm_ghkdw_augment() -> None:

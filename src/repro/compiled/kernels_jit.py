@@ -5,9 +5,17 @@ each wave performs its entire read phase before its first write, and
 conflicting writes resolve last-writer-wins (NumPy fancy assignment keeps
 the last occurrence).  A naive fused per-thread loop would instead be the
 *serialized* interleaving — a different legal schedule with different
-results — so every twin here keeps the two phases explicit: local buffers
-collect all launch-time reads for the whole wave, then ascending-index
-write loops reproduce the last-occurrence-wins resolution exactly.
+results — so every push twin here keeps the two phases explicit: local
+buffers collect all launch-time reads for the whole wave, then
+ascending-index write loops reproduce the last-occurrence-wins resolution
+exactly.  ``global_relabel`` may fuse them, because a label it writes never
+changes what a later read of the same launch decides.
+
+The twins share their NumPy counterparts' contract: ``global_relabel``
+takes a level's frontier and returns the rows it labelled,
+``push_wave`` also returns the mates its pushes displaced, and every
+scanned-edge count is an ``int64``, so the callers build the same
+:class:`~repro.gpusim.costmodel.SparseWork` on either tier.
 
 ``ghkdw_augment`` is the exception: the augmentation kernel's claims are
 serialized within the launch by design (see :mod:`repro.core.ghkdw`), so
@@ -56,12 +64,10 @@ def _scan_columns(col_ptr, col_ind, psi_row, psi_col, cols, infinity, psi_min, u
                 hit = idx - begin + 1
         psi_min[i] = best
         u_min[i] = best_row
-        if stop == begin:
-            scanned[i] = 0.0
-        elif hit >= 0:
-            scanned[i] = np.float64(hit)
+        if hit >= 0:
+            scanned[i] = hit
         else:
-            scanned[i] = np.float64(stop - begin)
+            scanned[i] = stop - begin
 
 
 @jit
@@ -69,13 +75,21 @@ def push_wave(col_ptr, col_ind, psi_row, psi_col, mu_row, mu_col, wave_cols, inf
     """Twin of :func:`repro.core.kernels._push_wave` (Algorithm 6, one wave).
 
     Mutates the matching and label arrays in place with lockstep
-    semantics and returns the per-column scanned-edge counts.
+    semantics and returns ``(scanned, displaced)``: per column, the
+    scanned-edge count and the pre-wave mate of the row it pushed onto
+    (``-1`` for an unmatched row or a retired column).
     """
     n = wave_cols.shape[0]
     psi_min = np.empty(n, np.int64)
     u_min = np.empty(n, np.int64)
-    scanned = np.zeros(n, np.float64)
+    scanned = np.zeros(n, np.int64)
     _scan_columns(col_ptr, col_ind, psi_row, psi_col, wave_cols, infinity, psi_min, u_min, scanned)
+    displaced = np.empty(n, np.int64)
+    for i in range(n):
+        if psi_min[i] < infinity:
+            displaced[i] = mu_row[u_min[i]]
+        else:
+            displaced[i] = _UNMATCHED
     # Write phase: column-indexed writes target distinct entries; the
     # row-indexed loop runs ascending so a contended row keeps the last
     # pushing column, matching NumPy fancy assignment.
@@ -90,7 +104,7 @@ def push_wave(col_ptr, col_ind, psi_row, psi_col, mu_row, mu_col, wave_cols, inf
         if psi_min[i] < infinity:
             mu_row[u_min[i]] = wave_cols[i]
             psi_row[u_min[i]] = psi_min[i] + 2
-    return scanned
+    return scanned, displaced
 
 
 @jit
@@ -110,7 +124,7 @@ def push_active_wave(
         cols[i] = ac[slots[i]]
     psi_min = np.empty(n, np.int64)
     u_min = np.empty(n, np.int64)
-    scanned = np.zeros(n, np.float64)
+    scanned = np.zeros(n, np.int64)
     _scan_columns(col_ptr, col_ind, psi_row, psi_col, cols, infinity, psi_min, u_min, scanned)
     old_match = np.empty(n, np.int64)
     for i in range(n):
@@ -144,25 +158,29 @@ def push_active_wave(
 
 
 @jit
-def global_relabel(row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, c_level, infinity):
+def global_relabel(row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, c_level, infinity, frontier):
     """Twin of :func:`repro.core.kernels.global_relabel_kernel` (Algorithm 5).
 
-    The fused scalar loop is launch-time-equivalent to the vectorized
-    kernel: written values (``c_level + 1`` / ``c_level + 2``) can never
-    re-qualify a vertex for this launch's frontier or first-encounter
-    tests, and a consistent matching makes the relabeled rows distinct.
-    Returns ``(u_added, thread_work)``.
+    ``frontier`` holds the rows labelled ``c_level``.  The fused scalar
+    loop is launch-time-equivalent to the vectorized kernel: written values
+    (``c_level + 1`` / ``c_level + 2``) can never re-qualify a vertex for
+    this launch's first-encounter tests, and a consistent matching makes
+    the relabeled rows distinct.  Returns ``(next_rows, degrees)``: the rows
+    labelled ``c_level + 2``, in discovery order, and each frontier row's
+    degree.
     """
-    n_rows = row_ptr.shape[0] - 1
-    thread_work = np.ones(n_rows, np.float64)
-    u_added = False
-    for u in range(n_rows):
-        if psi_row[u] != c_level:
-            continue
-        begin = row_ptr[u]
-        stop = row_ptr[u + 1]
-        thread_work[u] += np.float64(stop - begin)
-        for idx in range(begin, stop):
+    n = frontier.shape[0]
+    degrees = np.empty(n, np.int64)
+    total = 0
+    for i in range(n):
+        u = frontier[i]
+        degrees[i] = row_ptr[u + 1] - row_ptr[u]
+        total += degrees[i]
+    next_rows = np.empty(total, np.int64)
+    count = 0
+    for i in range(n):
+        u = frontier[i]
+        for idx in range(row_ptr[u], row_ptr[u + 1]):
             c = row_ind[idx]
             if psi_col[c] != infinity:
                 continue
@@ -170,8 +188,9 @@ def global_relabel(row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, c_level, 
             w = mu_col[c]
             if w >= 0 and mu_row[w] == c and psi_row[w] == infinity:
                 psi_row[w] = c_level + 2
-                u_added = True
-    return u_added, thread_work
+                next_rows[count] = w
+                count += 1
+    return next_rows[:count], degrees
 
 
 @jit

@@ -26,7 +26,11 @@ needs no correction sweep, and a phase that augments nothing raises.
 On the NumPy tier both augmentation kernels run
 :func:`repro.graph.frontier.augmenting_dfs`, the walk HK/HKDW use, over the
 cached ``csr_lists()`` and zero-copy memoryviews of the device arrays; the
-compiled tier dispatches to the ``ghkdw_augment`` twin.
+compiled tier dispatches to the ``ghkdw_augment`` twin.  A BFS level with
+fewer than :data:`repro.core.kernels.NARROW_WIDTH` frontier columns runs as
+a scalar loop over the same lists and views, a wider one vectorized; each
+level starts from the columns the previous one reached and is charged as a
+:class:`~repro.gpusim.costmodel.SparseWork`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ import time
 import numpy as np
 
 from repro.compiled import dispatch as _compiled
+from repro.core import kernels as _kernels
+from repro.core.kernels import scalar_views
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import augmenting_dfs, sorted_unique
+from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -64,44 +71,70 @@ def _bfs_phase(
     level[frontier] = 0
     reached_free_row = False
     current = 0
-    col_ptr, col_ind = graph.col_ptr, graph.col_ind
+    col_ptr, col_ind = graph.csr_lists("col")
+    views = scalar_views(_compiled.recording(mu_row, level), mu_row, level)
 
     while len(frontier):
-        degrees = col_ptr[frontier + 1] - col_ptr[frontier]
         # Like the paper's G-GR-KRNL, each BFS level launches one thread per
         # column vertex; only frontier columns scan their adjacency, the rest
         # just test their level.  This is what makes high-diameter graphs
         # expensive for the level-synchronous GPU codes.
-        thread_work = np.ones(n_cols, dtype=np.float64)
-        thread_work[frontier] += degrees.astype(np.float64)
-
-        total = int(degrees.sum())
-        if total == 0:
-            gpu.charge_kernel("ghkdw-bfs", thread_work)
-            break
-        offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], degrees) + np.repeat(
-            col_ptr[frontier], degrees
-        )
-        rows = col_ind[flat]
-        row_matches = mu_row[rows]
-        if np.any(row_matches == UNMATCHED):
-            reached_free_row = True
-        next_cols = row_matches[row_matches >= 0]
-        next_cols = sorted_unique(next_cols)
-        next_cols = next_cols[level[next_cols] == _INF]
-        level[next_cols] = current + 1
+        if len(frontier) < _kernels.NARROW_WIDTH:
+            if isinstance(frontier, np.ndarray):
+                frontier = frontier.tolist()
+            next_cols, degrees, reached_free_row = _bfs_level_scalar(
+                col_ptr, col_ind, *views, frontier, current
+            )
+        else:
+            frontier = np.asarray(frontier, dtype=np.int64)
+            next_cols, degrees, reached_free_row = _bfs_level(
+                graph, mu_row, level, frontier, current
+            )
         # Charge-after-access: this level's frontier scan and level writes
-        # belong to the launch just completed (same value and order as the
-        # golden counters — only the call site moved past the accesses).
-        gpu.charge_kernel("ghkdw-bfs", thread_work)
+        # belong to the launch just completed.
+        gpu.charge_kernel("ghkdw-bfs", SparseWork(n_cols, 1, frontier, degrees))
         frontier = next_cols
         current += 1
         if reached_free_row:
             # HK stops the BFS at the level of the shortest augmenting path.
             break
     return level, reached_free_row
+
+
+def _bfs_level(graph, mu_row, level, frontier, current):
+    """One vectorized BFS level: ``(next_cols, degrees, reached_free_row)``."""
+    col_ptr, col_ind = graph.col_ptr, graph.col_ind
+    degrees = col_ptr[frontier + 1] - col_ptr[frontier]
+    total = int(degrees.sum())
+    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], degrees) + np.repeat(
+        col_ptr[frontier], degrees
+    )
+    row_matches = mu_row[col_ind[flat]]
+    reached_free_row = bool(np.any(row_matches == UNMATCHED))
+    next_cols = sorted_unique(row_matches[row_matches >= 0])
+    next_cols = next_cols[level[next_cols] == _INF]
+    level[next_cols] = current + 1
+    return next_cols, degrees, reached_free_row
+
+
+def _bfs_level_scalar(col_ptr, col_ind, mu_row, level, frontier, current):
+    """:func:`_bfs_level` for a narrow frontier, over lists and memoryviews.
+
+    Every read (matches, then levels) precedes the level writes, and the
+    new columns come out ascending, as the vectorized level's do.
+    """
+    # hot-path
+    bounds = [(col_ptr[v], col_ptr[v + 1]) for v in frontier]
+    degrees = [stop - begin for begin, stop in bounds]
+    matches = {mu_row[u] for begin, stop in bounds for u in col_ind[begin:stop]}
+    next_cols = [w for w in matches if w >= 0 and level[w] == _INF]
+    for w in next_cols:
+        level[w] = current + 1
+    # end hot-path
+    next_cols.sort()
+    return next_cols, degrees, UNMATCHED in matches
 
 
 def _augment_phase(
@@ -141,12 +174,7 @@ def _augment_phase(
         gpu.charge_kernel(kernel_name, thread_work)
         return int(augmented)
     col_ptr, col_ind = graph.csr_lists("col")
-    state = (level, mu_row, mu_col)
-    if not recording:
-        # Memoryviews read faster than ndarray scalars and write straight
-        # into the arrays the next BFS reads; the sanitizer's recording
-        # arrays are walked as they are, so every access still lands in its log.
-        state = tuple(memoryview(array) for array in state)
+    state = scalar_views(recording, level, mu_row, mu_col)
     augmented, per_root = augmenting_dfs(
         col_ptr, col_ind, start_cols.tolist(), *state, bytearray(graph.n_rows), restrict_levels
     )

@@ -224,6 +224,8 @@ def _run_first(
     iter_gr = 0
     relabels = 0
     act_exists = True
+    # Columns that may be active; the first launch tests every column.
+    candidates = None
     while act_exists:
         if loop >= max_iterations:
             raise RuntimeError(
@@ -241,13 +243,14 @@ def _run_first(
                 graph, state.mu_row, state.mu_col, state.psi_row, state.psi_col, rng=rng
             )
         else:
-            act_exists, work = push_kernel_all_columns(
+            act_exists, work, candidates = push_kernel_all_columns(
                 graph,
                 state.mu_row,
                 state.mu_col,
                 state.psi_row,
                 state.psi_col,
                 wave_size=max(1, config.waves_in_flight) * gpu.spec.total_cores,
+                candidates=candidates,
             )
         gpu.charge_kernel("g-pr-krnl", work)
         loop += 1

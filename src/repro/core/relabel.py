@@ -23,17 +23,21 @@ def gpu_global_relabel(
 
     ``INITRELABEL`` sets unmatched rows to 0 and everything else to
     ``m + n``; then one ``G-GR-KRNL`` launch per BFS level propagates exact
-    alternating-path distances from the unmatched rows.  Every launch is
-    charged to ``gpu``'s ledger.  Vertices the BFS never reaches keep the
-    ``m + n`` label and are thereby removed from further consideration.
+    alternating-path distances from the unmatched rows, each level starting
+    from the rows the previous one labelled.  Every launch is charged to
+    ``gpu``'s ledger, including the last, which labels nothing.  Vertices
+    the BFS never reaches keep the ``m + n`` label and are thereby removed
+    from further consideration.
     """
-    work = init_relabel_kernel(graph, mu_row, psi_row, psi_col)
+    frontier, work = init_relabel_kernel(graph, mu_row, psi_row, psi_col)
     gpu.charge_kernel("init-relabel", work)
 
     c_level = 0
-    u_added = True
-    while u_added:
-        u_added, work = global_relabel_kernel(graph, mu_row, mu_col, psi_row, psi_col, c_level)
+    while True:
+        frontier, work = global_relabel_kernel(
+            graph, mu_row, mu_col, psi_row, psi_col, c_level, frontier
+        )
         gpu.charge_kernel("g-gr-krnl", work)
         c_level += 2
-    return c_level
+        if not len(frontier):
+            return c_level

@@ -24,16 +24,14 @@ This package provides both:
   a permuted order).  Both are legal interleavings of a lock-free CUDA
   launch; the test-suite checks the algorithms produce maximum matchings
   under either engine.
-* :mod:`~repro.gpusim.costmodel` — converts per-launch work vectors into
-  modelled seconds;
-* :mod:`~repro.gpusim.primitives` — the device-style prefix sum used by the
-  shrink kernel, with its own cost accounting.
+* :mod:`~repro.gpusim.costmodel` — converts the per-thread work of each
+  launch, dense or :class:`~repro.gpusim.costmodel.SparseWork`, into
+  modelled seconds.
 """
 
-from repro.gpusim.costmodel import CostLedger, GpuCostModel, KernelStats
+from repro.gpusim.costmodel import CostLedger, GpuCostModel, KernelStats, SparseWork
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.gpusim.kernel import launch_serialized
-from repro.gpusim.primitives import device_exclusive_scan
 
 __all__ = [
     "DeviceSpec",
@@ -41,6 +39,6 @@ __all__ = [
     "GpuCostModel",
     "CostLedger",
     "KernelStats",
+    "SparseWork",
     "launch_serialized",
-    "device_exclusive_scan",
 ]

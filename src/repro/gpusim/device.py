@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.gpusim.costmodel import CostLedger, GpuCostModel
+from repro.gpusim.costmodel import CostLedger, GpuCostModel, SparseWork
 
 __all__ = ["DeviceSpec", "VirtualGPU", "reference_device"]
 
@@ -108,30 +108,46 @@ class VirtualGPU:
 
     # --------------------------------------------------------------- launches
     def charge_kernel(self, name: str, thread_work) -> None:
-        """Account one kernel launch given its per-thread work vector.
+        """Account one kernel launch given its per-thread work.
 
-        ``thread_work`` is a one-dimensional array (or list) with one
-        non-negative entry per logical thread; for the same work ``w`` on
-        every thread pass ``np.full(n_threads, w)``.  The vectorised kernels
-        in :mod:`repro.core.kernels` compute these vectors exactly (scanned
-        adjacency entries per thread).  It is converted to ``float64`` once
-        here; a scalar or a multi-dimensional array raises ``ValueError``
-        naming the kernel, before anything is charged.
+        ``thread_work`` takes one of two forms:
+
+        * a :class:`~repro.gpusim.costmodel.SparseWork` — a thread count, an
+          integer base work per thread and (thread, extra) pairs.  This is
+          what the kernels in :mod:`repro.core.kernels` and G-HKDW's BFS
+          return, so a launch with few active threads costs host time in
+          proportion to those threads, not to the launch width;
+        * a dense one-dimensional array (or list) with one non-negative
+          entry per logical thread, converted to ``float64`` once here.  The
+          serialized reference engine, the G-HKDW augmentation kernels and
+          the auction charge this form, and it may hold fractional work.
+
+        Both forms are priced bit for bit alike (see
+        :meth:`GpuCostModel.launch_seconds
+        <repro.gpusim.costmodel.GpuCostModel.launch_seconds>`).  A malformed
+        launch — a scalar or multi-dimensional dense array; sparse work that
+        is not a non-negative integer; a duplicate or out-of-range thread
+        index — raises ``ValueError`` naming the kernel, and nothing is
+        charged.
 
         Under shadow mode the charge also closes the sanitizer segment: the
         repo convention is charge-after-access, so everything recorded since
         the previous charge is attributed to this kernel, and the launch
         boundary acts as a device-wide barrier.
         """
-        work = np.asarray(thread_work, dtype=np.float64)
-        if work.ndim != 1:
-            raise ValueError(
-                f"kernel {name!r}: thread_work must be a 1-D vector with one entry "
-                f"per thread, got shape {work.shape}"
-            )
+        if not isinstance(thread_work, SparseWork):
+            thread_work = np.asarray(thread_work, dtype=np.float64)
+            if thread_work.ndim != 1:
+                raise ValueError(
+                    f"kernel {name!r}: thread_work must be a 1-D vector with one entry "
+                    f"per thread, got shape {thread_work.shape}"
+                )
+        try:
+            self.model.record(self.ledger, name, thread_work)
+        except ValueError as exc:
+            raise ValueError(f"kernel {name!r}: {exc}") from None
         if self.shadow is not None:
             self.shadow.close_segment(name)
-        self.model.record(self.ledger, name, work)
 
     # ------------------------------------------------------------ shadow mode
     def shadow_wrap(self, array: np.ndarray, name: str = "array") -> np.ndarray:

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+import repro.core.gpr as gpr_module
+import repro.core.relabel as relabel_module
+from repro.compiled import dispatch
+from repro.core import ghkdw, kernels
+from repro.core.ghkdw import ghkdw_matching
+from repro.core.gpr import GPRConfig, gpr_matching
 from repro.core.kernels import (
     active_columns_mask,
     fix_matching_kernel,
@@ -17,7 +24,7 @@ from repro.core.kernels import (
 )
 from repro.core.relabel import gpu_global_relabel
 from repro.graph import from_edges
-from repro.gpusim import VirtualGPU
+from repro.gpusim import SparseWork, VirtualGPU
 from repro.matching import UNMATCHABLE, UNMATCHED, Matching
 
 
@@ -47,12 +54,13 @@ def test_init_relabel_kernel(tiny_graph):
     mu_row, mu_col, psi_row, psi_col = _state(tiny_graph)
     mu_row[0] = 0
     mu_col[0] = 0
-    work = init_relabel_kernel(tiny_graph, mu_row, psi_row, psi_col)
+    frontier, work = init_relabel_kernel(tiny_graph, mu_row, psi_row, psi_col)
     inf = tiny_graph.infinity_label
     assert psi_row[0] == inf  # matched rows start at infinity
     assert set(psi_row[1:]) == {0}  # unmatched rows at 0
     assert np.all(psi_col == inf)
-    assert len(work) == tiny_graph.n_vertices
+    assert len(work.dense()) == tiny_graph.n_vertices
+    assert frontier.tolist() == [1, 2, 3]  # the rows labelled 0
 
 
 def test_global_relabel_sets_exact_distances():
@@ -90,9 +98,9 @@ def test_global_relabel_marks_unreachable_vertices():
 def test_global_relabel_kernel_empty_frontier(tiny_graph):
     mu_row, mu_col, psi_row, psi_col = _state(tiny_graph)
     psi_row.fill(tiny_graph.infinity_label)
-    added, work = global_relabel_kernel(tiny_graph, mu_row, mu_col, psi_row, psi_col, 0)
-    assert not added
-    assert len(work) == tiny_graph.n_rows
+    frontier, work = global_relabel_kernel(tiny_graph, mu_row, mu_col, psi_row, psi_col, 0, [])
+    assert not len(frontier)
+    assert len(work.dense()) == tiny_graph.n_rows
 
 
 # ------------------------------------------------------------- push kernels
@@ -100,7 +108,7 @@ def test_push_kernel_single_push(tiny_graph):
     mu_row, mu_col, psi_row, psi_col = _state(tiny_graph)
     gpu = VirtualGPU()
     gpu_global_relabel(tiny_graph, mu_row, mu_col, psi_row, psi_col, gpu)
-    act, work = push_kernel_all_columns(tiny_graph, mu_row, mu_col, psi_row, psi_col)
+    act, work, _ = push_kernel_all_columns(tiny_graph, mu_row, mu_col, psi_row, psi_col)
     assert act
     # Every column with at least one neighbour got matched to some row (all
     # rows were unmatched, so every push is a single push and ψ(row) becomes 2).
@@ -109,13 +117,13 @@ def test_push_kernel_single_push(tiny_graph):
         assert mu_row[mu_col[v]] in (0, 1, 2, 3)
     # Column 3 has no neighbours: it is retired.
     assert mu_col[3] == UNMATCHABLE
-    assert len(work) == tiny_graph.n_cols
+    assert len(work.dense()) == tiny_graph.n_cols
 
 
 def test_push_kernel_no_active_columns(tiny_graph):
     mu_row, mu_col, psi_row, psi_col = _state(tiny_graph)
     mu_col.fill(UNMATCHABLE)
-    act, _ = push_kernel_all_columns(tiny_graph, mu_row, mu_col, psi_row, psi_col)
+    act, _, _ = push_kernel_all_columns(tiny_graph, mu_row, mu_col, psi_row, psi_col)
     assert not act
 
 
@@ -123,7 +131,7 @@ def test_push_kernel_conflict_resolution():
     # Two columns share their only row; exactly one can win the push.
     g = from_edges([(0, 0), (0, 1)], n_rows=1, n_cols=2)
     mu_row, mu_col, psi_row, psi_col = _state(g)
-    act, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
+    act, _, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
     assert act
     winner = mu_row[0]
     assert winner in (0, 1)
@@ -178,7 +186,7 @@ def test_init_active_kernel_rolls_back_losers():
     assert 0 in ac
     assert 1 not in ac
     assert ia[0] == 5
-    assert len(work) == 2
+    assert len(work.dense()) == 2
 
 
 def test_init_active_kernel_deduplicates():
@@ -203,7 +211,7 @@ def test_init_active_kernel_empty():
         loop=0,
     )
     assert not act
-    assert len(work) == 0
+    assert len(work.dense()) == 0
 
 
 def test_push_kernel_active_list_basic(tiny_graph):
@@ -217,7 +225,7 @@ def test_push_kernel_active_list_basic(tiny_graph):
     work = push_kernel_active_list(
         tiny_graph, mu_row, mu_col, psi_row, psi_col, ac, ap, ia, loop=0
     )
-    assert len(work) == 4
+    assert len(work.dense()) == 4
     # Column 3 is isolated: retired and its slots cleared.
     assert mu_col[3] == UNMATCHABLE
     assert ac[3] == -1 and ap[3] == -1
@@ -254,7 +262,7 @@ def test_shrink_kernel_compacts():
     assert sorted(new_ac.tolist()) == [0, 2]
     assert len(new_ap) == 2
     assert np.all(new_ap == -1)
-    assert len(work) == 8
+    assert len(work.dense()) == 8
 
 
 # --------------------------------------------------- lockstep race semantics
@@ -273,7 +281,7 @@ def test_lockstep_wave_reads_launch_state_without_snapshots():
     mu_row, mu_col, psi_row, psi_col = _state(g)
     psi_row[:] = (0, 5)  # row 0 is the strict minimum for both columns
     psi_col[:] = (1, 1)
-    act, work = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
+    act, work, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
     assert act
     # Both pushed to row 0 against the launch-time labels; column 1 wrote last.
     assert mu_col.tolist() == [0, 0]
@@ -281,7 +289,7 @@ def test_lockstep_wave_reads_launch_state_without_snapshots():
     assert psi_col.tolist() == [1, 1]  # psi_min + 1 with psi_min = 0
     assert psi_row[0] == 2  # psi_min + 2 (both writers agreed on the value)
     assert mu_row[1] == UNMATCHED and psi_row[1] == 5  # untouched
-    assert len(work) == 2
+    assert len(work.dense()) == 2
 
 
 def test_later_waves_observe_earlier_waves_writes():
@@ -294,7 +302,7 @@ def test_later_waves_observe_earlier_waves_writes():
     mu_row, mu_col, psi_row, psi_col = _state(g)
     psi_row[:] = (0, 1)  # row 0 is the launch-time minimum for both columns
     psi_col[:] = (1, 1)
-    act, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col, wave_size=1)
+    act, _, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col, wave_size=1)
     assert act
     assert mu_col.tolist() == [0, 1]
     assert mu_row.tolist() == [0, 1]  # both consistent: no lost push
@@ -334,7 +342,7 @@ def test_lockstep_and_serialized_agree_on_cardinality_after_races():
         gpu_global_relabel(g, mu_row, mu_col, psi_row, psi_col, VirtualGPU())
         for _ in range(10_000):
             if engine == "lockstep":
-                act, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
+                act, _, _ = push_kernel_all_columns(g, mu_row, mu_col, psi_row, psi_col)
             else:
                 act, _ = push_kernel_all_columns_serialized(
                     g, mu_row, mu_col, psi_row, psi_col, rng=np.random.default_rng(3)
@@ -346,3 +354,116 @@ def test_lockstep_and_serialized_agree_on_cardinality_after_races():
         outcomes[engine] = int(np.count_nonzero(mu_row >= 0))
     expected = maximum_matching_cardinality(g)
     assert outcomes["lockstep"] == outcomes["serialized"] == expected
+
+
+# ------------------------------------------------ narrow and wide launches
+# Every kernel with a scalar path for narrow launches must agree with its
+# vectorized path: run once with every launch wide (NARROW_WIDTH = 0) and
+# once with every launch narrow, the two must leave the same device arrays,
+# return the same frontiers or candidates and charge identical KernelStats.
+ALL_NARROW = 10**9
+NARROW_ANALOGS = ["roadNet-PA", "hugetrace-00000", "delaunay_n20", "amazon0505", "kron_g500-logn20"]
+NARROW_SEEDS = [1, 2, 3]
+
+
+@pytest.fixture(params=NARROW_ANALOGS)
+def analog(request):
+    return request.param
+
+
+@pytest.fixture(params=NARROW_SEEDS, ids=lambda s: f"seed{s}")
+def tiny_analog(analog, request):
+    from repro.generators.suite import generate_instance
+
+    return generate_instance(analog, profile="tiny", seed=request.param)
+
+
+def _charged(work):
+    gpu = VirtualGPU()
+    gpu.charge_kernel("k", work)
+    return gpu.ledger.launches
+
+
+def _assert_same(wide, narrow):
+    """Kernel outputs agree: work by dense expansion and charge, sequences by value."""
+    if isinstance(wide, SparseWork):
+        np.testing.assert_array_equal(wide.dense(), narrow.dense())
+        assert _charged(wide) == _charged(narrow)
+    elif isinstance(wide, tuple):
+        assert len(wide) == len(narrow)
+        for a, b in zip(wide, narrow):
+            _assert_same(a, b)
+    elif isinstance(wide, (list, np.ndarray)):
+        np.testing.assert_array_equal(
+            np.asarray(wide, dtype=np.int64), np.asarray(narrow, dtype=np.int64)
+        )
+    else:
+        assert wide == narrow
+
+
+def _checked(monkeypatch, kernel):
+    """``kernel`` run wide on copies of its arrays, then narrow on the real ones."""
+
+    def run(*args, **kwargs):
+        copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        wide = kernel(*copies, **kwargs)
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        narrow = kernel(*args, **kwargs)
+        for copy, array in zip(copies, args):
+            if isinstance(array, np.ndarray):
+                np.testing.assert_array_equal(copy, array)  # µ, ψ, ac, ap, ia
+        _assert_same(wide, narrow)
+        return narrow
+
+    return run
+
+
+def _checked_bfs(monkeypatch):
+    """G-HKDW's BFS phase run wide on a spare device, then narrow on the real one."""
+    bfs = ghkdw._bfs_phase
+
+    def run(graph, mu_row, mu_col, gpu):
+        spare = VirtualGPU(gpu.spec)
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        wide = bfs(graph, mu_row, mu_col, spare)
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        before = gpu.ledger.n_launches
+        narrow = bfs(graph, mu_row, mu_col, gpu)
+        _assert_same(wide, narrow)
+        assert gpu.ledger.launches[before:] == spare.ledger.launches
+        return narrow
+
+    return run
+
+
+SOLVERS = {
+    "g-pr": lambda g: gpr_matching(g, config=GPRConfig(shrink_threshold=8)),
+    "g-pr-noshrink": lambda g: gpr_matching(g, config=GPRConfig(variant="noshrink")),
+    # Small waves, so launches split into several waves.
+    "g-pr-first": lambda g: gpr_matching(g, config=GPRConfig(variant="first", waves_in_flight=1)),
+    "g-hkdw": lambda g: ghkdw_matching(g),
+}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_narrow_and_wide_launches_agree(solver, tiny_analog, monkeypatch):
+    solve = SOLVERS[solver]
+    with dispatch.override(False):
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        wide = solve(tiny_analog)
+        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        narrow = solve(tiny_analog)
+        # Then every launch of a solve, one kernel call at a time.
+        for module in (gpr_module, relabel_module):
+            for name in ("global_relabel_kernel", "push_kernel_all_columns",
+                         "init_active_kernel", "push_kernel_active_list", "shrink_kernel"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _checked(monkeypatch, getattr(kernels, name)))
+        monkeypatch.setattr(ghkdw, "_bfs_phase", _checked_bfs(monkeypatch))
+        checked = solve(tiny_analog)
+    for result in (narrow, checked):
+        np.testing.assert_array_equal(wide.matching.row_match, result.matching.row_match)
+        np.testing.assert_array_equal(wide.matching.col_match, result.matching.col_match)
+        assert wide.counters == result.counters
+        assert wide.modeled_time == result.modeled_time

@@ -1,19 +1,21 @@
-"""Tests for the virtual GPU substrate: device, cost model, primitives."""
+"""Tests for the virtual GPU substrate: device, cost model, serialized engine."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.analysis.hazards import AccessLog
 from repro.gpusim import (
     CostLedger,
     DeviceSpec,
+    SparseWork,
     VirtualGPU,
-    device_exclusive_scan,
     launch_serialized,
 )
 from repro.gpusim.costmodel import (
     LANEWISE_MIN_WARPS_PER_LANE,
+    SPARSE_LOOP_MAX_PAIRS,
     CpuCostModel,
     GpuCostModel,
     MulticoreCostModel,
@@ -176,6 +178,105 @@ def test_launch_accounting_is_bit_identical_to_the_padded_formula(warp_size, kin
         work = _work_pattern(kind, n, rng)
         got = model.launch_seconds(work)
         assert got == _padded_reference(spec, work), (n, got)
+        if kind == "fractional":
+            continue  # sparse work is integer
+        # The same launch charged as sparse work, in every form a kernel
+        # can hand over; the dense expansion is what the reference prices.
+        base = {"zeros": 0, "constant": 3, "sparse-extras": 1}[kind]
+        for sparse in _sparse_forms(work, base, rng):
+            np.testing.assert_array_equal(sparse.dense(), work)
+            assert _charged(spec, sparse) == (n, *_padded_reference(spec, sparse.dense())), n
+
+
+def _sparse_forms(work, base, rng):
+    """``work`` as :class:`SparseWork`: sorted and shuffled pairs, lists and arrays."""
+    threads = np.flatnonzero(work != base)
+    extras = (work[threads] - base).astype(np.int64)
+    shuffled = rng.permutation(len(threads))
+    return [
+        SparseWork(len(work), base, threads, extras),
+        SparseWork(len(work), base, threads.tolist(), extras.tolist()),
+        SparseWork(len(work), base, threads[shuffled], extras[shuffled]),
+        SparseWork(len(work), base, threads[shuffled].tolist(), extras[shuffled].tolist()),
+    ]
+
+
+def _charged(spec, work):
+    """``(n_threads, seconds, total, divergent, max_thread)`` of one charged launch."""
+    gpu = VirtualGPU(spec)
+    gpu.charge_kernel("k", work)
+    (stats,) = gpu.ledger.launches
+    return (
+        stats.n_threads,
+        stats.seconds,
+        stats.total_work,
+        stats.divergent_work,
+        stats.max_thread_work,
+    )
+
+
+@pytest.mark.parametrize("warp_size", [1, 2, 8, 32])
+def test_sparse_launch_shapes_match_the_padded_formula(warp_size):
+    spec = DeviceSpec(warp_size=warp_size)
+    rng = np.random.default_rng(warp_size)
+    n = 5 * warp_size + max(1, warp_size // 2)  # a short last warp
+    last_warp = list(range(5 * warp_size, n))
+    shapes = [
+        SparseWork(n, 2),  # no extras
+        SparseWork(0, 4),  # no threads
+        SparseWork(n, 1, last_warp, [7] * len(last_warp)),  # extras only in the short last warp
+        SparseWork(n, 0, [n - 1], [9]),
+    ]
+    # Both sides of the loop / NumPy switch, with several extras per warp.
+    big = 40 * SPARSE_LOOP_MAX_PAIRS
+    for pairs in (SPARSE_LOOP_MAX_PAIRS, SPARSE_LOOP_MAX_PAIRS + 1, 3 * SPARSE_LOOP_MAX_PAIRS):
+        threads = rng.choice(big, pairs, replace=False)
+        extras = rng.integers(0, 50, pairs)
+        shapes += [
+            SparseWork(big, 3, threads, extras),
+            SparseWork(big, 3, threads.tolist(), extras.tolist()),
+            SparseWork(big, 3, np.sort(threads), extras),
+            SparseWork(big, 1, np.arange(pairs), extras),
+        ]
+    for sparse in shapes:
+        dense = sparse.dense()
+        assert _charged(spec, sparse) == (dense.size, *_padded_reference(spec, dense)), sparse
+        assert _charged(spec, sparse) == _charged(spec, dense)
+
+
+_LOOP, _WIDE = SPARSE_LOOP_MAX_PAIRS, SPARSE_LOOP_MAX_PAIRS + 10
+
+
+@pytest.mark.parametrize(
+    "work, message",
+    [
+        (SparseWork(8, 1.5), "base work must be an integer"),
+        (SparseWork(8, -1), "base work must be non-negative"),
+        (SparseWork(8.0, 1), "n_threads must be an integer"),
+        (SparseWork(8, 1, [0, 1], [1]), "2 thread indices but 1 extras"),
+        (SparseWork(8, 1, [0, 1], [2, 1.5]), "extra work must be an integer"),
+        (SparseWork(8, 1, [0, 1.0], [2, 1]), "thread index must be an integer"),
+        (SparseWork(8, 1, [0, 1], [2, -1]), "extra work must be non-negative"),
+        (SparseWork(8, 1, [3, 3], [1, 1]), "duplicate thread index"),
+        (SparseWork(8, 1, [8], [1]), "out of range"),
+        (SparseWork(8, 1, [-1], [1]), "out of range"),
+        (SparseWork(8, 1, np.array([0, 1]), np.array([2.0, 1.0])), "extra work must be an integer"),
+        (SparseWork(99, 1, np.arange(_WIDE), np.full(_WIDE, 1.0)), "integer sequences"),
+        (SparseWork(99, 1, np.arange(_WIDE), np.full(_WIDE, -1)), "must be non-negative"),
+        (SparseWork(99, 1, np.arange(_WIDE) % _LOOP, np.ones(_WIDE, int)), "duplicate"),
+        (SparseWork(_WIDE - 1, 1, np.arange(_WIDE), np.ones(_WIDE, int)), "out of range"),
+        (SparseWork(99, 1, np.arange(_WIDE) - 1, np.ones(_WIDE, int)), "out of range"),
+    ],
+)
+def test_charge_kernel_rejects_malformed_sparse_work(work, message):
+    # A malformed launch names the kernel and charges nothing: no ledger
+    # entry, and no sanitizer segment closed.
+    log = AccessLog()
+    gpu = VirtualGPU(shadow=log)
+    with pytest.raises(ValueError, match=f"'g-pr-krnl': .*{message}"):
+        gpu.charge_kernel("g-pr-krnl", work)
+    assert gpu.ledger.n_launches == 0
+    assert log.segments == []
 
 
 def test_cpu_cost_model_linear():
@@ -190,20 +291,6 @@ def test_multicore_cost_model_bounds():
     assert skewed > balanced
     with_atomics = mc.round_seconds(total_ops=8000, max_thread_ops=1000, atomics=10000)
     assert with_atomics > balanced
-
-
-# ---------------------------------------------------------------- primitives
-def test_exclusive_scan_matches_numpy():
-    values = np.array([3, 1, 4, 1, 5, 9, 2, 6])
-    scan, work = device_exclusive_scan(values)
-    assert np.array_equal(scan, np.array([0, 3, 4, 8, 9, 14, 23, 25]))
-    assert len(work) == len(values)
-
-
-def test_exclusive_scan_empty():
-    scan, work = device_exclusive_scan(np.array([], dtype=np.int64))
-    assert len(scan) == 0
-    assert len(work) == 0
 
 
 # ----------------------------------------------------------------- serialized

@@ -13,6 +13,7 @@ from repro.analysis.hazards import (
     shadow_wrap,
 )
 from repro.analysis.registry import KERNEL_POLICIES, sanitized_run, sanitized_sweep
+from repro.core import kernels
 from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, gpr_matching
 from repro.generators import uniform_random_bipartite
@@ -260,3 +261,24 @@ def test_full_sanitized_sweep_two_families():
     ):
         assert name in kernels, name
     assert kernels <= set(KERNEL_POLICIES), kernels - set(KERNEL_POLICIES)
+
+
+@pytest.mark.parametrize("width", [0, 10**9], ids=["all-wide", "all-narrow"])
+def test_sanitized_sweep_is_clean_on_both_launch_paths(width, monkeypatch):
+    # The default sweep graphs make almost only narrow launches, so force
+    # every G-GR level, push wave, list repair and BFS level onto one path.
+    monkeypatch.setattr(kernels, "NARROW_WIDTH", width)
+    reports = sanitized_sweep()
+    failures = [r.render() for r in reports if not r.ok()]
+    assert not failures, "\n".join(failures)
+    kernels_seen = {k for r in reports for k in r.kernels_seen if k != HOST_SEGMENT}
+    assert kernels_seen <= set(KERNEL_POLICIES), kernels_seen - set(KERNEL_POLICIES)
+    # The scalar loops walk the recording arrays, so their accesses are logged.
+    log = AccessLog()
+    graph = uniform_random_bipartite(120, 110, avg_degree=4, seed=3)
+    gpr_matching(graph, config=GPRConfig(variant="noshrink"), device=VirtualGPU(shadow=log))
+    ghkdw_matching(graph, device=VirtualGPU(shadow=log))
+    for kernel in ("g-gr-krnl", "g-pr-initkrnl", "g-pr-pushkrnl", "ghkdw-bfs"):
+        segments = [s for s in log.segments if s.kernel == kernel]
+        assert sum(s.reads for s in segments) > 0, kernel
+        assert sum(s.writes for s in segments) > 0, kernel
