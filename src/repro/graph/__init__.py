@@ -28,7 +28,8 @@ Public classes / functions
 :mod:`repro.graph.frontier`
     The shared frontier walks of the CPU baselines and G-HKDW:
     whole-frontier CSR expansion, the Hopcroft–Karp level BFS and
-    push-relabel distance-label BFS, the P-DBFS claiming search and the
+    push-relabel distance-label BFS, the alternating reach that prices
+    searches which cannot augment, the P-DBFS claiming search and the
     vertex-disjoint augmenting DFS.
 """
 

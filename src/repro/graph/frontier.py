@@ -20,7 +20,9 @@ for the measurement):
   diffs), :func:`sorted_unique` deduplicates a level, and on top of them
   :func:`alternating_level_bfs` (the Hopcroft–Karp level structure) and
   :func:`distance_label_bfs` (push-relabel global relabeling, Algorithm 2)
-  assign levels and count scanned edges in bulk.
+  assign levels and count scanned edges in bulk, and
+  :func:`alternating_reach` counts the adjacency a full alternating BFS
+  scans, which prices the PFP and P-DBFS searches that provably fail.
 * **Scalar walks over lists or zero-copy memoryviews** for the traversals
   whose working set is one adjacency slice at a time (DFS descents, the
   per-push minimum scan, P-DBFS claim searches): :func:`claiming_bfs`,
@@ -57,6 +59,7 @@ from repro.compiled import dispatch as _compiled
 
 __all__ = [
     "alternating_level_bfs",
+    "alternating_reach",
     "augmenting_dfs",
     "claiming_bfs",
     "distance_label_bfs",
@@ -261,6 +264,66 @@ def distance_label_bfs(
     return int(max_level), int(edges)
 
 
+def alternating_reach(
+    col_ptr: np.ndarray,
+    col_ind: np.ndarray,
+    row_match: np.ndarray,
+    start: int,
+    scalars: tuple[list[int], list[int], list[int]],
+) -> int | None:
+    """Adjacency entries a full alternating BFS from column ``start`` scans.
+
+    The BFS enters ``start``, crosses its adjacency to the row side and
+    follows every matched row to its partner column, until no new column
+    turns up.  It returns the summed degree of the columns it entered, or
+    ``None`` as soon as it reaches an unmatched row (an augmenting path
+    exists, so no search from ``start`` fails).  This prices a search that
+    provably cannot augment without walking it: a failed DFS or claiming
+    BFS enters the same columns and scans each one's whole adjacency.
+
+    ``scalars`` supplies ``(col_ptr, col_ind, row_match)`` as plain lists
+    (or a memoryview for ``row_match``); levels up to
+    :data:`SCALAR_FRONTIER_MAX` columns wide are walked over them, wider
+    ones are gathered with :func:`expand_frontier` and :func:`sorted_unique`
+    over the arrays.  On ``GL7d19``, whose hopeless trees span nearly the
+    whole graph, the gathers make the reach about 5x faster than a scalar
+    walk alone; on small trees the two cost the same (see
+    ``docs/benchmarks.md``).
+    """
+    lptr, lind, lmatch = scalars
+    seen = bytearray(len(lptr) - 1)
+    marks = np.frombuffer(seen, dtype=np.uint8)
+    seen[start] = 1
+    frontier = [start]
+    edges = 0
+    while len(frontier):
+        if len(frontier) <= SCALAR_FRONTIER_MAX:
+            nxt: list[int] = []
+            # hot-path
+            for v in frontier:
+                begin, stop = lptr[v], lptr[v + 1]
+                edges += stop - begin
+                for idx in range(begin, stop):
+                    w = lmatch[lind[idx]]
+                    if w < 0:
+                        return None
+                    if not seen[w]:
+                        seen[w] = 1
+                        nxt.append(w)
+            # end hot-path
+            frontier = nxt
+        else:
+            rows = expand_frontier(col_ptr, col_ind, frontier)
+            edges += len(rows)
+            mates = row_match[rows]
+            if np.any(mates < 0):
+                return None
+            fresh = sorted_unique(mates[marks[mates] == 0])
+            marks[fresh] = 1
+            frontier = fresh.tolist() if len(fresh) <= SCALAR_FRONTIER_MAX else fresh
+    return edges
+
+
 def claiming_bfs(
     col_ptr: list[int],
     col_ind: list[int],
@@ -271,10 +334,12 @@ def claiming_bfs(
 ) -> tuple[list[int] | None, float, int]:
     """P-DBFS vertex-disjoint search from unmatched column ``start``.
 
-    The scalar member of the frontier layer: a P-DBFS thread search is
-    *single*-source and usually terminates within a few claims, so its
-    frontiers stay far below the ~64-element break-even of whole-array
-    gathers — this walk therefore runs over the cached
+    The scalar member of the frontier layer: a P-DBFS round search is
+    *single*-source and usually terminates within a few claims (the
+    cleanup sweep, whose searches would walk whole trees, is priced with
+    :func:`alternating_reach` instead), so its frontiers stay far below
+    the ~64-element break-even of whole-array gathers — this walk
+    therefore runs over the cached
     :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views (plain
     list indexing, no per-element ndarray boxing) and keeps the claim
     bookkeeping of Azad et al. exactly: rows owned by another thread are

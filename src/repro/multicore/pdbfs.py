@@ -12,9 +12,19 @@ one simulated thread block the others — a legal schedule of the atomic
 claiming), per-thread work is recorded, and the
 :class:`~repro.gpusim.costmodel.MulticoreCostModel` converts each round's
 work profile (critical path, total work, number of atomics) into modelled
-seconds.  A round that finds no augmentation falls back to a sequential
-sweep, mirroring the serial cleanup phase of the original code, which also
-guarantees the final matching is maximum.
+seconds.  A round that finds no augmentation is followed by a sequential
+sweep, mirroring the serial cleanup phase of the original code.
+
+That round has already proved the matching maximum.  A column with no
+augmenting path has a closed alternating tree: every row in it is matched
+to a column in it, so no augmenting path from another column enters it.
+Until a round first augments, a search from such a column claims only rows
+of its tree, so the round's first search from a column that has an
+augmenting path meets no claim on that path and reaches a free row.  Every
+search of the sweep therefore fails.  Each is charged the claim-free BFS it
+would walk (one plus the summed degree of the columns it reaches, from
+:func:`~repro.graph.frontier.alternating_reach`) instead of walking it, and
+a reach that meets a free row raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import claiming_bfs
+from repro.graph.frontier import alternating_reach, claiming_bfs
 from repro.gpusim.costmodel import MulticoreCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -120,28 +130,28 @@ def pdbfs_matching(
             atomics=float(round_atomics),
         )
         if augmented == 0:
-            # Claims may have blocked every search; a sequential sweep (one
-            # thread, no competing claims) either finds the remaining
-            # augmenting paths or proves maximality.
+            # The round proved the matching maximum (module docstring), so
+            # the sequential sweep's searches all fail; each is charged the
+            # alternating tree its claim-free BFS would walk.
             counters["sequential_sweeps"] += 1
             sweep_work = 0.0
-            sweep_augmented = 0
+            row_match = np.array(mu_row, dtype=np.int64)
+            scalars = (col_ptr, col_ind, mu_row)
             for v in range(n_cols):
                 if mu_col[v] != UNMATCHED:
                     continue
-                owner = [-1] * graph.n_rows
-                path, work, atomics = claiming_bfs(col_ptr, col_ind, v, mu_row, owner, 0)
-                sweep_work += work
-                if path is not None:
-                    _augment(path, mu_row, mu_col)
-                    sweep_augmented += 1
+                reach = alternating_reach(graph.col_ptr, graph.col_ind, row_match, v, scalars)
+                if reach is None:
+                    raise RuntimeError(
+                        f"P-DBFS on graph {graph.name!r}: column {v} has an augmenting "
+                        "path after a round that augmented nothing"
+                    )
+                sweep_work += 1.0 + reach
             counters["edges_scanned"] += sweep_work
-            counters["augmentations"] += sweep_augmented
             modeled += model.round_seconds(
                 total_ops=sweep_work, max_thread_ops=sweep_work, atomics=0.0
             )
-            if sweep_augmented == 0:
-                break
+            break
 
     wall = time.perf_counter() - t0
     matching = Matching(np.array(mu_row, dtype=np.int64), np.array(mu_col, dtype=np.int64))

@@ -14,6 +14,20 @@ lookahead and visited state in plain Python lists (one function call per
 *phase*, locals only in the per-edge scans): no per-edge ndarray boxing,
 bulk counter updates per phase, end-values identical to the historical
 implementation.
+
+A search that fails is never walked again.  Its alternating tree is closed
+(every row in it is matched to a column in it), so no later augmenting
+path enters the tree, and a later search from the same start meets the
+same tree with every lookahead pointer at its end: it scans each of the
+tree's columns' adjacency once and fails.  The phase therefore memoizes
+each failed start's descent count and charges it on the next visit, which
+makes the last phase O(unmatched columns).  The dead trees' rows and their
+mates are recorded in an array; a start whose every neighbour row is in a
+dead tree must fail too, and is charged its own lookahead remainder plus
+:func:`~repro.graph.frontier.alternating_reach` over that array.  Until a
+search fails, the bookkeeping is one list append per descent (the columns
+the search enters) and one dict lookup per start; after that, each new
+start also checks its neighbour rows against the dead marks.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import time
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.frontier import alternating_reach
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -37,8 +52,17 @@ def _pfp_phase(
     lookahead: list[int],
     visited_round: list[int],
     round_id: int,
+    failed: dict[int, int],
+    dead_mates: np.ndarray,
+    arrays: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, int, int, int]:
     """One PFP phase: a lookahead DFS from every currently unmatched column.
+
+    A start that fails is recorded in ``failed`` (start -> the adjacency
+    entries its descent scanned) and its tree's rows in ``dead_mates``
+    (row -> its mate, ``-1`` for rows outside every failed tree); a start
+    that provably fails is charged its walk instead of walking it (see the
+    module docstring).  ``arrays`` is ``(col_ptr, col_ind)`` as ndarrays.
 
     Returns ``(augmentations, lookahead_hits, edges_scanned, round_id)``.
     """
@@ -47,11 +71,33 @@ def _pfp_phase(
     augmentations = 0
     lookahead_hits = 0
     edges = 0
+    dead = memoryview(dead_mates)
+    scalars = (col_ptr, col_ind, dead)
     # hot-path
     for start in range(n_cols):
         if col_match[start] != unmatched:
             continue
+        # A start that failed before fails again, scanning the same entries.
+        memo = failed.get(start)
+        if memo is not None:
+            edges += memo
+            continue
+        if failed:
+            stop = col_ptr[start + 1]
+            for idx in range(col_ptr[start], stop):
+                if dead[col_ind[idx]] < 0:
+                    break
+            else:
+                # Every neighbour row lies in a failed tree: the walk would
+                # fail after its own lookahead and one scan of each column
+                # it reaches.
+                memo = alternating_reach(arrays[0], arrays[1], dead_mates, start, scalars)
+                failed[start] = memo
+                edges += memo + stop - lookahead[start]
+                lookahead[start] = stop
+                continue
         round_id += 1
+        tree = [start]  # the columns this search enters
         stack: list[list[int]] = [[start, col_ptr[start]]]
         path_rows: list[int] = []
         while stack:
@@ -99,6 +145,7 @@ def _pfp_phase(
                 stack[-1][1] = idx
                 path_rows.append(u)
                 stack.append([w, col_ptr[w]])
+                tree.append(w)
                 advanced = True
                 break
             if advanced:
@@ -118,6 +165,11 @@ def _pfp_phase(
                 stack.pop()
                 if path_rows:
                     path_rows.pop()
+        else:
+            # The stack emptied without augmenting: the search failed.
+            failed[start] = sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
+            for c in tree[1:]:
+                dead[col_match[c]] = c
     # end hot-path
     return augmentations, lookahead_hits, edges, round_id
 
@@ -138,11 +190,15 @@ def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) 
     lookahead = list(col_ptr[:-1])
     visited_round = [-1] * graph.n_rows
     round_id = 0
+    failed: dict[int, int] = {}
+    dead_mates = np.full(graph.n_rows, UNMATCHED, dtype=np.int64)
+    arrays = (graph.col_ptr, graph.col_ind)
 
     while True:
         counters["phases"] += 1
         augmented, hits, edges, round_id = _pfp_phase(
-            col_ptr, col_ind, row_match, col_match, lookahead, visited_round, round_id
+            col_ptr, col_ind, row_match, col_match, lookahead, visited_round, round_id,
+            failed, dead_mates, arrays,
         )
         counters["augmentations"] += augmented
         counters["lookahead_hits"] += hits

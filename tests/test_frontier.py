@@ -1,6 +1,6 @@
 """The vectorized frontier layer: property suite and counter-accounting goldens.
 
-Four guarantees:
+Six guarantees:
 
 * the matching-aware traversals (``alternating_level_bfs``,
   ``distance_label_bfs``, ``claiming_bfs``) are bit-identical to their
@@ -14,6 +14,11 @@ Four guarantees:
 * the scalar fallback of ``alternating_level_bfs`` agrees with the
   vectorized path, and ``augmenting_dfs`` reproduces G-HKDW's old
   ndarray-scalar augmentation walk over lists, memoryviews and ndarrays;
+* ``alternating_reach`` counts exactly the adjacency a deque alternating
+  BFS scans, on narrow and wide levels alike;
+* PFP and P-DBFS, which price the searches that cannot augment, match
+  their walking references kept here (matchings, counters, modeled
+  seconds), and price only where a search provably fails;
 * every public primitive has a caller among the solvers, so none is kept
   alive by its tests alone.
 """
@@ -32,16 +37,21 @@ from repro.generators.mesh import road_network_graph
 from repro.generators.powerlaw import chung_lu_bipartite
 from repro.generators.random_bipartite import uniform_random_bipartite
 from repro.generators.rmat import rmat_bipartite
+from repro.bench.harness import modeled_seconds_for
+from repro.generators.suite import generate_instance, instance_names
+from repro.gpusim.costmodel import MulticoreCostModel
+from repro.graph import from_edges
 from repro.graph.frontier import (
     alternating_level_bfs,
+    alternating_reach,
     augmenting_dfs,
     claiming_bfs,
     distance_label_bfs,
     expand_frontier,
     sorted_unique,
 )
-from repro.matching import UNMATCHED
-from repro.multicore.pdbfs import pdbfs_matching
+from repro.matching import UNMATCHED, Matching, MatchingResult
+from repro.multicore.pdbfs import PDBFSConfig, pdbfs_matching
 from repro.seq.greedy import cheap_matching
 from repro.seq.hopcroft_karp import hkdw_matching, hopcroft_karp_matching
 from repro.seq.pothen_fan import pothen_fan_matching
@@ -411,6 +421,386 @@ def test_augmenting_dfs_matches_ndarray_ghkdw_walk(golden_graph, warm):
             mu_row, mu_col = ref_row, ref_col
     assert phases >= 2
     assert int(np.count_nonzero(mu_row >= 0)) == hopcroft_karp_matching(graph).cardinality
+
+
+# ------------------------------------------------- alternating reach
+def _reference_reach(graph, row_match, start):
+    """A deque alternating BFS from ``start``: the columns it enters and
+    whether it meets an unmatched row."""
+    entered = [start]
+    seen = {start}
+    queue = deque([start])
+    free = False
+    while queue:
+        v = queue.popleft()
+        for u in graph.column_neighbors(v):
+            w = int(row_match[u])
+            if w == UNMATCHED:
+                free = True
+            elif w not in seen:
+                seen.add(w)
+                entered.append(w)
+                queue.append(w)
+    return entered, free
+
+
+def _reach_cases(graph):
+    """``(row_match, start)`` pairs: every unmatched column and some random
+    columns, under a cheap and a random warm matching."""
+    rng = np.random.default_rng(graph.n_edges)
+    cheap = cheap_matching(graph).matching
+    for row_match, col_match in (
+        (cheap.row_match, cheap.col_match),
+        _random_warm_start(graph, seed=graph.n_cols),
+    ):
+        for start in np.flatnonzero(col_match == UNMATCHED).tolist():
+            yield row_match, start
+        for start in rng.integers(0, graph.n_cols, size=20).tolist():
+            yield row_match, start
+
+
+@pytest.mark.parametrize("width", ["default", "all-wide", "all-narrow"])
+def test_alternating_reach_matches_deque_bfs(golden_graph, width, monkeypatch):
+    """The scanned-entry total is the degree sum of the columns a deque BFS
+    enters, ``None`` exactly when that BFS meets an unmatched row, whichever
+    path (scalar levels or whole-level gathers) expands the levels."""
+    import repro.graph.frontier as frontier
+
+    if width != "default":
+        monkeypatch.setattr(frontier, "SCALAR_FRONTIER_MAX", 0 if width == "all-wide" else 10**9)
+    _, graph = golden_graph
+    ptr, ind = graph.csr_lists("col")
+    degrees = graph.col_degrees
+    outcomes = {"none": 0, "priced": 0}
+    for row_match, start in _reach_cases(graph):
+        entered, free = _reference_reach(graph, row_match, start)
+        got = alternating_reach(
+            graph.col_ptr, graph.col_ind, row_match, start, (ptr, ind, row_match.tolist())
+        )
+        if free:
+            assert got is None, start
+            outcomes["none"] += 1
+        else:
+            assert got == int(degrees[entered].sum()), start
+            outcomes["priced"] += 1
+    assert outcomes["none"] and outcomes["priced"]
+
+
+# ------------------------------------------- hopeless searches, priced
+def _reference_pfp_phase(col_ptr, col_ind, row_match, col_match, lookahead, visited_round,
+                         round_id):
+    """PFP's phase as it was before failed searches were priced: every
+    unmatched column's lookahead DFS is walked, including the ones that
+    failed before."""
+    unmatched = UNMATCHED
+    n_cols = len(col_ptr) - 1
+    augmentations = 0
+    lookahead_hits = 0
+    edges = 0
+    for start in range(n_cols):
+        if col_match[start] != unmatched:
+            continue
+        round_id += 1
+        stack = [[start, col_ptr[start]]]
+        path_rows = []
+        while stack:
+            v, idx = stack[-1]
+            stop = col_ptr[v + 1]
+            found_free = -1
+            la = lookahead[v]
+            while la < stop:
+                u = col_ind[la]
+                la += 1
+                edges += 1
+                if row_match[u] == unmatched:
+                    found_free = u
+                    break
+            lookahead[v] = la
+            if found_free >= 0:
+                lookahead_hits += 1
+                augmentations += 1
+                u = found_free
+                row_match[u] = v
+                col_match[v] = u
+                for depth in range(len(stack) - 2, -1, -1):
+                    prev_col = stack[depth][0]
+                    prev_row = path_rows[depth]
+                    row_match[prev_row] = prev_col
+                    col_match[prev_col] = prev_row
+                break
+            advanced = False
+            done = False
+            while idx < stop:
+                u = col_ind[idx]
+                idx += 1
+                edges += 1
+                if visited_round[u] == round_id:
+                    continue
+                visited_round[u] = round_id
+                w = row_match[u]
+                if w == unmatched:
+                    done = True
+                    break
+                stack[-1][1] = idx
+                path_rows.append(u)
+                stack.append([w, col_ptr[w]])
+                advanced = True
+                break
+            if advanced:
+                continue
+            if done:
+                augmentations += 1
+                row_match[u] = v
+                col_match[v] = u
+                for depth in range(len(stack) - 2, -1, -1):
+                    prev_col = stack[depth][0]
+                    prev_row = path_rows[depth]
+                    row_match[prev_row] = prev_col
+                    col_match[prev_col] = prev_row
+                break
+            stack[-1][1] = idx
+            if idx >= stop:
+                stack.pop()
+                if path_rows:
+                    path_rows.pop()
+    return augmentations, lookahead_hits, edges, round_id
+
+
+def _reference_pfp(graph, initial):
+    """The walking PFP solve, phase by phase, as a ``MatchingResult``."""
+    row_match = initial.row_match.tolist()
+    col_match = initial.col_match.tolist()
+    counters = {"edges_scanned": 0, "phases": 0, "augmentations": 0, "lookahead_hits": 0}
+    col_ptr, col_ind = graph.csr_lists("col")
+    lookahead = list(col_ptr[:-1])
+    visited_round = [-1] * graph.n_rows
+    round_id = 0
+    while True:
+        counters["phases"] += 1
+        augmented, hits, edges, round_id = _reference_pfp_phase(
+            col_ptr, col_ind, row_match, col_match, lookahead, visited_round, round_id
+        )
+        counters["augmentations"] += augmented
+        counters["lookahead_hits"] += hits
+        counters["edges_scanned"] += edges
+        if augmented == 0:
+            break
+    matching = Matching(np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64))
+    return MatchingResult.create("PFP", matching, counters=counters)
+
+
+def _reference_pdbfs(graph, initial, n_threads):
+    """P-DBFS as it was before its sweep was priced: a round that augments
+    nothing is followed by a sweep that walks each unmatched column's
+    claim-free BFS with a fresh owner list.  Returns the result and the
+    number of round and sweep searches."""
+    model = MulticoreCostModel(n_threads=n_threads)
+    mu_row = initial.row_match.tolist()
+    mu_col = initial.col_match.tolist()
+    col_ptr, col_ind = graph.csr_lists("col")
+    counters = {
+        "rounds": 0, "sequential_sweeps": 0, "augmentations": 0, "edges_scanned": 0.0,
+        "atomics": 0, "initial_matching": sum(1 for u in mu_row if u >= 0),
+    }
+    modeled = 0.0
+    searches = {"round": 0, "sweep": 0}
+
+    def augment(path):
+        for i in range(0, len(path) - 1, 2):
+            mu_col[path[i]] = path[i + 1]
+            mu_row[path[i + 1]] = path[i]
+
+    while True:
+        unmatched = [v for v in range(graph.n_cols) if mu_col[v] == UNMATCHED]
+        if len(unmatched) == 0:
+            break
+        counters["rounds"] += 1
+        owner = [-1] * graph.n_rows
+        thread_work = np.zeros(n_threads, dtype=np.float64)
+        round_atomics = 0
+        augmented = 0
+        for batch_start in range(0, len(unmatched), n_threads):
+            batch = unmatched[batch_start : batch_start + n_threads]
+            for thread_id, v in enumerate(batch):
+                if mu_col[v] != UNMATCHED:
+                    continue
+                searches["round"] += 1
+                path, work, atomics = claiming_bfs(col_ptr, col_ind, v, mu_row, owner, thread_id)
+                thread_work[thread_id] += work
+                round_atomics += atomics
+                if path is not None:
+                    augment(path)
+                    augmented += 1
+        counters["edges_scanned"] += float(thread_work.sum())
+        counters["atomics"] += round_atomics
+        counters["augmentations"] += augmented
+        modeled += model.round_seconds(
+            total_ops=float(thread_work.sum()),
+            max_thread_ops=float(thread_work.max()) if len(thread_work) else 0.0,
+            atomics=float(round_atomics),
+        )
+        if augmented == 0:
+            counters["sequential_sweeps"] += 1
+            sweep_work = 0.0
+            sweep_augmented = 0
+            for v in range(graph.n_cols):
+                if mu_col[v] != UNMATCHED:
+                    continue
+                searches["sweep"] += 1
+                owner = [-1] * graph.n_rows
+                path, work, _ = claiming_bfs(col_ptr, col_ind, v, mu_row, owner, 0)
+                sweep_work += work
+                if path is not None:
+                    augment(path)
+                    sweep_augmented += 1
+            counters["edges_scanned"] += sweep_work
+            counters["augmentations"] += sweep_augmented
+            modeled += model.round_seconds(
+                total_ops=sweep_work, max_thread_ops=sweep_work, atomics=0.0
+            )
+            if sweep_augmented == 0:
+                break
+    matching = Matching(np.array(mu_row, dtype=np.int64), np.array(mu_col, dtype=np.int64))
+    result = MatchingResult.create("P-DBFS", matching, counters=counters, modeled_time=modeled)
+    return result, searches
+
+
+def _deficient_graph(seed):
+    """A sparse seeded graph with more columns than rows, some of them isolated."""
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(3, 40))
+    n_cols = n_rows + int(rng.integers(1, 16))
+    live = np.flatnonzero(rng.random(n_cols) >= 0.15)
+    if len(live) == 0:
+        live = np.arange(n_cols)
+    n_edges = int(rng.integers(n_cols // 2 + 1, 3 * n_cols))
+    edges = np.column_stack(
+        [rng.integers(0, n_rows, size=n_edges), rng.choice(live, size=n_edges)]
+    )
+    return from_edges(edges, n_rows=n_rows, n_cols=n_cols, name=f"deficient-{seed}")
+
+
+def _start(graph, kind, seed):
+    """The initial matching of a solve: ``cold`` (empty), ``cheap`` or ``warm``
+    (:func:`_random_warm_start`)."""
+    if kind == "cold":
+        return Matching.empty(graph)
+    if kind == "cheap":
+        return cheap_matching(graph).matching
+    return Matching(*_random_warm_start(graph, seed))
+
+
+def _fingerprint(result):
+    return (
+        result.counters,
+        modeled_seconds_for(result),
+        result.cardinality,
+        result.matching.row_match.tolist(),
+    )
+
+
+def _assert_priced_solvers_match_walks(graph, initial, label):
+    """PFP and P-DBFS at 1, 2 and 8 threads against their walking references."""
+    got = pothen_fan_matching(graph, initial.copy())
+    assert _fingerprint(got) == _fingerprint(_reference_pfp(graph, initial.copy())), (
+        f"pfp {label}"
+    )
+    for n_threads in (1, 2, 8):
+        got = pdbfs_matching(graph, initial.copy(), PDBFSConfig(n_threads=n_threads))
+        ref, _ = _reference_pdbfs(graph, initial.copy(), n_threads)
+        assert _fingerprint(got) == _fingerprint(ref), f"p-dbfs/{n_threads} {label}"
+
+
+DEFICIENT_SEEDS = range(1000, 1210)
+
+
+@pytest.mark.parametrize("kind", ["cold", "warm"])
+def test_priced_searches_match_walks_on_deficient_graphs(kind):
+    for seed in DEFICIENT_SEEDS:
+        graph = _deficient_graph(seed)
+        _assert_priced_solvers_match_walks(graph, _start(graph, kind, seed), f"seed {seed}")
+
+
+@pytest.mark.parametrize("kind", ["cheap", "warm"])
+def test_priced_searches_match_walks_on_golden_families(golden_graph, kind):
+    name, graph = golden_graph
+    _assert_priced_solvers_match_walks(graph, _start(graph, kind, graph.n_edges), name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_priced_searches_match_walks_on_tiny_analogs(seed):
+    for name in instance_names():
+        graph = generate_instance(name, profile="tiny", seed=seed)
+        _assert_priced_solvers_match_walks(graph, _start(graph, "cheap", seed), name)
+
+
+def _counting(monkeypatch, module, attr):
+    """Wrap ``module.attr`` so its calls are counted; returns the counter."""
+    calls = []
+    inner = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_pfp_prices_only_after_a_search_fails(monkeypatch):
+    import repro.seq.pothen_fan as pothen_fan
+
+    calls = _counting(monkeypatch, pothen_fan, "alternating_reach")
+    perfect = uniform_random_bipartite(50, 50, avg_degree=8.0, seed=6)
+    for kind in ("cold", "cheap", "warm"):
+        result = pothen_fan_matching(perfect, _start(perfect, kind, 6))
+        assert result.cardinality == perfect.n_cols
+    assert calls == []
+    # One row shared by three columns: the second free column fails after a
+    # walk, the third is priced.
+    star = from_edges([(0, 0), (0, 1), (0, 2)], n_rows=1, n_cols=3, name="star")
+    result = pothen_fan_matching(star, Matching.empty(star))
+    assert result.cardinality == 1
+    assert len(calls) == 1
+    deficient = _deficient_graph(1003)
+    assert deficient.n_cols > deficient.n_rows
+    pothen_fan_matching(deficient, Matching.empty(deficient))
+    assert len(calls) > 1
+
+
+def test_pdbfs_claims_only_in_rounds(monkeypatch):
+    import repro.multicore.pdbfs as pdbfs
+
+    calls = _counting(monkeypatch, pdbfs, "claiming_bfs")
+    graph = generate_instance("GL7d19", profile="tiny", seed=0)
+    initial = cheap_matching(graph).matching
+    ref, searches = _reference_pdbfs(graph, initial.copy(), 8)
+    got = pdbfs_matching(graph, initial.copy())
+    assert searches["sweep"] > 0 and got.counters["sequential_sweeps"] == 1
+    assert len(calls) == searches["round"]
+    assert _fingerprint(got) == _fingerprint(ref)
+
+
+def test_pdbfs_sweep_reaching_a_free_row_raises(monkeypatch):
+    import repro.multicore.pdbfs as pdbfs
+
+    monkeypatch.setattr(pdbfs, "alternating_reach", lambda *args, **kwargs: None)
+    graph = _deficient_graph(1003)
+    with pytest.raises(RuntimeError, match="deficient-1003"):
+        pdbfs_matching(graph, Matching.empty(graph))
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 8])
+@pytest.mark.parametrize("kind", ["cold", "warm"])
+def test_pdbfs_round_proves_maximality(n_threads, kind):
+    """No seeded solve reaches a free row in its sweep, and every one ends
+    at Hopcroft–Karp's cardinality."""
+    for seed in range(2000, 2060):
+        graph = _deficient_graph(seed) if seed % 2 else uniform_random_bipartite(
+            30, 30, avg_degree=1.5 + seed % 5, seed=seed
+        )
+        result = pdbfs_matching(graph, _start(graph, kind, seed), PDBFSConfig(n_threads))
+        assert result.cardinality == hopcroft_karp_matching(graph).cardinality, seed
 
 
 # --------------------------------------------- counter-accounting regression
