@@ -1,15 +1,15 @@
 """Numba twins of the hot frontier primitives in :mod:`repro.graph.frontier`.
 
 One twin per vectorized primitive a solver runs: ``expand_frontier`` (the
-HK and PR level bodies and the sharded reconcile), ``alternating_level_bfs``
-(HK/HKDW) and ``distance_label_bfs`` (PR's global relabeling).  Every
-function here is a scalar-loop port of a vectorized NumPy path and
-must be *bit-identical* to it: same output arrays, same dtypes, same
-``edges_scanned`` counters.  The ports deliberately mirror the NumPy
-semantics rather than "improving" them -- e.g. ``alternating_level_bfs``
-marks a hit under the exact mate comparison the vectorized path uses,
-and ``distance_label_bfs`` preserves the duplicate-mate multiset the
-fancy-indexed NumPy write produces.
+sharded reconcile and the wide levels of ``alternating_reach``),
+``alternating_level_bfs`` (HK/HKDW) and ``distance_label_bfs`` (PR's
+global relabeling).  Every function here is a scalar-loop port of a
+NumPy path and must be *bit-identical* to it: same output arrays, same
+dtypes, same ``edges_scanned`` counters.  The ports deliberately mirror
+the NumPy semantics rather than "improving" them -- e.g.
+``alternating_level_bfs`` marks a hit under the exact mate comparison the
+level step uses, and ``distance_label_bfs`` follows only consistently
+matched mates, as the row step does.
 
 The module never imports :mod:`repro.graph` (the dependency points the
 other way: the frontier shims look these twins up through
@@ -100,20 +100,17 @@ def distance_label_bfs(row_ptr, row_ind, row_match, col_match, psi_row, psi_col,
     Fills ``psi_row`` / ``psi_col`` in place and returns
     ``(max_level, edges_scanned)``.  Per level: pass 1 labels the
     first-encounter set of fresh columns (identical to the NumPy
-    ``unique`` of unlabeled targets), pass 2 first *collects* candidate
-    mates against the pre-write ``psi_row`` state -- preserving the
-    duplicate multiset the fancy-indexed NumPy write sees -- and only
-    then writes their labels.
+    ``unique`` of unlabeled targets), pass 2 first *collects* the
+    consistently matched mates (``row_match[w] == c``, as
+    :func:`repro.graph.frontier.row_step` requires) against the pre-write
+    ``psi_row`` state, and only then writes their labels.
     """
     n_rows = row_ptr.shape[0] - 1
     n_cols = psi_col.shape[0]
     psi_row[:] = infinity
     psi_col[:] = infinity
-    # A non-injective ``col_match`` can put up to ``n_cols`` (duplicated)
-    # rows in one frontier, so the row buffers take the larger dimension.
-    cap = n_rows if n_rows > n_cols else n_cols
-    frontier = np.empty(cap, np.int64)
-    nxt = np.empty(cap, np.int64)
+    frontier = np.empty(n_rows, np.int64)
+    nxt = np.empty(n_rows, np.int64)
     fresh = np.empty(n_cols, np.int64)
     fsize = 0
     for u in range(n_rows):
@@ -139,8 +136,9 @@ def distance_label_bfs(row_ptr, row_ind, row_match, col_match, psi_row, psi_col,
             break
         nsize = 0
         for i in range(nfresh):
-            w = col_match[fresh[i]]
-            if w >= 0 and psi_row[w] == infinity:
+            c = fresh[i]
+            w = col_match[c]
+            if w >= 0 and row_match[w] == c and psi_row[w] == infinity:
                 nxt[nsize] = w
                 nsize += 1
         if nsize == 0:

@@ -19,7 +19,8 @@ scanned-edge count is an ``int64``, so the callers build the same
 
 ``ghkdw_augment`` is the exception: the augmentation kernel's claims are
 serialized within the launch by design (see :mod:`repro.core.ghkdw`), so
-its twin is a literal port of the sequential DFS.
+its twin is a literal port of the sequential DFS, returning the same
+per-root ``int64`` scanned-edge counts.
 
 Sentinel constants are mirrored locally (this module must not import the
 core/graph layers; the dispatch arrow points the other way).
@@ -209,11 +210,12 @@ def ghkdw_augment(
     A literal port of the claim-based alternating DFS
     (:func:`repro.graph.frontier.augmenting_dfs`), one sequential logical
     thread per start column (the claims serialize the launch by design).
-    Mutates ``mu_row`` / ``mu_col`` in place and returns
-    ``(thread_work, augmented)`` with each thread's scanned edges plus one.
+    Mutates ``mu_row`` / ``mu_col`` in place and returns, as
+    ``augmenting_dfs`` does, ``(augmented, per_root)`` with each start
+    column's scanned edges as ``int64``.
     """
     n_starts = start_cols.shape[0]
-    thread_work = np.ones(n_starts, np.float64)
+    per_root = np.zeros(n_starts, np.int64)
     augmented = np.int64(0)
     row_claimed = np.zeros(n_rows, np.bool_)
     cap = n_rows + 2
@@ -225,7 +227,7 @@ def ghkdw_augment(
         depth = 0
         stack_col[0] = start
         stack_idx[0] = col_ptr[start]
-        work = 1.0
+        edges = 0
         success = False
         while depth >= 0 and not success:
             v = stack_col[depth]
@@ -235,7 +237,7 @@ def ghkdw_augment(
             while idx < stop:
                 u = col_ind[idx]
                 idx += 1
-                work += 1.0
+                edges += 1
                 if row_claimed[u]:
                     continue
                 w = mu_row[u]
@@ -270,8 +272,8 @@ def ghkdw_augment(
             stack_idx[depth] = idx
             if idx >= stop:
                 depth -= 1
-        thread_work[t] = work
-    return thread_work, augmented
+        per_root[t] = edges
+    return augmented, per_root
 
 
 __all__ = [

@@ -26,10 +26,10 @@ needs no correction sweep, and a phase that augments nothing raises.
 On the NumPy tier both augmentation kernels run
 :func:`repro.graph.frontier.augmenting_dfs`, the walk HK/HKDW use, over the
 cached ``csr_lists()`` and zero-copy memoryviews of the device arrays; the
-compiled tier dispatches to the ``ghkdw_augment`` twin.  A BFS level with
-fewer than :data:`repro.core.kernels.NARROW_WIDTH` frontier columns runs as
-a scalar loop over the same lists and views, a wider one vectorized; each
-level starts from the columns the previous one reached and is charged as a
+compiled tier dispatches to the ``ghkdw_augment`` twin.  A BFS level is
+:func:`repro.graph.frontier.column_step`, the level of HK's BFS, over the
+same lists and views; each level starts from the columns the previous one
+reached.  Every launch is charged as a
 :class:`~repro.gpusim.costmodel.SparseWork`.
 """
 
@@ -40,10 +40,8 @@ import time
 import numpy as np
 
 from repro.compiled import dispatch as _compiled
-from repro.core import kernels as _kernels
-from repro.core.kernels import scalar_views
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import augmenting_dfs, sorted_unique
+from repro.graph.frontier import augmenting_dfs, column_step, scalar_views
 from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
@@ -69,72 +67,27 @@ def _bfs_phase(
     level = gpu.shadow_wrap(np.full(n_cols, _INF, dtype=np.int64), "level")
     frontier = np.flatnonzero(mu_col == UNMATCHED)
     level[frontier] = 0
+    views = (
+        *graph.csr_lists("col"),
+        *scalar_views(_compiled.recording(mu_row, level), mu_row, level),
+    )
+    depth = 0
     reached_free_row = False
-    current = 0
-    col_ptr, col_ind = graph.csr_lists("col")
-    views = scalar_views(_compiled.recording(mu_row, level), mu_row, level)
-
-    while len(frontier):
+    # HK stops the BFS at the level of the shortest augmenting path.
+    while len(frontier) and not reached_free_row:
         # Like the paper's G-GR-KRNL, each BFS level launches one thread per
         # column vertex; only frontier columns scan their adjacency, the rest
         # just test their level.  This is what makes high-diameter graphs
         # expensive for the level-synchronous GPU codes.
-        if len(frontier) < _kernels.NARROW_WIDTH:
-            if isinstance(frontier, np.ndarray):
-                frontier = frontier.tolist()
-            next_cols, degrees, reached_free_row = _bfs_level_scalar(
-                col_ptr, col_ind, *views, frontier, current
-            )
-        else:
-            frontier = np.asarray(frontier, dtype=np.int64)
-            next_cols, degrees, reached_free_row = _bfs_level(
-                graph, mu_row, level, frontier, current
-            )
+        next_cols, degrees, _, reached_free_row = column_step(
+            graph.col_ptr, graph.col_ind, mu_row, level, frontier, depth, views
+        )
         # Charge-after-access: this level's frontier scan and level writes
         # belong to the launch just completed.
         gpu.charge_kernel("ghkdw-bfs", SparseWork(n_cols, 1, frontier, degrees))
         frontier = next_cols
-        current += 1
-        if reached_free_row:
-            # HK stops the BFS at the level of the shortest augmenting path.
-            break
+        depth += 1
     return level, reached_free_row
-
-
-def _bfs_level(graph, mu_row, level, frontier, current):
-    """One vectorized BFS level: ``(next_cols, degrees, reached_free_row)``."""
-    col_ptr, col_ind = graph.col_ptr, graph.col_ind
-    degrees = col_ptr[frontier + 1] - col_ptr[frontier]
-    total = int(degrees.sum())
-    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], degrees) + np.repeat(
-        col_ptr[frontier], degrees
-    )
-    row_matches = mu_row[col_ind[flat]]
-    reached_free_row = bool(np.any(row_matches == UNMATCHED))
-    next_cols = sorted_unique(row_matches[row_matches >= 0])
-    next_cols = next_cols[level[next_cols] == _INF]
-    level[next_cols] = current + 1
-    return next_cols, degrees, reached_free_row
-
-
-def _bfs_level_scalar(col_ptr, col_ind, mu_row, level, frontier, current):
-    """:func:`_bfs_level` for a narrow frontier, over lists and memoryviews.
-
-    Every read (matches, then levels) precedes the level writes, and the
-    new columns come out ascending, as the vectorized level's do.
-    """
-    # hot-path
-    bounds = [(col_ptr[v], col_ptr[v + 1]) for v in frontier]
-    degrees = [stop - begin for begin, stop in bounds]
-    matches = {mu_row[u] for begin, stop in bounds for u in col_ind[begin:stop]}
-    next_cols = [w for w in matches if w >= 0 and level[w] == _INF]
-    for w in next_cols:
-        level[w] = current + 1
-    # end hot-path
-    next_cols.sort()
-    return next_cols, degrees, UNMATCHED in matches
 
 
 def _augment_phase(
@@ -150,18 +103,20 @@ def _augment_phase(
 
     Claims persist across the threads of the launch, which models the
     lock-free row claiming of the GPU kernel.  Each thread's work is the
-    adjacency entries its walk scanned plus one.  Returns the number of
+    adjacency entries its walk scanned plus one; with no start column the
+    launch is one thread of one operation.  Returns the number of
     augmentations performed.
     """
     start_cols = np.flatnonzero(mu_col == UNMATCHED)
     start_cols = start_cols[level[start_cols] != _INF]
-    if len(start_cols) == 0:
-        gpu.charge_kernel(kernel_name, np.ones(1))
+    n_starts = len(start_cols)
+    if n_starts == 0:
+        gpu.charge_kernel(kernel_name, SparseWork(1, 1))
         return 0
     fn = _compiled.implementation_for("ghkdw_augment")
     recording = _compiled.recording(mu_row, mu_col, level)
     if fn is not None and not recording:
-        thread_work, augmented = fn(
+        augmented, per_root = fn(
             graph.col_ptr,
             graph.col_ind,
             mu_row,
@@ -171,15 +126,15 @@ def _augment_phase(
             restrict_levels,
             graph.n_rows,
         )
-        gpu.charge_kernel(kernel_name, thread_work)
-        return int(augmented)
-    col_ptr, col_ind = graph.csr_lists("col")
-    state = scalar_views(recording, level, mu_row, mu_col)
-    augmented, per_root = augmenting_dfs(
-        col_ptr, col_ind, start_cols.tolist(), *state, bytearray(graph.n_rows), restrict_levels
-    )
-    gpu.charge_kernel(kernel_name, np.asarray(per_root, dtype=np.float64) + 1.0)
-    return augmented
+    else:
+        col_ptr, col_ind = graph.csr_lists("col")
+        state = scalar_views(recording, level, mu_row, mu_col)
+        augmented, per_root = augmenting_dfs(
+            col_ptr, col_ind, start_cols.tolist(), *state, bytearray(graph.n_rows),
+            restrict_levels,
+        )
+    gpu.charge_kernel(kernel_name, SparseWork(n_starts, 1, np.arange(n_starts), per_root))
+    return int(augmented)
 
 
 def ghkdw_matching(

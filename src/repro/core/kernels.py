@@ -12,13 +12,12 @@ snapshots (copies) its inputs; a kernel would only need a copy if it read an
 array *after* writing it within one wave, which none does
 (``tests/test_core_kernels.py`` pins the conflict semantics).
 
-Each lockstep kernel returns, besides its outputs, its **per-thread work**
-as a :class:`~repro.gpusim.costmodel.SparseWork`: the launch's thread count,
+Each kernel returns, besides its outputs, its **per-thread work** as a
+:class:`~repro.gpusim.costmodel.SparseWork`: the launch's thread count,
 the constant every thread pays (its activity test) and the adjacency
 entries the active threads scanned on top.  The caller charges it to the
-:class:`~repro.gpusim.device.VirtualGPU` ledger, which prices it exactly as
-the equivalent dense vector, in time proportional to the active threads.
-(The serialized reference kernel returns the dense vector.)
+:class:`~repro.gpusim.device.VirtualGPU` ledger, which prices it in time
+proportional to the active threads.
 
 The host cost of a launch follows its active threads, not its width:
 
@@ -29,12 +28,14 @@ The host cost of a launch follows its active threads, not its width:
   rows it pushed onto, the only columns a push can make active).  No
   launch rescans every row or column to find its threads.
 * **Narrow launches.**  A G-GR level, a push wave or an active-list repair
-  with fewer than :data:`NARROW_WIDTH` active threads runs as a scalar loop
-  over the cached ``csr_lists("col")`` (the row side through memoryviews of
-  the CSR arrays) and zero-copy memoryviews of the device arrays, with the
-  same read-then-write wave structure; wider ones run vectorized.  Under the
-  race sanitizer the scalar loops walk the recording arrays themselves, so
-  every access is still logged.
+  with fewer than :data:`repro.graph.frontier.NARROW_WIDTH` active threads
+  runs as a scalar loop over the cached ``csr_lists("col")`` (the row side
+  through memoryviews of the CSR arrays) and zero-copy memoryviews of the
+  device arrays, with the same read-then-write wave structure; wider ones
+  run vectorized.  A G-GR level is :func:`repro.graph.frontier.row_step`,
+  the level of push-relabel's global relabeling.  Under the race sanitizer
+  the scalar loops walk the recording arrays themselves, so every access is
+  still logged.
 
 With numba installed, G-GR levels and push waves of every width dispatch to
 the compiled twins (:mod:`repro.compiled.kernels_jit`), which return the
@@ -59,14 +60,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiled import dispatch as _compiled
+from repro.graph import frontier as _frontier
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import sorted_unique
+from repro.graph.frontier import row_step, scalar_views, sorted_unique
 from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.kernel import wave_barrier
 from repro.matching import UNMATCHABLE, UNMATCHED
 
 __all__ = [
-    "NARROW_WIDTH",
     "active_columns_mask",
     "init_relabel_kernel",
     "global_relabel_kernel",
@@ -78,47 +79,28 @@ __all__ = [
     "fix_matching_kernel",
 ]
 
-#: Launches (G-GR and G-HKDW BFS levels, push waves, active-list repairs)
-#: with fewer active threads than this run as scalar loops; wider ones run
-#: vectorized.  A scalar loop costs a few hundred nanoseconds per thread, a
-#: vectorized body tens of microseconds of fixed NumPy overhead.  Measured
-#: crossovers are in "The per-launch host path" of ``docs/benchmarks.md``.
-#: Both paths give identical results and work.
-NARROW_WIDTH = 32
-
-
 # --------------------------------------------------------------------------
 # helpers
 # --------------------------------------------------------------------------
-def scalar_views(recording: bool, *arrays):
-    """What the scalar paths index: zero-copy memoryviews of ``arrays``.
-
-    Memoryviews read faster than ndarray scalars and write straight into the
-    arrays the next launch reads.  Under the race sanitizer (``recording``)
-    the recording arrays are walked as they are, so every scalar access
-    lands in its log.
-    """
-    return arrays if recording else tuple(map(memoryview, arrays))
-
-
-def active_columns_mask(mu_row: np.ndarray, mu_col: np.ndarray) -> np.ndarray:
-    """Boolean mask of *active* columns.
+def active_columns_mask(mu_row: np.ndarray, mu_col: np.ndarray, cols=None) -> np.ndarray:
+    """Boolean mask of the *active* columns among ``cols`` (default: all).
 
     A column ``v`` is active when it is not consistently matched and has not
     been retired: ``µ(v) = −1``, or ``µ(v) ≥ 0`` but ``µ(µ(v)) ≠ v`` (the
     matching inconsistency the lock-free pushes leave behind).  Retired
     columns (``µ(v) = −2``) are inactive.
     """
-    active = mu_col == UNMATCHED
-    pointed = np.flatnonzero(mu_col >= 0)
+    matches = mu_col if cols is None else mu_col[cols]
+    active = matches == UNMATCHED
+    pointed = np.flatnonzero(matches >= 0)
     if len(pointed):
-        active[pointed] = mu_row[mu_col[pointed]] != pointed
+        active[pointed] = mu_row[matches[pointed]] != (pointed if cols is None else cols[pointed])
     return active
 
 
 def _active_among(mu_row, mu_col, cols, recording: bool):
     """The active columns among ``cols``, in order (see :func:`active_columns_mask`)."""
-    if len(cols) < NARROW_WIDTH:
+    if len(cols) < _frontier.NARROW_WIDTH:
         if isinstance(cols, np.ndarray):
             cols = cols.tolist()
         row_match, col_match = scalar_views(recording, mu_row, mu_col)
@@ -130,12 +112,7 @@ def _active_among(mu_row, mu_col, cols, recording: bool):
         # end hot-path
         return active
     cols = np.asarray(cols, dtype=np.int64)
-    matches = mu_col[cols]
-    active = matches == UNMATCHED
-    pointed = np.flatnonzero(matches >= 0)
-    if len(pointed):
-        active[pointed] = mu_row[matches[pointed]] != cols[pointed]
-    return cols[active]
+    return cols[active_columns_mask(mu_row, mu_col, cols)]
 
 
 def _first_true_per_segment(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -302,92 +279,20 @@ def global_relabel_kernel(
             infinity,
             frontier,
         )
-    elif len(frontier) < NARROW_WIDTH:
-        if isinstance(frontier, np.ndarray):
-            frontier = frontier.tolist()
+    else:
         # The row side is read through memoryviews of the CSR arrays:
         # cached lists would hold some 43 more bytes per edge and read no
         # faster in this loop.
-        next_rows, degrees = _relabel_level_scalar(
+        views = (
             memoryview(graph.row_ptr),
             memoryview(graph.row_ind),
             *scalar_views(recording, mu_row, mu_col, psi_row, psi_col),
-            c_level,
-            infinity,
-            frontier,
         )
-    else:
-        frontier = np.asarray(frontier, dtype=np.int64)
-        next_rows, degrees = _relabel_level(
-            graph, mu_row, mu_col, psi_row, psi_col, c_level, frontier
+        next_rows, degrees, _ = row_step(
+            graph.row_ptr, graph.row_ind, mu_row, mu_col, psi_row, psi_col, frontier, c_level,
+            infinity, views,
         )
     return next_rows, SparseWork(graph.n_rows, 1, frontier, degrees)
-
-
-def _relabel_level(graph, mu_row, mu_col, psi_row, psi_col, c_level, frontier):
-    """Vectorized :func:`global_relabel_kernel` body: ``(next_rows, degrees)``."""
-    infinity = graph.infinity_label
-    row_ptr, row_ind = graph.row_ptr, graph.row_ind
-    degrees = row_ptr[frontier + 1] - row_ptr[frontier]
-    no_rows = np.empty(0, dtype=np.int64)
-    total = int(degrees.sum())
-    if total == 0:
-        return no_rows, degrees
-    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], degrees) + np.repeat(
-        row_ptr[frontier], degrees
-    )
-    nbr_cols = row_ind[flat]
-
-    unvisited = psi_col[nbr_cols] == infinity
-    to_set = sorted_unique(nbr_cols[unvisited])
-    if len(to_set) == 0:
-        return no_rows, degrees
-    psi_col[to_set] = c_level + 1
-
-    matches = mu_col[to_set]
-    has_match = matches >= 0
-    consistent = np.zeros(len(to_set), dtype=bool)
-    if has_match.any():
-        idx = np.flatnonzero(has_match)
-        consistent[idx] = mu_row[matches[idx]] == to_set[idx]
-    next_rows = matches[consistent]
-    if len(next_rows):
-        next_rows = next_rows[psi_row[next_rows] == infinity]
-        if len(next_rows):
-            psi_row[next_rows] = c_level + 2
-            # Ascending, so the next level's work prices without a sort.
-            next_rows.sort()
-    return next_rows, degrees
-
-
-def _relabel_level_scalar(
-    row_ptr, row_ind, mu_row, mu_col, psi_row, psi_col, c_level, infinity, frontier
-):
-    """Scalar :func:`global_relabel_kernel` body for a narrow frontier (lists).
-
-    Two phases, like the vectorized body: every read, then every write.  A
-    fused loop that labels a column and goes on to the next row would
-    re-read ``psi_col`` entries this launch already wrote — a read-after-
-    write the race sanitizer reports.
-    """
-    # hot-path
-    bounds = [(row_ptr[u], row_ptr[u + 1]) for u in frontier]
-    degrees = [stop - begin for begin, stop in bounds]
-    neighbours = {c for begin, stop in bounds for c in row_ind[begin:stop]}
-    cols = [c for c in neighbours if psi_col[c] == infinity]
-    next_rows = [
-        w for c in cols
-        if (w := mu_col[c]) >= 0 and mu_row[w] == c and psi_row[w] == infinity
-    ]
-    for c in cols:
-        psi_col[c] = c_level + 1
-    for w in next_rows:
-        psi_row[w] = c_level + 2
-    # end hot-path
-    next_rows.sort()
-    return next_rows, degrees
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +441,7 @@ def push_kernel_all_columns(
                 np.asarray(wave_cols, dtype=np.int64),
                 infinity,
             )
-        elif len(wave_cols) < NARROW_WIDTH:
+        elif len(wave_cols) < _frontier.NARROW_WIDTH:
             if isinstance(wave_cols, np.ndarray):
                 wave_cols = wave_cols.tolist()
             scanned, displaced = _push_wave_scalar(
@@ -562,13 +467,15 @@ def push_kernel_all_columns_serialized(
     psi_row: np.ndarray,
     psi_col: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> tuple[bool, np.ndarray]:
+) -> tuple[bool, SparseWork]:
     """Reference (per-thread, live-memory) implementation of Algorithm 6.
 
     Executes one Python "thread" per column, one at a time, in index order or
     in a random permutation — a different legal interleaving than the
     lockstep engine.  Used by the race-tolerance tests; far too slow for the
-    benchmark suite.
+    benchmark suite.  Returns ``(act_exists, work)`` with the same work as
+    :func:`push_kernel_all_columns`: one operation per column plus the
+    adjacency entries each active column scanned.
     """
     from repro.gpusim.kernel import launch_serialized
 
@@ -576,19 +483,19 @@ def push_kernel_all_columns_serialized(
     col_ptr, col_ind = graph.col_ptr, graph.col_ind
     act_exists = False
 
-    def body(v: int) -> float:
+    def body(v: int) -> int:
         nonlocal act_exists
-        work = 1.0
         mv = mu_col[v]
         is_active = mv == UNMATCHED or (mv >= 0 and mu_row[mv] != v)
         if not is_active:
-            return work
+            return 0
         act_exists = True
+        scanned = 0
         psi_min = infinity
         u_min = -1
         target = psi_col[v] - 1
         for idx in range(col_ptr[v], col_ptr[v + 1]):
-            work += 1.0
+            scanned += 1
             u = col_ind[idx]
             if psi_row[u] < psi_min:
                 psi_min = psi_row[u]
@@ -602,10 +509,11 @@ def push_kernel_all_columns_serialized(
             psi_row[u_min] = psi_min + 2
         else:
             mu_col[v] = UNMATCHABLE
-        return work
+        return scanned
 
-    thread_work = launch_serialized(body, graph.n_cols, rng=rng)
-    return act_exists, thread_work
+    scanned = launch_serialized(body, graph.n_cols, rng=rng)
+    threads = np.flatnonzero(scanned)
+    return act_exists, SparseWork(graph.n_cols, 1, threads, scanned[threads])
 
 
 # --------------------------------------------------------------------------
@@ -635,30 +543,23 @@ def init_active_kernel(
     work = SparseWork(size, 2)
     if size == 0:
         return False, work
-    if size < NARROW_WIDTH:
+    if size < _frontier.NARROW_WIDTH:
         recording = _compiled.recording(mu_row, mu_col, ac, ap, ia)
         registered = _init_active_scalar(
             *scalar_views(recording, mu_row, mu_col, ac, ap, ia), size, loop
         )
         return registered > 0, work
 
-    def _still_unmatched(cols: np.ndarray) -> np.ndarray:
-        unmatched = mu_col[cols] == UNMATCHED
-        pointed = np.flatnonzero(mu_col[cols] >= 0)
-        if len(pointed):
-            unmatched[pointed] = mu_row[mu_col[cols[pointed]]] != cols[pointed]
-        return unmatched
-
     # Roll back conflicting pushes of the previous round.
     prev_slots = np.flatnonzero(ap >= 0)
     if len(prev_slots):
-        rollback = _still_unmatched(ap[prev_slots])
+        rollback = active_columns_mask(mu_row, mu_col, ap[prev_slots])
         ac[prev_slots[rollback]] = ap[prev_slots[rollback]]
 
     # Drop candidates that are in fact consumed (consistently matched or retired).
     cand_slots = np.flatnonzero(ac >= 0)
     if len(cand_slots):
-        keep = _still_unmatched(ac[cand_slots])
+        keep = active_columns_mask(mu_row, mu_col, ac[cand_slots])
         ac[cand_slots[~keep]] = -1
 
     # Deduplicate: the first slot holding a column keeps it.
@@ -818,7 +719,7 @@ def push_kernel_active_list(
         col_ptr, col_ind = graph.csr_lists("col")
         views = scalar_views(recording, mu_row, mu_col, psi_row, psi_col, ac, ap, ia)
     # Empty slots produce no new active column (Algorithm 9, line 24).
-    if size < NARROW_WIDTH and not use_compiled:
+    if size < _frontier.NARROW_WIDTH and not use_compiled:
         ac_view, ap_view = views[4:6]
         slots = []
         # hot-path
@@ -852,7 +753,7 @@ def push_kernel_active_list(
                 loop,
                 infinity,
             )
-        elif len(wave_slots) < NARROW_WIDTH:
+        elif len(wave_slots) < _frontier.NARROW_WIDTH:
             if isinstance(wave_slots, np.ndarray):
                 wave_slots = wave_slots.tolist()
             scanned = _push_active_wave_scalar(

@@ -25,8 +25,8 @@ This package provides both:
   launch; the test-suite checks the algorithms produce maximum matchings
   under either engine.
 * :mod:`~repro.gpusim.costmodel` — converts the per-thread work of each
-  launch, dense or :class:`~repro.gpusim.costmodel.SparseWork`, into
-  modelled seconds.
+  launch, a :class:`~repro.gpusim.costmodel.SparseWork`, into modelled
+  seconds.
 """
 
 from repro.gpusim.costmodel import CostLedger, GpuCostModel, KernelStats, SparseWork

@@ -2,10 +2,9 @@
 
 Every kernel launch reports its *work*: the number of elementary operations
 (adjacency entries scanned plus a small constant) each logical thread
-performs, either as a dense vector with one entry per thread or as a
-:class:`SparseWork` (a constant per thread plus extras on the few threads
-that did more).  The model converts it into modelled seconds with three
-ingredients:
+performs, as a :class:`SparseWork` (a constant per thread plus extras on
+the threads that did more).  The model converts it into modelled seconds
+with three ingredients:
 
 ``launch overhead``
     Fixed host-side cost per kernel launch.  This is what makes graphs with
@@ -47,18 +46,6 @@ __all__ = [
     "SparseWork",
 ]
 
-#: :meth:`GpuCostModel.launch_seconds` takes the per-warp maxima lane by lane
-#: (one ``np.maximum`` over all warps per lane) once a launch has at least
-#: this many warps per lane, and with ``np.maximum.reduceat`` at the warp
-#: starts below that.  The lane-wise form costs ``warp_size`` NumPy calls,
-#: ``reduceat`` a fixed step per warp, so the threshold is in warps per lane
-#: (``warp_size²`` threads per unit).  Measured crossovers: 32–40 warps per
-#: lane at ``warp_size`` 8 (2k–2.5k threads, the scaled reference device)
-#: and 64–96 at ``warp_size`` 32, where strided lanes cost more per element;
-#: see "The per-launch host path" in ``docs/benchmarks.md``.  Both forms give
-#: identical results.
-LANEWISE_MIN_WARPS_PER_LANE = 32
-
 #: :meth:`GpuCostModel.launch_seconds` prices a :class:`SparseWork` with at
 #: most this many (thread, extra) pairs in a plain Python loop, and with
 #: NumPy above it: the loop costs about 0.2 µs per pair, the NumPy form some
@@ -68,15 +55,15 @@ SPARSE_LOOP_MAX_PAIRS = 64
 
 
 class SparseWork:
-    """The work of one launch in sparse form.
+    """The work of one launch.
 
     Each of ``n_threads`` threads performs ``base`` operations, and thread
     ``threads[i]`` performs ``extras[i]`` more.  ``threads`` and ``extras``
     are equally long sequences (lists or integer arrays) of non-negative
     integers; the thread indices are distinct and below ``n_threads``, in
-    any order.  :meth:`dense` is the equivalent per-thread work vector, and
-    :class:`GpuCostModel` prices both forms bit for bit alike, in time
-    proportional to the number of pairs instead of the number of threads.
+    any order.  :meth:`dense` is the equivalent per-thread work vector;
+    :class:`GpuCostModel` prices the launch in time proportional to the
+    number of pairs instead of the number of threads.
     """
 
     __slots__ = ("n_threads", "base", "threads", "extras")
@@ -252,89 +239,53 @@ class GpuCostModel:
     def __init__(self, spec) -> None:
         self.spec = spec
 
-    def launch_seconds(self, thread_work) -> tuple[float, float, float, float]:
+    def launch_seconds(self, work: SparseWork) -> tuple[float, float, float, float]:
         """Model one launch.
 
         Warp divergence: every thread of a warp pays for the slowest one, so
         ``divergent_work`` is ``warp_size`` times the sum of the per-warp
         maxima (a short last warp is a warp of its own).  Every field is
         bit-identical to the padded ``reshape(-1, warp_size).max(axis=1)``
-        formula that ``tests/test_gpusim.py`` keeps as its reference.
+        formula over :meth:`SparseWork.dense` that ``tests/test_gpusim.py``
+        keeps as its reference.
 
-        Parameters
-        ----------
-        thread_work:
-            Either a one-dimensional ``float64`` array with one non-negative
-            entry per logical thread (elementary operations performed;
-            :meth:`VirtualGPU.charge_kernel <repro.gpusim.device.VirtualGPU.charge_kernel>`
-            converts and checks the caller's vector once before it gets
-            here), or a :class:`SparseWork`.
-
-            A dense vector costs O(threads): the per-warp maxima are built
-            without a zero-padded copy and without a ``max(axis=1)`` reduce,
-            whose per-row NumPy overhead dominates along an axis only
-            ``warp_size`` long; :data:`LANEWISE_MIN_WARPS_PER_LANE` picks one
-            of two forms by launch width, and the same maxima are summed
-            once, as one vector in warp order.
-
-            A :class:`SparseWork` is validated (``ValueError`` on
-            non-integer or negative work and on duplicate or out-of-range
-            thread indices) and priced in closed form in O(pairs): a warp
-            without extras has maximum ``base``.  Its terms are exact
-            integers, and so are the dense sums of integer work below
-            2**53 in any summation order, so both forms give the same
-            floats.  :data:`SPARSE_LOOP_MAX_PAIRS` picks a Python loop or
-            NumPy for the per-warp maxima of the extras.
+        ``work`` is validated (``ValueError`` on anything but a
+        :class:`SparseWork`, on non-integer or negative work and on
+        duplicate or out-of-range thread indices) and priced in closed form
+        in O(pairs): a warp without extras has maximum ``base``.  Its terms
+        are exact integers, so the floats do not depend on the order of the
+        pairs.  :data:`SPARSE_LOOP_MAX_PAIRS` picks a Python loop or NumPy
+        for the per-warp maxima of the extras.
 
         Returns
         -------
         (seconds, total_work, divergent_work, max_thread_work)
         """
-        return self._price(thread_work)[1:]
+        return self._price(work)[1:]
 
-    def _price(self, thread_work) -> tuple[int, float, float, float, float]:
+    def _price(self, work: SparseWork) -> tuple[int, float, float, float, float]:
         """``(n_threads, seconds, total, divergent, max_thread)`` of one launch."""
+        if not isinstance(work, SparseWork):
+            raise ValueError(f"work must be a SparseWork, got {type(work).__name__}")
         spec = self.spec
         ws = spec.warp_size
-        if isinstance(thread_work, SparseWork):
-            n_threads, base, extra, warp_extra, top_extra = _sparse_terms(thread_work, ws)
-            if n_threads == 0:
-                return 0, spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
-            n_warps = -(-n_threads // ws)
-            total = float(base * n_threads + extra)
-            max_thread = float(base + top_extra)
-            divergent = float((base * n_warps + warp_extra) * ws)
-        else:
-            n_threads = thread_work.size
-            if n_threads == 0:
-                return 0, spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
-            full, rest = divmod(n_threads, ws)
-            if full >= LANEWISE_MIN_WARPS_PER_LANE * ws:
-                warp_max = np.empty(full + (rest > 0))
-                lanes = thread_work[: full * ws].reshape(full, ws)
-                body = warp_max[:full]
-                # First and last lane in one call, then the lanes in between
-                # (for a warp of one, the "pair" is that lane twice).
-                np.maximum(lanes[:, 0], lanes[:, -1], out=body)
-                for lane in range(1, ws - 1):
-                    np.maximum(body, lanes[:, lane], out=body)
-                if rest:
-                    warp_max[full] = thread_work[full * ws :].max()
-            else:
-                warp_max = np.maximum.reduceat(thread_work, np.arange(0, n_threads, ws))
-            total = float(thread_work.sum())
-            max_thread = float(warp_max.max())
-            divergent = float(warp_max.sum() * ws)
+        n_threads, base, extra, warp_extra, top_extra = _sparse_terms(work, ws)
+        if n_threads == 0:
+            return 0, spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
+        n_warps = -(-n_threads // ws)
+        total = float(base * n_threads + extra)
+        max_thread = float(base + top_extra)
+        divergent = float((base * n_warps + warp_extra) * ws)
         cycles = spec.cycles_per_op * max(divergent / spec.total_cores, max_thread)
         seconds = spec.kernel_launch_overhead_s + cycles / (spec.clock_ghz * 1e9)
         return n_threads, seconds, total, divergent, max_thread
 
-    def record(self, ledger: CostLedger, name: str, thread_work) -> KernelStats:
+    def record(self, ledger: CostLedger, name: str, work: SparseWork) -> KernelStats:
         """Model a launch (see :meth:`launch_seconds`) and append it to ``ledger``.
 
         Nothing is appended when the launch is rejected.
         """
-        n_threads, seconds, total, divergent, max_thread = self._price(thread_work)
+        n_threads, seconds, total, divergent, max_thread = self._price(work)
         stats = KernelStats(
             name=name,
             n_threads=n_threads,

@@ -107,27 +107,18 @@ class VirtualGPU:
         self.shadow = shadow
 
     # --------------------------------------------------------------- launches
-    def charge_kernel(self, name: str, thread_work) -> None:
+    def charge_kernel(self, name: str, thread_work: SparseWork) -> None:
         """Account one kernel launch given its per-thread work.
 
-        ``thread_work`` takes one of two forms:
-
-        * a :class:`~repro.gpusim.costmodel.SparseWork` — a thread count, an
-          integer base work per thread and (thread, extra) pairs.  This is
-          what the kernels in :mod:`repro.core.kernels` and G-HKDW's BFS
-          return, so a launch with few active threads costs host time in
-          proportion to those threads, not to the launch width;
-        * a dense one-dimensional array (or list) with one non-negative
-          entry per logical thread, converted to ``float64`` once here.  The
-          serialized reference engine, the G-HKDW augmentation kernels and
-          the auction charge this form, and it may hold fractional work.
-
-        Both forms are priced bit for bit alike (see
+        ``thread_work`` is a :class:`~repro.gpusim.costmodel.SparseWork`: a
+        thread count, an integer base work per thread and (thread, extra)
+        pairs, so a launch with few active threads costs host time in
+        proportion to those threads, not to the launch width (see
         :meth:`GpuCostModel.launch_seconds
-        <repro.gpusim.costmodel.GpuCostModel.launch_seconds>`).  A malformed
-        launch — a scalar or multi-dimensional dense array; sparse work that
-        is not a non-negative integer; a duplicate or out-of-range thread
-        index — raises ``ValueError`` naming the kernel, and nothing is
+        <repro.gpusim.costmodel.GpuCostModel.launch_seconds>`).  Anything
+        else — a vector, a list, a scalar — and sparse work that is not a
+        non-negative integer, or that has a duplicate or out-of-range thread
+        index, raises ``ValueError`` naming the kernel, and nothing is
         charged.
 
         Under shadow mode the charge also closes the sanitizer segment: the
@@ -135,13 +126,6 @@ class VirtualGPU:
         the previous charge is attributed to this kernel, and the launch
         boundary acts as a device-wide barrier.
         """
-        if not isinstance(thread_work, SparseWork):
-            thread_work = np.asarray(thread_work, dtype=np.float64)
-            if thread_work.ndim != 1:
-                raise ValueError(
-                    f"kernel {name!r}: thread_work must be a 1-D vector with one entry "
-                    f"per thread, got shape {thread_work.shape}"
-                )
         try:
             self.model.record(self.ledger, name, thread_work)
         except ValueError as exc:

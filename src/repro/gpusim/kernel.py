@@ -62,9 +62,9 @@ def launch_serialized(
     ----------
     kernel_body:
         Per-thread function.  It receives the thread id and must return the
-        number of elementary operations the thread performed (its work).  It
-        mutates device arrays captured by closure — exactly like a CUDA
-        kernel body mutates global memory.
+        integer number of elementary operations the thread performed (its
+        work).  It mutates device arrays captured by closure — exactly like a
+        CUDA kernel body mutates global memory.
     n_threads:
         Number of logical threads in the launch.
     order:
@@ -77,8 +77,9 @@ def launch_serialized(
     Returns
     -------
     numpy.ndarray
-        Per-thread work vector (indexed by thread id, not execution order),
-        suitable for :meth:`repro.gpusim.device.VirtualGPU.charge_kernel`.
+        Per-thread ``int64`` work vector (indexed by thread id, not
+        execution order), from which the caller builds the launch's
+        :class:`~repro.gpusim.costmodel.SparseWork`.
     """
     if order is not None:
         order = np.asarray(order, dtype=np.int64)
@@ -88,7 +89,7 @@ def launch_serialized(
         order = rng.permutation(n_threads)
     else:
         order = np.arange(n_threads)
-    work = np.zeros(n_threads, dtype=np.float64)
+    work = np.zeros(n_threads, dtype=np.int64)
     for tid in order:
-        work[tid] = float(kernel_body(int(tid)))
+        work[tid] = kernel_body(int(tid))
     return work

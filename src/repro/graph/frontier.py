@@ -1,6 +1,5 @@
-"""Shared frontier operations for the CPU baselines and G-HKDW's
-augmentation walk: vectorized where frontiers are wide, scalar where they
-are not.
+"""Shared frontier operations for the CPU baselines and the GPU solvers'
+BFS levels: vectorized where frontiers are wide, scalar where they are not.
 
 The sequential and multicore baselines (HK/HKDW, PR, PFP, P-DBFS, the cheap
 greedy initialisation and the dynamic incremental matcher) all walk the same
@@ -10,19 +9,23 @@ boundary once per *edge* (``int(col_ind[idx])``, ``row_match[u]``, a dict
 counter increment) — a ~170 ns/edge interpreter tax on the exact loops the
 paper times.
 
-Two granularities replace that, chosen by how wide the frontier actually is
-(whole-array NumPy only wins past ~64 elements; see ``docs/benchmarks.md``
-for the measurement):
+Three kinds of walk replace that:
 
-* **Whole-frontier array ops** for the level-synchronous traversals, whose
-  frontiers hold hundreds of vertices: :func:`expand_frontier` gathers every
-  out-edge of a frontier in one shot (``np.repeat`` on the CSR pointer
-  diffs), :func:`sorted_unique` deduplicates a level, and on top of them
-  :func:`alternating_level_bfs` (the Hopcroft–Karp level structure) and
-  :func:`distance_label_bfs` (push-relabel global relabeling, Algorithm 2)
-  assign levels and count scanned edges in bulk, and
-  :func:`alternating_reach` counts the adjacency a full alternating BFS
-  scans, which prices the PFP and P-DBFS searches that provably fail.
+* **Level steps.**  Every level-synchronous BFS runs one of two steps per
+  level: :func:`column_step` (frontier columns → rows → mates) under
+  Hopcroft–Karp's :func:`alternating_level_bfs` and G-HKDW's BFS launches,
+  and :func:`row_step` (frontier rows → columns → consistently matched
+  rows) under push-relabel's :func:`distance_label_bfs` (Algorithm 2) and
+  G-GR's launches (Algorithm 5).  A step walks a frontier narrower than
+  :data:`NARROW_WIDTH` as a scalar loop over lists or memoryviews and
+  gathers a wider one with whole-array ops (``np.repeat`` on the CSR
+  pointer diffs, :func:`sorted_unique` per level).  Both bodies do every
+  read before the first write, so they are lockstep kernel bodies as well.
+* **Whole-frontier array ops** outside the steps: :func:`expand_frontier`
+  gathers every out-edge of a frontier in one shot (the sharded
+  reconcile's level BFS), and :func:`alternating_reach` counts the
+  adjacency a full alternating BFS scans, which prices the PFP and P-DBFS
+  searches that provably fail.
 * **Scalar walks over lists or zero-copy memoryviews** for the traversals
   whose working set is one adjacency slice at a time (DFS descents, the
   per-push minimum scan, P-DBFS claim searches): :func:`claiming_bfs`,
@@ -31,9 +34,9 @@ for the measurement):
   ndarrays, which removes the per-element boxing (~4× on the same loop
   body).  Per-vertex state that already lives in an ``int64`` array and is
   read by the next whole-array step is walked through a ``memoryview`` of
-  that array instead: O(1) to make, cheaper per read than ndarray
-  indexing, and writes land in the array itself, where a list would cost
-  an O(vertices) ``tolist()`` and ``np.array()`` per call.
+  that array instead (:func:`scalar_views`): O(1) to make, cheaper per
+  read than ndarray indexing, and writes land in the array itself, where a
+  list would cost an O(vertices) ``tolist()`` and ``np.array()`` per call.
   :func:`augmenting_dfs` is the vertex-disjoint augmenting DFS of HK/HKDW
   (over lists) and of G-HKDW's augmentation kernels (over memoryviews).
 
@@ -62,8 +65,11 @@ __all__ = [
     "alternating_reach",
     "augmenting_dfs",
     "claiming_bfs",
+    "column_step",
     "distance_label_bfs",
     "expand_frontier",
+    "row_step",
+    "scalar_views",
     "sorted_unique",
 ]
 
@@ -76,7 +82,41 @@ _INF = np.iinfo(np.int64).max
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+#: Levels with fewer frontier vertices than this run as scalar loops over
+#: lists or memoryviews; wider ones run NumPy gathers.  A scalar loop costs a
+#: few hundred nanoseconds per vertex, a NumPy body tens of microseconds of
+#: fixed overhead (measured crossovers: "The per-launch host path" in
+#: ``docs/benchmarks.md``).  :mod:`repro.core.kernels` reads it at call time
+#: for its push waves and list repairs too.  Both paths give identical results.
+NARROW_WIDTH = 32
+
+
 # ---------------------------------------------------------------- primitives
+def scalar_views(recording: bool, *arrays):
+    """What the scalar bodies index: zero-copy memoryviews of ``arrays``.
+
+    Memoryviews read faster than ndarray scalars and write straight into the
+    arrays the next whole-array step reads.  Under the race sanitizer
+    (``recording``) the recording arrays are walked as they are, so every
+    scalar access lands in its log.
+    """
+    return arrays if recording else tuple(map(memoryview, arrays))
+
+
+def _gather(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray):
+    """``(targets, degrees)``: every out-edge of ``frontier`` in scan order,
+    and each frontier vertex's degree."""
+    starts = ptr[frontier]
+    degrees = ptr[frontier + 1] - starts
+    total = int(degrees.sum())
+    if total == 0:
+        return _EMPTY, degrees
+    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1] - starts, degrees)
+    return ind[flat], degrees
+
+
 def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """All out-edges of ``frontier``, flattened in scan order.
 
@@ -100,15 +140,7 @@ def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray) -> n
     fn = _compiled.implementation_for("expand_frontier")
     if fn is not None and not _compiled.recording(ptr, ind, frontier):
         return fn(ptr, ind, frontier)
-    starts = ptr[frontier]
-    degrees = ptr[frontier + 1] - starts
-    total = int(degrees.sum())
-    if total == 0:
-        return _EMPTY
-    offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1] - starts, degrees)
-    return ind[flat]
+    return _gather(ptr, ind, frontier)[0]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -127,12 +159,104 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ranked[lead]
 
 
-# ----------------------------------------------------- matching-aware BFS'es
-#: Below this frontier width the level-synchronous BFS variants expand the
-#: level with a scalar walk instead of whole-array gathers — array ops only
-#: amortise their per-call overhead past a few dozen elements (see the
-#: measurement in docs/benchmarks.md).  Results are identical either way.
-SCALAR_FRONTIER_MAX = 32
+# ------------------------------------------------------ level-synchronous BFS
+def column_step(col_ptr, col_ind, row_match, level, frontier, depth: int, views):
+    """One BFS level from the column side: frontier columns → rows → mates.
+
+    The frontier columns (labelled ``depth``) scan their adjacency; every
+    mate of a matched row met whose ``level`` is still ``int64`` max gets
+    ``depth + 1``.  This is one level of Hopcroft–Karp's BFS
+    (:func:`alternating_level_bfs`) and one G-HKDW BFS launch.  Every read
+    happens before the first write, and each label is written once.
+
+    ``views`` holds ``(col_ptr, col_ind, row_match, level)`` as lists or
+    memoryviews (see :func:`scalar_views`); a frontier narrower than
+    :data:`NARROW_WIDTH` is walked over them, a wider one gathered over the
+    arrays.  Returns ``(next_cols, degrees, edges, hit)``: the newly
+    labelled columns ascending (a list on the scalar path, an ``int64``
+    array otherwise), each frontier column's degree, their sum, and whether
+    an unmatched row was met.
+    """
+    if len(frontier) < NARROW_WIDTH:
+        if isinstance(frontier, np.ndarray):
+            frontier = frontier.tolist()
+        return _column_step_scalar(*views, frontier, depth)
+    rows, degrees = _gather(col_ptr, col_ind, np.asarray(frontier, dtype=np.int64))
+    mates = row_match[rows]
+    fresh = mates[mates >= 0]
+    fresh = sorted_unique(fresh[level[fresh] == _INF])
+    level[fresh] = depth + 1
+    return fresh, degrees, len(rows), bool((mates == _UNMATCHED).any())
+
+
+def _column_step_scalar(col_ptr, col_ind, row_match, level, frontier, depth):
+    """:func:`column_step` for a narrow frontier."""
+    # hot-path
+    bounds = [(col_ptr[v], col_ptr[v + 1]) for v in frontier]
+    degrees = [stop - begin for begin, stop in bounds]
+    mates = {row_match[u] for begin, stop in bounds for u in col_ind[begin:stop]}
+    fresh = [w for w in mates if w >= 0 and level[w] == _INF]
+    for w in fresh:
+        level[w] = depth + 1
+    # end hot-path
+    fresh.sort()
+    return fresh, degrees, sum(degrees), _UNMATCHED in mates
+
+
+def row_step(row_ptr, row_ind, row_match, col_match, psi_row, psi_col, frontier, level: int,
+             infinity: int, views):
+    """One BFS level from the row side: frontier rows → columns → their rows.
+
+    The frontier rows (labelled ``level``) scan their adjacency; every column
+    met whose ``psi_col`` is still ``infinity`` gets ``level + 1``, and the
+    row it is consistently matched to (``µ(µ(c)) = c``) gets ``level + 2``
+    if unlabelled.  This is one level of push-relabel's global relabeling
+    (:func:`distance_label_bfs`) and one G-GR launch (Algorithm 5).  Every
+    read happens before the first write, and each label is written once: a
+    fused loop would re-read labels it wrote, a read-after-write the race
+    sanitizer reports.
+
+    ``views`` holds ``(row_ptr, row_ind, row_match, col_match, psi_row,
+    psi_col)`` as lists or memoryviews, walked below :data:`NARROW_WIDTH`
+    frontier rows.  Returns ``(next_rows, degrees, edges)``: the rows
+    labelled ``level + 2`` ascending (a list on the scalar path, an ``int64``
+    array otherwise), each frontier row's degree, and their sum.
+    """
+    if len(frontier) < NARROW_WIDTH:
+        if isinstance(frontier, np.ndarray):
+            frontier = frontier.tolist()
+        return _row_step_scalar(*views, frontier, level, infinity)
+    cols, degrees = _gather(row_ptr, row_ind, np.asarray(frontier, dtype=np.int64))
+    fresh = sorted_unique(cols[psi_col[cols] == infinity])
+    mates = col_match[fresh]
+    matched = mates >= 0
+    rows = mates[matched]
+    rows = rows[(row_match[rows] == fresh[matched]) & (psi_row[rows] == infinity)]
+    psi_col[fresh] = level + 1
+    psi_row[rows] = level + 2
+    rows.sort()
+    return rows, degrees, len(cols)
+
+
+def _row_step_scalar(row_ptr, row_ind, row_match, col_match, psi_row, psi_col, frontier,
+                     level, infinity):
+    """:func:`row_step` for a narrow frontier."""
+    # hot-path
+    bounds = [(row_ptr[u], row_ptr[u + 1]) for u in frontier]
+    degrees = [stop - begin for begin, stop in bounds]
+    neighbours = {c for begin, stop in bounds for c in row_ind[begin:stop]}
+    cols = [c for c in neighbours if psi_col[c] == infinity]
+    rows = [
+        w for c in cols
+        if (w := col_match[c]) >= 0 and row_match[w] == c and psi_row[w] == infinity
+    ]
+    for c in cols:
+        psi_col[c] = level + 1
+    for w in rows:
+        psi_row[w] = level + 2
+    # end hot-path
+    rows.sort()
+    return rows, degrees, sum(degrees)
 
 
 def alternating_level_bfs(
@@ -140,76 +264,38 @@ def alternating_level_bfs(
     col_ind: np.ndarray,
     row_match: np.ndarray,
     col_match: np.ndarray,
-    scalars: tuple[list[int], list[int], list[int]] | None = None,
 ) -> tuple[np.ndarray, int, int]:
-    """Hopcroft–Karp level structure from all unmatched columns, vectorized.
+    """Hopcroft–Karp level structure from all unmatched columns.
 
-    One BFS step is the *alternating-level expansion*: a whole column
-    frontier crosses its adjacency to the row side, and matched rows contract
-    to their partner columns (level ``d + 1``).  Reaching any unmatched row
-    fixes the shortest augmenting length; the level being completed still
-    labels its discoveries (a deque BFS also finishes the level — enqueued
-    columns at the cut-off level are skipped unscanned).
-
-    When ``scalars`` supplies ``(col_ptr, col_ind, row_match)`` as plain
-    lists, levels narrower than :data:`SCALAR_FRONTIER_MAX` are expanded
-    with a scalar walk over them instead — BFS frontiers shrink toward the
-    tail of a phase, and below that width the array gathers cost more than
-    they save.  Levels, shortest length and edge totals are identical on
-    both paths.
+    Runs :func:`column_step` from the unmatched columns until a level meets
+    an unmatched row, which fixes the shortest augmenting length; that
+    level still labels its discoveries (a deque BFS also finishes the level
+    — enqueued columns at the cut-off level are skipped unscanned).
 
     Returns ``(col_level, shortest, edges_scanned)`` with ``shortest`` in
     column levels (``numpy.iinfo(int64).max`` when no augmenting path
     exists) — exactly the values the historical per-edge loop produced.
     """
+    recording = _compiled.recording(col_ptr, col_ind, row_match, col_match)
     fn = _compiled.implementation_for("alternating_level_bfs")
-    if fn is not None and not _compiled.recording(col_ptr, col_ind, row_match, col_match):
-        # The twin is scalar end to end, so the ``scalars`` views (the
-        # narrow-frontier fallback of the NumPy path) are not needed.
+    if fn is not None and not recording:
         level, shortest, edges = fn(col_ptr, col_ind, row_match, col_match)
         return level, int(shortest), int(edges)
-    n_cols = len(col_ptr) - 1
-    level = np.full(n_cols, _INF, dtype=np.int64)
+    level = np.full(len(col_ptr) - 1, _INF, dtype=np.int64)
     frontier = np.flatnonzero(col_match == _UNMATCHED)
     level[frontier] = 0
-    shortest = _INF
+    views = scalar_views(recording, col_ptr, col_ind, row_match, level)
     edges = 0
     depth = 0
     while len(frontier):
-        if scalars is not None and len(frontier) <= SCALAR_FRONTIER_MAX:
-            lptr, lind, lmatch = scalars
-            hit = False
-            nxt: list[int] = []
-            # hot-path compiled=alternating_level_bfs
-            for v in frontier.tolist():
-                begin, stop = lptr[v], lptr[v + 1]
-                edges += stop - begin
-                for idx in range(begin, stop):
-                    w = lmatch[lind[idx]]
-                    if w < 0:
-                        hit = True
-                    elif level[w] == _INF:
-                        level[w] = depth + 1
-                        nxt.append(w)
-            # end hot-path
-            if hit:
-                shortest = depth + 1
-            next_cols = np.array(nxt, dtype=np.int64)
-        else:
-            rows = expand_frontier(col_ptr, col_ind, frontier)
-            edges += len(rows)
-            mates = row_match[rows]
-            if np.any(mates == _UNMATCHED):
-                shortest = depth + 1
-            next_cols = mates[mates >= 0]
-            next_cols = next_cols[level[next_cols] == _INF]
-            next_cols = sorted_unique(next_cols)
-            level[next_cols] = depth + 1
+        frontier, _, scanned, hit = column_step(
+            col_ptr, col_ind, row_match, level, frontier, depth, views
+        )
+        edges += scanned
         depth += 1
-        if depth >= shortest:
-            break
-        frontier = next_cols
-    return level, int(shortest), int(edges)
+        if hit:
+            return level, depth, edges
+    return level, int(_INF), edges
 
 
 def distance_label_bfs(
@@ -221,47 +307,37 @@ def distance_label_bfs(
     psi_col: np.ndarray,
     infinity: int,
 ) -> tuple[int, int]:
-    """Global relabeling (Algorithm 2) as a vectorized level-synchronous BFS.
+    """Global relabeling (Algorithm 2) as a level-synchronous BFS.
 
     Resets ``psi_row``/``psi_col`` in place to the exact alternating-path
-    distances from the unmatched rows: a whole row frontier crosses its
-    adjacency (columns get ``level + 1``), and consistently matched columns
-    contract to their partner rows (``level + 2``).
+    distances from the unmatched rows, one :func:`row_step` per level.
 
     Returns ``(max_level, edges_scanned)`` — the paper's ``maxLevel`` and
     the adjacency entries a deque BFS would have scanned.
     """
+    recording = _compiled.recording(row_ptr, row_ind, row_match, col_match, psi_row, psi_col)
     fn = _compiled.implementation_for("distance_label_bfs")
-    if fn is not None and not _compiled.recording(
-        row_ptr, row_ind, row_match, col_match, psi_row, psi_col
-    ):
+    if fn is not None and not recording:
         max_level, edges = fn(row_ptr, row_ind, row_match, col_match, psi_row, psi_col, infinity)
         return int(max_level), int(edges)
     psi_row.fill(infinity)
     psi_col.fill(infinity)
     frontier = np.flatnonzero(row_match == _UNMATCHED)
     psi_row[frontier] = 0
+    views = scalar_views(recording, row_ptr, row_ind, row_match, col_match, psi_row, psi_col)
     max_level = 0
     edges = 0
     level = 0
     while len(frontier):
-        cols = expand_frontier(row_ptr, row_ind, frontier)
-        edges += len(cols)
-        fresh = cols[psi_col[cols] == infinity]
-        if len(fresh) == 0:
-            break
-        fresh = sorted_unique(fresh)
-        psi_col[fresh] = level + 1
-        mates = col_match[fresh]
-        mates = mates[mates >= 0]
-        mates = mates[psi_row[mates] == infinity]
-        if len(mates) == 0:
-            break
-        psi_row[mates] = level + 2
-        max_level = level + 2
-        frontier = mates
+        frontier, _, scanned = row_step(
+            row_ptr, row_ind, row_match, col_match, psi_row, psi_col, frontier, level,
+            infinity, views,
+        )
+        edges += scanned
         level += 2
-    return int(max_level), int(edges)
+        if len(frontier):
+            max_level = level
+    return max_level, edges
 
 
 def alternating_reach(
@@ -282,13 +358,20 @@ def alternating_reach(
     BFS enters the same columns and scans each one's whole adjacency.
 
     ``scalars`` supplies ``(col_ptr, col_ind, row_match)`` as plain lists
-    (or a memoryview for ``row_match``); levels up to
-    :data:`SCALAR_FRONTIER_MAX` columns wide are walked over them, wider
-    ones are gathered with :func:`expand_frontier` and :func:`sorted_unique`
-    over the arrays.  On ``GL7d19``, whose hopeless trees span nearly the
-    whole graph, the gathers make the reach about 5x faster than a scalar
-    walk alone; on small trees the two cost the same (see
+    (or a memoryview for ``row_match``); levels narrower than
+    :data:`NARROW_WIDTH` columns are walked over them, wider ones are
+    gathered with :func:`expand_frontier` and :func:`sorted_unique` over the
+    arrays.  On ``GL7d19``, whose hopeless trees span nearly the whole
+    graph, the gathers make the reach about 5x faster than a scalar walk
+    alone; on small trees the two cost the same (see
     ``docs/benchmarks.md``).
+
+    The reach keeps its own walk instead of looping over
+    :func:`column_step`: it has one source, stops mid-level at the first
+    free row, and marks columns in a ``bytearray``.  PFP and P-DBFS call it
+    tens of thousands of times per suite pass, and each call allocates its
+    marks, which costs a fraction of an ``int64`` level array's fill (see
+    "Hopeless searches" in ``docs/benchmarks.md``).
     """
     lptr, lind, lmatch = scalars
     seen = bytearray(len(lptr) - 1)
@@ -297,7 +380,7 @@ def alternating_reach(
     frontier = [start]
     edges = 0
     while len(frontier):
-        if len(frontier) <= SCALAR_FRONTIER_MAX:
+        if len(frontier) < NARROW_WIDTH:
             nxt: list[int] = []
             # hot-path
             for v in frontier:
@@ -320,7 +403,7 @@ def alternating_reach(
                 return None
             fresh = sorted_unique(mates[marks[mates] == 0])
             marks[fresh] = 1
-            frontier = fresh.tolist() if len(fresh) <= SCALAR_FRONTIER_MAX else fresh
+            frontier = fresh.tolist() if len(fresh) < NARROW_WIDTH else fresh
     return edges
 
 

@@ -48,10 +48,6 @@ class PDBFSConfig:
     """Configuration of the P-DBFS run (defaults follow the paper: 8 threads)."""
 
     n_threads: int = 8
-    cost_model: MulticoreCostModel | None = None
-
-    def resolved_cost_model(self) -> MulticoreCostModel:
-        return self.cost_model or MulticoreCostModel(n_threads=self.n_threads)
 
 
 def _augment(path: list[int], mu_row: list[int], mu_col: list[int]) -> None:
@@ -73,7 +69,7 @@ def pdbfs_matching(
     rounds (including the sequential cleanup sweeps).
     """
     config = config or PDBFSConfig()
-    model = config.resolved_cost_model()
+    model = MulticoreCostModel(n_threads=config.n_threads)
     t0 = time.perf_counter()
     if initial is None:
         initial = cheap_matching(graph).matching

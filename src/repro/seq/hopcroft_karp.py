@@ -12,10 +12,10 @@ same worst case but is often faster in practice.  The GPU comparator of the
 paper, G-HKDW, parallelises this variant.
 
 Hot paths follow the frontier-layer split (:mod:`repro.graph.frontier`): the
-phase BFS is the whole-frontier vectorized
-:func:`~repro.graph.frontier.alternating_level_bfs` (with the scalar
-tail-level fallback enabled), while the vertex-disjoint DFS — whose working
-set is one small adjacency slice per stack frame — is the shared
+phase BFS is :func:`~repro.graph.frontier.alternating_level_bfs`, whose
+levels are vectorized when wide and scalar when narrow, while the
+vertex-disjoint DFS — whose working set is one small adjacency slice per
+stack frame — is the shared
 :func:`~repro.graph.frontier.augmenting_dfs`, which G-HKDW's augmentation
 kernels run as well.  Here it walks the cached ``csr_lists()`` views with
 the matching and level state held in plain Python lists, one call per
@@ -64,11 +64,7 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
         row_match_arr = np.array(row_match, dtype=np.int64)
         col_match_arr = np.array(col_match, dtype=np.int64)
         level_arr, shortest, bfs_edges = alternating_level_bfs(
-            graph.col_ptr,
-            graph.col_ind,
-            row_match_arr,
-            col_match_arr,
-            scalars=(col_ptr_l, col_ind_l, row_match),
+            graph.col_ptr, graph.col_ind, row_match_arr, col_match_arr
         )
         counters["edges_scanned"] += bfs_edges
         counters["phases"] += 1

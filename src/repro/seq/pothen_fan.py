@@ -28,6 +28,13 @@ dead tree must fail too, and is charged its own lookahead remainder plus
 search fails, the bookkeeping is one list append per descent (the columns
 the search enters) and one dict lookup per start; after that, each new
 start also checks its neighbour rows against the dead marks.
+
+This deviates from Pothen and Fan on purpose: the visited marks reset per
+search (``round_id`` advances per start, not per phase), so the DFSs of a
+phase are not vertex-disjoint.  A start that fails therefore has no
+augmenting path at all, and every solve that augments reports
+``phases: 2``.  It stays so, because vertex-disjoint phases would move the
+frozen modeled figures of Table I.
 """
 
 from __future__ import annotations

@@ -30,7 +30,10 @@ The :class:`ShardedMatcher` runs in two acts:
    single-graph solver.
 
 Every step is deterministic given a deterministic per-shard algorithm, so
-the final matching is bit-identical across engine backends.
+the final matching is bit-identical across engine backends.  So is the
+result's ``modeled_time``: the shards' modeled seconds, each as its own
+result prices it (device, multicore or CPU model), summed in shard order,
+plus the CPU cost model over the adjacency entries the reconcile scanned.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from repro.engine import Engine, MatchingJob, as_completed
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import expand_frontier, sorted_unique
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.sharded.partition import ShardedBipartiteGraph, partition_graph
 
@@ -149,12 +153,14 @@ class ShardedMatcher:
                 max_workers=self._workers or None,
             )
         try:
-            self._solve_shards(engine, row_match, col_match, counters)
+            shard_seconds = self._solve_shards(engine, row_match, col_match, counters)
         finally:
             if own_engine:
                 engine.shutdown()
 
+        shard_edges = counters["edges_scanned"]
         self._reconcile(row_match, col_match, counters)
+        reconcile_edges = counters["edges_scanned"] - shard_edges
 
         matching = Matching(row_match, col_match)
         wall = time.perf_counter() - t0
@@ -162,12 +168,18 @@ class ShardedMatcher:
             f"sharded-{self.algorithm}",
             matching,
             counters=counters,
+            modeled_time=shard_seconds + CpuCostModel().seconds(reconcile_edges),
             wall_time=wall,
         )
 
     # ---------------------------------------------------- act 1: local solves
-    def _solve_shards(self, engine, row_match, col_match, counters) -> None:
+    def _solve_shards(self, engine, row_match, col_match, counters) -> float:
+        """Solve and merge every non-empty shard; returns their modeled seconds."""
+        from repro.bench.harness import modeled_seconds_for
+
         sharded = self.sharded
+        # Summed in shard order, so the total does not depend on arrival order.
+        seconds = [0.0] * sharded.n_shards
         # The owner array makes the merge arrival-order independent: a row
         # always ends up with its lowest-shard assignment.
         row_owner = np.full(sharded.n_rows, np.iinfo(np.int64).max, dtype=np.int64)
@@ -192,9 +204,11 @@ class ShardedMatcher:
             self._merge_shard(
                 index, result, row_match, col_match, row_owner, counters
             )
+            seconds[index] = modeled_seconds_for(result)
             for key in ("edges_scanned",):
                 if key in result.counters:
                     counters["edges_scanned"] += int(result.counters[key])
+        return sum(seconds)
 
     def _merge_shard(self, index, result, row_match, col_match, row_owner, counters):
         offset = self.sharded.col_offset(index)

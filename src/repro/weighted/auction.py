@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.gpusim.costmodel import SparseWork
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.weighted.duals import (
     AuctionCertificate,
@@ -259,7 +260,10 @@ def weighted_auction_matching(
             counters["bids"] += len(free)
             counters["edges_scanned"] += int(offsets[-1])
             if device is not None:
-                device.charge_kernel("auction_bid", seg_lens.astype(np.float64))
+                bidders = len(free)
+                device.charge_kernel(
+                    "auction_bid", SparseWork(bidders, 0, np.arange(bidders), seg_lens)
+                )
             # Assign kernel: each bid-receiving object takes its highest bid
             # (ties broken towards the lowest person id).
             order = np.lexsort((free, -bids, best_obj))
@@ -280,7 +284,7 @@ def weighted_auction_matching(
             # (same charge value and order as before — only the call site
             # moved past the accesses it accounts for).
             if device is not None:
-                device.charge_kernel("auction_assign", np.ones(len(free)))
+                device.charge_kernel("auction_assign", SparseWork(len(free), 1))
         if epsilon <= final_eps:
             break
         epsilon = max(final_eps, epsilon / cfg.scaling_factor)

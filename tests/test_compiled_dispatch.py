@@ -9,6 +9,7 @@ the numpy-only environment.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,25 +82,29 @@ def test_alternating_level_bfs_parity(graph):
 def test_distance_label_bfs_parity(graph):
     matching = cheap_matching(graph).matching
     infinity = graph.infinity_label
+    # Also with column entries their rows do not confirm (what G-PR's
+    # lock-free pushes leave): both tiers follow consistent mates only.
+    shifted = np.roll(matching.col_match, 1)
 
-    def run():
+    def run(col_match):
         psi_row = np.full(graph.n_rows, infinity, dtype=np.int64)
         psi_col = np.full(graph.n_cols, infinity, dtype=np.int64)
         out = distance_label_bfs(
             graph.row_ptr,
             graph.row_ind,
             matching.row_match,
-            matching.col_match,
+            col_match,
             psi_row,
             psi_col,
             infinity,
         )
         return out, psi_row, psi_col
 
-    (base, b_row, b_col), (twin, t_row, t_col) = _both_tiers(run)
-    assert base == twin
-    np.testing.assert_array_equal(b_row, t_row)
-    np.testing.assert_array_equal(b_col, t_col)
+    for col_match in (matching.col_match, shifted):
+        (base, b_row, b_col), (twin, t_row, t_col) = _both_tiers(partial(run, col_match))
+        assert base == twin
+        np.testing.assert_array_equal(b_row, t_row)
+        np.testing.assert_array_equal(b_col, t_col)
 
 
 # ----------------------------------------------------------------- full runs

@@ -23,7 +23,7 @@ from repro.core.kernels import (
     shrink_kernel,
 )
 from repro.core.relabel import gpu_global_relabel
-from repro.graph import from_edges
+from repro.graph import frontier, from_edges
 from repro.gpusim import SparseWork, VirtualGPU
 from repro.matching import UNMATCHABLE, UNMATCHED, Matching
 
@@ -151,7 +151,7 @@ def test_push_kernel_serialized_matches_semantics(tiny_graph):
         tiny_graph, mu_row, mu_col, psi_row, psi_col, rng=np.random.default_rng(0)
     )
     assert act
-    assert len(work) == tiny_graph.n_cols
+    assert len(work.dense()) == tiny_graph.n_cols
     assert np.count_nonzero(mu_row >= 0) >= 1
 
 
@@ -358,9 +358,10 @@ def test_lockstep_and_serialized_agree_on_cardinality_after_races():
 
 # ------------------------------------------------ narrow and wide launches
 # Every kernel with a scalar path for narrow launches must agree with its
-# vectorized path: run once with every launch wide (NARROW_WIDTH = 0) and
-# once with every launch narrow, the two must leave the same device arrays,
-# return the same frontiers or candidates and charge identical KernelStats.
+# vectorized path: run once with every launch wide (frontier.NARROW_WIDTH = 0,
+# the one constant the kernels and the BFS level steps read) and once with
+# every launch narrow, the two must leave the same device arrays, return the
+# same frontiers or candidates and charge identical KernelStats.
 ALL_NARROW = 10**9
 NARROW_ANALOGS = ["roadNet-PA", "hugetrace-00000", "delaunay_n20", "amazon0505", "kron_g500-logn20"]
 NARROW_SEEDS = [1, 2, 3]
@@ -406,9 +407,9 @@ def _checked(monkeypatch, kernel):
 
     def run(*args, **kwargs):
         copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", 0)
         wide = kernel(*copies, **kwargs)
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", ALL_NARROW)
         narrow = kernel(*args, **kwargs)
         for copy, array in zip(copies, args):
             if isinstance(array, np.ndarray):
@@ -425,9 +426,9 @@ def _checked_bfs(monkeypatch):
 
     def run(graph, mu_row, mu_col, gpu):
         spare = VirtualGPU(gpu.spec)
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", 0)
         wide = bfs(graph, mu_row, mu_col, spare)
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", ALL_NARROW)
         before = gpu.ledger.n_launches
         narrow = bfs(graph, mu_row, mu_col, gpu)
         _assert_same(wide, narrow)
@@ -450,9 +451,9 @@ SOLVERS = {
 def test_narrow_and_wide_launches_agree(solver, tiny_analog, monkeypatch):
     solve = SOLVERS[solver]
     with dispatch.override(False):
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", 0)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", 0)
         wide = solve(tiny_analog)
-        monkeypatch.setattr(kernels, "NARROW_WIDTH", ALL_NARROW)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", ALL_NARROW)
         narrow = solve(tiny_analog)
         # Then every launch of a solve, one kernel call at a time.
         for module in (gpr_module, relabel_module):

@@ -11,9 +11,10 @@ Six guarantees:
   the historical per-edge accounting exactly: ``tests/data/counter_goldens.json``
   records counter end-values, cardinalities and full matchings captured
   from the pre-rewrite per-edge implementations on seeded graphs;
-* the scalar fallback of ``alternating_level_bfs`` agrees with the
-  vectorized path, and ``augmenting_dfs`` reproduces G-HKDW's old
-  ndarray-scalar augmentation walk over lists, memoryviews and ndarrays;
+* the scalar and NumPy bodies of both level steps agree: HK's and PR's
+  BFS match the deque references with every level on either path, and
+  ``augmenting_dfs`` reproduces G-HKDW's old ndarray-scalar augmentation
+  walk over lists, memoryviews and ndarrays;
 * ``alternating_reach`` counts exactly the adjacency a deque alternating
   BFS scans, on narrow and wide levels alike;
 * PFP and P-DBFS, which price the searches that cannot augment, match
@@ -161,17 +162,20 @@ def _reference_alternating_levels(graph, row_match, col_match):
     return level, int(shortest), edges
 
 
-@pytest.mark.parametrize("scalar_lists", [False, True], ids=["vectorized", "with-scalars"])
-def test_alternating_level_bfs_matches_deque_reference(golden_graph, scalar_lists):
+#: ``NARROW_WIDTH`` values that force every level onto one path.
+ALL_WIDE, ALL_NARROW = 0, 10**9
+
+
+@pytest.mark.parametrize("width", [ALL_WIDE, ALL_NARROW], ids=["vectorized", "with-scalars"])
+def test_alternating_level_bfs_matches_deque_reference(golden_graph, width, monkeypatch):
+    """Every level gathered (``vectorized``) or walked by the scalar body."""
+    import repro.graph.frontier as frontier
+
+    monkeypatch.setattr(frontier, "NARROW_WIDTH", width)
     _, graph = golden_graph
     matching = cheap_matching(graph).matching
-    scalars = None
-    if scalar_lists:
-        ptr, ind = graph.csr_lists("col")
-        scalars = (ptr, ind, matching.row_match.tolist())
     level, shortest, edges = alternating_level_bfs(
-        graph.col_ptr, graph.col_ind, matching.row_match, matching.col_match,
-        scalars=scalars,
+        graph.col_ptr, graph.col_ind, matching.row_match, matching.col_match
     )
     ref_level, ref_shortest, ref_edges = _reference_alternating_levels(
         graph, matching.row_match, matching.col_match
@@ -217,21 +221,26 @@ def _reference_distance_labels(graph, row_match, col_match):
     return psi_row, psi_col, int(max_level), edges
 
 
-def test_distance_label_bfs_matches_deque_reference(golden_graph):
+def test_distance_label_bfs_matches_deque_reference(golden_graph, monkeypatch):
+    """On all-wide and all-narrow levels alike (the row step's two bodies)."""
+    import repro.graph.frontier as frontier
+
     _, graph = golden_graph
     matching = cheap_matching(graph).matching
-    psi_row = np.zeros(graph.n_rows, dtype=np.int64)
-    psi_col = np.zeros(graph.n_cols, dtype=np.int64)
-    max_level, edges = distance_label_bfs(
-        graph.row_ptr, graph.row_ind, matching.row_match, matching.col_match,
-        psi_row, psi_col, graph.infinity_label,
-    )
     ref_row, ref_col, ref_max, ref_edges = _reference_distance_labels(
         graph, matching.row_match, matching.col_match
     )
-    np.testing.assert_array_equal(psi_row, ref_row)
-    np.testing.assert_array_equal(psi_col, ref_col)
-    assert (max_level, edges) == (ref_max, ref_edges)
+    for width in (ALL_WIDE, ALL_NARROW):
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", width)
+        psi_row = np.zeros(graph.n_rows, dtype=np.int64)
+        psi_col = np.zeros(graph.n_cols, dtype=np.int64)
+        max_level, edges = distance_label_bfs(
+            graph.row_ptr, graph.row_ind, matching.row_match, matching.col_match,
+            psi_row, psi_col, graph.infinity_label,
+        )
+        np.testing.assert_array_equal(psi_row, ref_row)
+        np.testing.assert_array_equal(psi_col, ref_col)
+        assert (max_level, edges) == (ref_max, ref_edges), width
 
 
 def _reference_claiming_bfs(graph, start, mu_row, owner, thread_id):
@@ -467,7 +476,7 @@ def test_alternating_reach_matches_deque_bfs(golden_graph, width, monkeypatch):
     import repro.graph.frontier as frontier
 
     if width != "default":
-        monkeypatch.setattr(frontier, "SCALAR_FRONTIER_MAX", 0 if width == "all-wide" else 10**9)
+        monkeypatch.setattr(frontier, "NARROW_WIDTH", ALL_WIDE if width == "all-wide" else ALL_NARROW)
     _, graph = golden_graph
     ptr, ind = graph.csr_lists("col")
     degrees = graph.col_degrees

@@ -14,7 +14,6 @@ from repro.gpusim import (
     launch_serialized,
 )
 from repro.gpusim.costmodel import (
-    LANEWISE_MIN_WARPS_PER_LANE,
     SPARSE_LOOP_MAX_PAIRS,
     CpuCostModel,
     GpuCostModel,
@@ -42,8 +41,8 @@ def test_device_spec_scaled():
 
 def test_virtual_gpu_ledger_accumulates():
     gpu = VirtualGPU()
-    gpu.charge_kernel("a", np.ones(100))
-    gpu.charge_kernel("b", np.full(10, 5.0))
+    gpu.charge_kernel("a", SparseWork(100, 1))
+    gpu.charge_kernel("b", SparseWork(10, 5))
     assert gpu.ledger.n_launches == 2
     assert gpu.elapsed_seconds > 0
     per_kernel = gpu.ledger.by_kernel()
@@ -67,19 +66,22 @@ def test_ledger_counter_schema():
     assert set(empty) == expected
     assert empty["transfer_bytes"] == 0 and empty["kernel_seconds"] == 0.0
     gpu = VirtualGPU()
-    gpu.charge_kernel("a", np.ones(64))
+    gpu.charge_kernel("a", SparseWork(64, 1))
     counters = gpu.ledger.counters()
     assert set(counters) == expected
     assert counters["transfer_bytes"] == 0
     assert counters["per_kernel_seconds"] == {"a": counters["kernel_seconds"]}
 
 
-def test_charge_kernel_accepts_a_list_like_the_array():
-    listed, arrayed = VirtualGPU(), VirtualGPU()
-    listed.charge_kernel("k", [1, 4, 2, 0, 7])
-    arrayed.charge_kernel("k", np.array([1.0, 4.0, 2.0, 0.0, 7.0]))
-    assert listed.ledger.launches == arrayed.ledger.launches
-    assert listed.ledger.launches[0].n_threads == 5
+@pytest.mark.parametrize("thread_work", [np.array([1.0, 4.0, 2.0, 0.0, 7.0]), [1, 4, 2, 0, 7]],
+                         ids=["vector", "list"])
+def test_charge_kernel_rejects_a_vector_or_a_list(thread_work):
+    # SparseWork is the only work form: a per-thread vector, as an array or
+    # a list, fails up front, names the kernel and charges nothing.
+    gpu = VirtualGPU()
+    with pytest.raises(ValueError, match="'g-gr-krnl': work must be a SparseWork"):
+        gpu.charge_kernel("g-gr-krnl", thread_work)
+    assert gpu.ledger.n_launches == 0
 
 
 @pytest.mark.parametrize(
@@ -88,11 +90,10 @@ def test_charge_kernel_accepts_a_list_like_the_array():
     ids=["scalar", "numpy-scalar", "2d-warp-multiple", "2d-ragged"],
 )
 def test_charge_kernel_rejects_non_vector_work(thread_work):
-    # The accounting slices the vector into warps as if it were flat, so a
-    # 2-D array would be charged wrong: it must fail up front, name the
-    # kernel and charge nothing.
+    # Scalars and 2-D arrays are no work form either: they fail up front,
+    # name the kernel and charge nothing.
     gpu = VirtualGPU()
-    with pytest.raises(ValueError, match="'g-gr-krnl'.*1-D"):
+    with pytest.raises(ValueError, match="'g-gr-krnl': work must be a SparseWork"):
         gpu.charge_kernel("g-gr-krnl", thread_work)
     assert gpu.ledger.n_launches == 0
 
@@ -101,30 +102,28 @@ def test_charge_kernel_rejects_non_vector_work(thread_work):
 def test_launch_overhead_charged_even_for_empty_launch():
     spec = DeviceSpec()
     model = GpuCostModel(spec)
-    seconds, total, divergent, max_thread = model.launch_seconds(np.zeros(0))
+    seconds, total, divergent, max_thread = model.launch_seconds(SparseWork(0, 0))
     assert seconds == pytest.approx(spec.kernel_launch_overhead_s)
     assert total == 0.0
 
 
 def test_uniform_work_scales_with_threads():
     model = GpuCostModel(DeviceSpec())
-    few, *_ = model.launch_seconds(np.full(32, 10.0))
-    many, *_ = model.launch_seconds(np.full(32 * 1000, 10.0))
+    few, *_ = model.launch_seconds(SparseWork(32, 10))
+    many, *_ = model.launch_seconds(SparseWork(32 * 1000, 10))
     assert many > few
 
 
 def test_divergence_penalty():
     model = GpuCostModel(DeviceSpec())
     # Same total work, but concentrated in one thread per warp (divergent).
-    balanced = np.full(320, 10.0)
-    skewed = np.zeros(320)
-    skewed[::32] = 100.0
+    balanced = SparseWork(320, 10)
+    skewed = SparseWork(320, 0, range(0, 320, 32), [100] * 10)
     t_balanced, *_ = model.launch_seconds(balanced)
     t_skewed, *_ = model.launch_seconds(skewed)
     assert t_skewed > t_balanced * 0.99  # divergent warps cannot be cheaper
     # A single enormous thread bounds the launch by the critical path.
-    single = np.zeros(448 * 10)
-    single[0] = 1e6
+    single = SparseWork(448 * 10, 0, [0], [10**6])
     t_single, *_ = model.launch_seconds(single)
     expected = DeviceSpec().kernel_launch_overhead_s + 1e6 * DeviceSpec().cycles_per_op / (
         DeviceSpec().clock_ghz * 1e9
@@ -133,8 +132,9 @@ def test_divergence_penalty():
 
 
 def _padded_reference(spec, work):
-    """Reference accounting: zero-pad to whole warps, then
-    ``reshape(-1, warp_size).max(axis=1)``.  ``launch_seconds`` must agree bit for bit."""
+    """Reference accounting of a per-thread work vector: zero-pad to whole
+    warps, then ``reshape(-1, warp_size).max(axis=1)``.  ``launch_seconds``
+    must agree with it bit for bit on the vector's :class:`SparseWork`."""
     if work.size == 0:
         return spec.kernel_launch_overhead_s, 0.0, 0.0, 0.0
     total = float(work.sum())
@@ -159,7 +159,7 @@ def _work_pattern(kind, n, rng):
         hit = rng.random(n) < 0.1
         work[hit] += rng.integers(1, 40, size=int(hit.sum()))
         return work
-    # Fractional entries make any change of summation order visible.
+    # Fractional entries: work no kernel can report.
     return rng.random(n) * 50.0
 
 
@@ -169,23 +169,28 @@ def test_launch_accounting_is_bit_identical_to_the_padded_formula(warp_size, kin
     spec = DeviceSpec(warp_size=warp_size)
     model = GpuCostModel(spec)
     rng = np.random.default_rng(1000 * warp_size + len(kind))
-    # Both sides of the lane-wise / reduceat switch, short tails, exact warps.
-    crossover = LANEWISE_MIN_WARPS_PER_LANE * warp_size * warp_size
+    # Short tails, exact warps, and launches on both sides of the sparse
+    # pricing's loop / NumPy switch.
     lengths = {0, 1, warp_size - 1, warp_size, warp_size + 1, 3 * warp_size + 5,
-               crossover - 1, crossover, crossover + 1}
+               SPARSE_LOOP_MAX_PAIRS, SPARSE_LOOP_MAX_PAIRS + 1}
     lengths.update(int(n) for n in rng.integers(1, 20_000, size=6))
     for n in sorted(lengths):
         work = _work_pattern(kind, n, rng)
-        got = model.launch_seconds(work)
-        assert got == _padded_reference(spec, work), (n, got)
         if kind == "fractional":
-            continue  # sparse work is integer
-        # The same launch charged as sparse work, in every form a kernel
-        # can hand over; the dense expansion is what the reference prices.
+            # Work is a count of operations: a fractional vector has no
+            # SparseWork, and its pairs are refused instead of rounded.
+            sparse = SparseWork(n, 0, np.arange(n), work)
+            if n:
+                with pytest.raises(ValueError, match="integer"):
+                    model.launch_seconds(sparse)
+            continue
+        # The launch in every form a kernel can hand over; its dense
+        # expansion is what the reference prices.
         base = {"zeros": 0, "constant": 3, "sparse-extras": 1}[kind]
         for sparse in _sparse_forms(work, base, rng):
             np.testing.assert_array_equal(sparse.dense(), work)
-            assert _charged(spec, sparse) == (n, *_padded_reference(spec, sparse.dense())), n
+            assert model.launch_seconds(sparse) == _padded_reference(spec, work), n
+            assert _charged(spec, sparse) == (n, *_padded_reference(spec, work)), n
 
 
 def _sparse_forms(work, base, rng):
@@ -241,7 +246,6 @@ def test_sparse_launch_shapes_match_the_padded_formula(warp_size):
     for sparse in shapes:
         dense = sparse.dense()
         assert _charged(spec, sparse) == (dense.size, *_padded_reference(spec, dense)), sparse
-        assert _charged(spec, sparse) == _charged(spec, dense)
 
 
 _LOOP, _WIDE = SPARSE_LOOP_MAX_PAIRS, SPARSE_LOOP_MAX_PAIRS + 10

@@ -13,10 +13,11 @@ from repro.analysis.hazards import (
     shadow_wrap,
 )
 from repro.analysis.registry import KERNEL_POLICIES, sanitized_run, sanitized_sweep
-from repro.core import kernels
 from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, gpr_matching
 from repro.generators import uniform_random_bipartite
+from repro.graph import frontier
+from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.gpusim.kernel import wave_barrier
 
@@ -172,7 +173,7 @@ def test_device_arrays_record_under_shadow_mode():
     arr = gpu.shadow_wrap(np.zeros(8, dtype=np.int64), "buf")
     arr[np.array([1, 2])] = 5
     _ = arr[3]
-    gpu.charge_kernel("k", np.ones(1))
+    gpu.charge_kernel("k", SparseWork(1, 1))
     (segment,) = log.segments
     assert segment.kernel == "k" and segment.writes == 1 and segment.reads == 1
 
@@ -182,9 +183,9 @@ def test_charge_kernel_is_a_segment_boundary_and_barrier():
     gpu = VirtualGPU(DeviceSpec().scaled(), shadow=log)
     arr = gpu.shadow_wrap(np.zeros(8, dtype=np.int64), "buf")
     arr[np.array([2])] = 1
-    gpu.charge_kernel("first", np.ones(1))
+    gpu.charge_kernel("first", SparseWork(1, 1))
     arr[np.array([2])] = 2  # same location, next launch: not a WW
-    gpu.charge_kernel("second", np.ones(1))
+    gpu.charge_kernel("second", SparseWork(1, 1))
     report = evaluate(log, {}, "launches")
     assert report.kernels_seen == ("first", "second")
     assert report.ok()
@@ -267,7 +268,7 @@ def test_full_sanitized_sweep_two_families():
 def test_sanitized_sweep_is_clean_on_both_launch_paths(width, monkeypatch):
     # The default sweep graphs make almost only narrow launches, so force
     # every G-GR level, push wave, list repair and BFS level onto one path.
-    monkeypatch.setattr(kernels, "NARROW_WIDTH", width)
+    monkeypatch.setattr(frontier, "NARROW_WIDTH", width)
     reports = sanitized_sweep()
     failures = [r.render() for r in reports if not r.ok()]
     assert not failures, "\n".join(failures)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.harness import modeled_seconds_for
 from repro.core.api import max_bipartite_matching, resolve_algorithm
 from repro.engine import Engine
 from repro.engine.execution import validate_job_args
 from repro.generators import generate_instance
+from repro.gpusim.costmodel import CpuCostModel
 from repro.graph import from_edges
 from repro.seq.verify import is_valid_matching, is_maximum_matching, maximum_matching_cardinality
 from repro.sharded import (
@@ -164,6 +166,26 @@ def test_parity_across_shard_kernels(algorithm, suite_graphs, expected_cardinali
     result = sharded_matching(graph, algorithm, shards=3)
     assert result.cardinality == expected_cardinality["amazon0505"]
     assert result.algorithm == f"sharded-{algorithm}"
+
+
+@pytest.mark.parametrize("algorithm", ["g-pr", "pr", "p-dbfs"])
+def test_modeled_time_sums_the_shards_and_the_reconcile(algorithm, suite_graphs):
+    """Each shard's modeled seconds, as its own result prices them (device,
+    CPU or multicore model), summed in shard order, plus the CPU model over
+    the adjacency entries the reconcile scanned."""
+    sharded = partition_graph(suite_graphs["amazon0505"], 3, "contiguous")
+    result = ShardedMatcher(sharded, algorithm).run()
+    shard_seconds = 0.0
+    shard_edges = 0
+    for index in range(sharded.n_shards):
+        if sharded.shard_edge_counts[index]:
+            shard = max_bipartite_matching(sharded.shard(index), algorithm)
+            shard_seconds += modeled_seconds_for(shard)
+            shard_edges += int(shard.counters.get("edges_scanned", 0))
+    reconcile = CpuCostModel().seconds(result.counters["edges_scanned"] - shard_edges)
+    assert shard_seconds > 0
+    assert result.modeled_time == shard_seconds + reconcile
+    assert modeled_seconds_for(result) == result.modeled_time
 
 
 def test_result_is_maximum_on_whole_graph(suite_graphs):
