@@ -1,14 +1,13 @@
 """Numba twins of the hot frontier primitives in :mod:`repro.graph.frontier`.
 
 One twin per vectorized primitive a solver runs: ``expand_frontier`` (the
-sharded reconcile and the wide levels of ``alternating_reach``),
-``alternating_level_bfs`` (HK/HKDW) and ``distance_label_bfs`` (PR's
-global relabeling).  Every function here is a scalar-loop port of a
-NumPy path and must be *bit-identical* to it: same output arrays, same
-dtypes, same ``edges_scanned`` counters.  The ports deliberately mirror
-the NumPy semantics rather than "improving" them -- e.g.
-``alternating_level_bfs`` marks a hit under the exact mate comparison the
-level step uses, and ``distance_label_bfs`` follows only consistently
+sharded reconcile's level BFS), ``alternating_level_bfs`` (HK/HKDW) and
+``distance_label_bfs`` (PR's global relabeling).  Every function here is a
+scalar-loop port of a NumPy path and must be *bit-identical* to it: same
+output arrays, same dtypes, same ``edges_scanned`` counters.  The ports
+deliberately mirror the NumPy semantics rather than "improving" them --
+e.g. ``alternating_level_bfs`` marks a hit under the exact mate comparison
+the level step uses, and ``distance_label_bfs`` follows only consistently
 matched mates, as the row step does.
 
 The module never imports :mod:`repro.graph` (the dependency points the

@@ -69,7 +69,8 @@ class GPRConfig:
     strategy:
         Global-relabel scheduling policy, either a
         :class:`~repro.core.strategies.GlobalRelabelStrategy` or a string
-        such as ``"adaptive:0.7"`` (the paper's best) or ``"fix:10"``.
+        such as ``"adaptive:0.7"`` (the paper's best) or ``"fix:10"``,
+        parsed into a strategy when the config is made.
     shrink_threshold:
         Minimum active-list length for which the shrink kernel is worth its
         overhead (512 in the paper, §III-C2).
@@ -96,11 +97,18 @@ class GPRConfig:
     #: has on a real device.  ``wave_size = waves_in_flight × total_cores``.
     waves_in_flight: int = 4
 
+    def __post_init__(self) -> None:
+        # A bad strategy, engine or variant pairing fails here, where the
+        # config is made: for a job request, before any graph is built.
+        object.__setattr__(self, "strategy", parse_strategy(self.strategy))
+        variant = self.resolved_variant()
+        if self.engine not in ("lockstep", "serialized"):
+            raise ValueError(f"unknown engine {self.engine!r}; use 'lockstep' or 'serialized'")
+        if self.engine == "serialized" and variant is not GPRVariant.FIRST:
+            raise ValueError("the serialized reference engine only supports the 'first' variant")
+
     def resolved_variant(self) -> GPRVariant:
         return GPRVariant(self.variant)
-
-    def resolved_strategy(self) -> GlobalRelabelStrategy:
-        return parse_strategy(self.strategy)
 
 
 @dataclass
@@ -159,11 +167,7 @@ def gpr_matching(
     """
     config = config or GPRConfig()
     variant = config.resolved_variant()
-    strategy = config.resolved_strategy()
-    if config.engine not in ("lockstep", "serialized"):
-        raise ValueError(f"unknown engine {config.engine!r}")
-    if config.engine == "serialized" and variant is not GPRVariant.FIRST:
-        raise ValueError("the serialized reference engine only supports the 'first' variant")
+    strategy = config.strategy
     gpu = device or VirtualGPU()
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
 

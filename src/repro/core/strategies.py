@@ -89,6 +89,8 @@ def parse_strategy(spec: str | GlobalRelabelStrategy) -> GlobalRelabelStrategy:
     """Parse ``"adaptive:0.7"`` / ``"fix:10"`` style strings (or pass a strategy through)."""
     if isinstance(spec, GlobalRelabelStrategy):
         return spec
+    if not isinstance(spec, str):
+        raise TypeError(f"strategy must be a string such as 'adaptive:0.7', got {spec!r}")
     try:
         kind, _, value = spec.partition(":")
         kind = kind.strip().lower()
@@ -97,5 +99,5 @@ def parse_strategy(spec: str | GlobalRelabelStrategy) -> GlobalRelabelStrategy:
         if kind in ("fix", "fixed"):
             return FixedStrategy(int(value) if value else 10)
     except ValueError as exc:
-        raise ValueError(f"malformed strategy spec {spec!r}") from exc
+        raise ValueError(f"malformed strategy spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown strategy kind in {spec!r}; use 'adaptive:<k>' or 'fix:<k>'")

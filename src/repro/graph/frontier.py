@@ -23,13 +23,12 @@ Three kinds of walk replace that:
   read before the first write, so they are lockstep kernel bodies as well.
 * **Whole-frontier array ops** outside the steps: :func:`expand_frontier`
   gathers every out-edge of a frontier in one shot (the sharded
-  reconcile's level BFS), and :func:`alternating_reach` counts the
-  adjacency a full alternating BFS scans, which prices the PFP and P-DBFS
-  searches that provably fail.
+  reconcile's level BFS).
 * **Scalar walks over lists or zero-copy memoryviews** for the traversals
   whose working set is one adjacency slice at a time (DFS descents, the
-  per-push minimum scan, P-DBFS claim searches): :func:`claiming_bfs`,
-  :func:`augmenting_dfs` and the algorithm-side loops index
+  per-push minimum scan, P-DBFS claim searches, the pricing of searches
+  that provably fail): :func:`claiming_bfs`, :func:`augmenting_dfs`,
+  :func:`alternating_reach_total` and the algorithm-side loops index
   :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` instead of
   ndarrays, which removes the per-element boxing (~4× on the same loop
   body).  Per-vertex state that already lives in an ``int64`` array and is
@@ -62,7 +61,7 @@ from repro.compiled import dispatch as _compiled
 
 __all__ = [
     "alternating_level_bfs",
-    "alternating_reach",
+    "alternating_reach_total",
     "augmenting_dfs",
     "claiming_bfs",
     "column_step",
@@ -340,71 +339,135 @@ def distance_label_bfs(
     return max_level, edges
 
 
-def alternating_reach(
-    col_ptr: np.ndarray,
-    col_ind: np.ndarray,
-    row_match: np.ndarray,
-    start: int,
-    scalars: tuple[list[int], list[int], list[int]],
-) -> int | None:
-    """Adjacency entries a full alternating BFS from column ``start`` scans.
+#: Starts per Tarjan pass of :func:`alternating_reach_total`.  A batch's
+#: bitsets hold up to one bit per start for every component of its union,
+#: and a tree shared by starts of several batches is walked once per batch
+#: (see "Hopeless searches, one pass per batch" in ``docs/benchmarks.md``).
+REACH_BATCH = 1024
 
-    The BFS enters ``start``, crosses its adjacency to the row side and
-    follows every matched row to its partner column, until no new column
-    turns up.  It returns the summed degree of the columns it entered, or
-    ``None`` as soon as it reaches an unmatched row (an augmenting path
-    exists, so no search from ``start`` fails).  This prices a search that
-    provably cannot augment without walking it: a failed DFS or claiming
-    BFS enters the same columns and scans each one's whole adjacency.
+#: Tags of closed components in :func:`_reach_batch`'s ``index``: above every
+#: DFS number, so an edge into a closed component never lowers a low-link.
+_CLOSED = 1 << 62
 
-    ``scalars`` supplies ``(col_ptr, col_ind, row_match)`` as plain lists
-    (or a memoryview for ``row_match``); levels narrower than
-    :data:`NARROW_WIDTH` columns are walked over them, wider ones are
-    gathered with :func:`expand_frontier` and :func:`sorted_unique` over the
-    arrays.  On ``GL7d19``, whose hopeless trees span nearly the whole
-    graph, the gathers make the reach about 5x faster than a scalar walk
-    alone; on small trees the two cost the same (see
-    ``docs/benchmarks.md``).
 
-    The reach keeps its own walk instead of looping over
-    :func:`column_step`: it has one source, stops mid-level at the first
-    free row, and marks columns in a ``bytearray``.  PFP and P-DBFS call it
-    tens of thousands of times per suite pass, and each call allocates its
-    marks, which costs a fraction of an ``int64`` level array's fill (see
-    "Hopeless searches" in ``docs/benchmarks.md``).
+def alternating_reach_total(col_ptr, col_ind, row_match, starts) -> int | None:
+    """Summed over ``starts``, the adjacency entries a full alternating BFS
+    from each start scans, or ``None`` if one of them meets an unmatched row.
+
+    The BFS from a column enters it, crosses its adjacency to the row side
+    and follows every matched row to its partner column until no new column
+    turns up; it scans the whole adjacency of every column it enters, so
+    its entries are the summed degree of those columns.  This prices a
+    search that provably cannot augment without walking it: a failed DFS
+    or claiming BFS enters the same columns and scans the same entries.
+    ``None`` means some start has an augmenting path.
+
+    Overlapping trees are walked once, not once per start.  The starts go in
+    batches of :data:`REACH_BATCH`; each batch runs one iterative Tarjan pass
+    (Tarjan, SIAM J. Comput. 1(2), 1972) over the union of its trees, in
+    which column ``v``'s successors are the mates of its neighbour rows.
+    Tarjan closes the strongly connected components in reverse topological
+    order, so a second pass over them in closing order reversed ORs a bitset
+    of the batch's starts (a Python ``int``, one bit per start position)
+    into each successor component, and each component adds its degree times
+    the number of starts that reach it (per-component reachability sets as
+    in Nuutila, "Efficient transitive closure computation in large
+    digraphs", 1995, over starts instead of components).  A repeated start
+    is counted once per occurrence.
+
+    ``col_ptr``, ``col_ind`` and ``row_match`` are lists or memoryviews
+    (:meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists`); ``row_match``
+    holds each row's column, negative for an unmatched row.
     """
-    lptr, lind, lmatch = scalars
-    seen = bytearray(len(lptr) - 1)
-    marks = np.frombuffer(seen, dtype=np.uint8)
-    seen[start] = 1
-    frontier = [start]
-    edges = 0
-    while len(frontier):
-        if len(frontier) < NARROW_WIDTH:
-            nxt: list[int] = []
-            # hot-path
-            for v in frontier:
-                begin, stop = lptr[v], lptr[v + 1]
-                edges += stop - begin
-                for idx in range(begin, stop):
-                    w = lmatch[lind[idx]]
-                    if w < 0:
-                        return None
-                    if not seen[w]:
-                        seen[w] = 1
-                        nxt.append(w)
-            # end hot-path
-            frontier = nxt
-        else:
-            rows = expand_frontier(col_ptr, col_ind, frontier)
-            edges += len(rows)
-            mates = row_match[rows]
-            if np.any(mates < 0):
-                return None
-            fresh = sorted_unique(mates[marks[mates] == 0])
-            marks[fresh] = 1
-            frontier = fresh.tolist() if len(fresh) < NARROW_WIDTH else fresh
-    return edges
+    index = [0] * (len(col_ptr) - 1)
+    total = 0
+    for first in range(0, len(starts), REACH_BATCH):
+        batch = _reach_batch(col_ptr, col_ind, row_match, starts[first:first + REACH_BATCH], index)
+        if batch is None:
+            return None
+        total += batch
+    return total
+
+
+def _reach_batch(col_ptr, col_ind, row_match, starts, index) -> int | None:
+    """:func:`alternating_reach_total` of one batch.
+
+    ``index`` is all zeros on entry, and again on a numeric return.  During
+    the walk it holds each column's DFS number while its component is open
+    and ``_CLOSED`` plus the component's closing rank once it is closed.
+    """
+    closed = _CLOSED
+    stack: list[int] = []  # Tarjan's stack of columns in open components
+    cross: list[int] = []  # tags of closed components met from open ones
+    degrees: list[int] = []  # per component, in closing order
+    successors: list[list[int]] = []  # closed-component tags, per component
+    entered: list[int] = []  # every column of the union, to clear ``index``
+    counter = 0
+    # hot-path
+    for s in starts:
+        if index[s]:
+            continue
+        counter += 1
+        index[s] = counter
+        stack.append(s)
+        entered.append(s)
+        # Suspended DFS frames: (column, next offset, end offset, low-link,
+        # its first entry in ``cross``).
+        frames: list[tuple] = []
+        v, idx, stop, low, mark = s, col_ptr[s], col_ptr[s + 1], counter, len(cross)
+        while True:
+            while idx < stop:
+                w = row_match[col_ind[idx]]
+                idx += 1
+                if w < 0:
+                    return None
+                state = index[w]
+                if not state:
+                    frames.append((v, idx, stop, low, mark))
+                    counter += 1
+                    index[w] = counter
+                    stack.append(w)
+                    entered.append(w)
+                    v, idx, stop, low, mark = w, col_ptr[w], col_ptr[w + 1], counter, len(cross)
+                elif state >= closed:
+                    cross.append(state)
+                elif state < low:
+                    low = state
+            if low == index[v]:
+                # v roots a component: the columns above it on the stack.
+                tag = closed + len(degrees)
+                degree = 0
+                while True:
+                    m = stack.pop()
+                    index[m] = tag
+                    degree += col_ptr[m + 1] - col_ptr[m]
+                    if m == v:
+                        break
+                degrees.append(degree)
+                successors.append(cross[mark:])
+                del cross[mark:]
+                if not frames:
+                    break
+                v, idx, stop, low, mark = frames.pop()
+                cross.append(tag)
+            else:
+                child = low
+                v, idx, stop, low, mark = frames.pop()
+                if child < low:
+                    low = child
+    reached = [0] * len(degrees)
+    for position, s in enumerate(starts):
+        reached[index[s] - closed] |= 1 << position
+    total = 0
+    for component in range(len(degrees) - 1, -1, -1):
+        bits = reached[component]
+        total += degrees[component] * bits.bit_count()
+        for tag in successors[component]:
+            reached[tag - closed] |= bits
+    for v in entered:
+        index[v] = 0
+    # end hot-path
+    return total
 
 
 def claiming_bfs(
@@ -420,7 +483,7 @@ def claiming_bfs(
     The scalar member of the frontier layer: a P-DBFS round search is
     *single*-source and usually terminates within a few claims (the
     cleanup sweep, whose searches would walk whole trees, is priced with
-    :func:`alternating_reach` instead), so its frontiers stay far below
+    :func:`alternating_reach_total` instead), so its frontiers stay far below
     the ~64-element break-even of whole-array gathers — this walk
     therefore runs over the cached
     :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views (plain

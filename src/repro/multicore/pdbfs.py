@@ -22,20 +22,22 @@ Until a round first augments, a search from such a column claims only rows
 of its tree, so the round's first search from a column that has an
 augmenting path meets no claim on that path and reaches a free row.  Every
 search of the sweep therefore fails.  Each is charged the claim-free BFS it
-would walk (one plus the summed degree of the columns it reaches, from
-:func:`~repro.graph.frontier.alternating_reach`) instead of walking it, and
-a reach that meets a free row raises ``RuntimeError``.
+would walk (one plus the summed degree of the columns it reaches) instead
+of walking it: :func:`~repro.graph.frontier.alternating_reach_total` sums
+those degrees over the sweep's columns in one pass over their trees, and a
+reach that meets a free row raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import alternating_reach, claiming_bfs
+from repro.graph.frontier import alternating_reach_total, claiming_bfs
 from repro.gpusim.costmodel import MulticoreCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -48,6 +50,11 @@ class PDBFSConfig:
     """Configuration of the P-DBFS run (defaults follow the paper: 8 threads)."""
 
     n_threads: int = 8
+
+    def __post_init__(self) -> None:
+        threads = self.n_threads
+        if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
+            raise ValueError(f"n_threads must be an integer >= 1, got {threads!r}")
 
 
 def _augment(path: list[int], mu_row: list[int], mu_col: list[int]) -> None:
@@ -130,19 +137,15 @@ def pdbfs_matching(
             # the sequential sweep's searches all fail; each is charged the
             # alternating tree its claim-free BFS would walk.
             counters["sequential_sweeps"] += 1
-            sweep_work = 0.0
-            row_match = np.array(mu_row, dtype=np.int64)
-            scalars = (col_ptr, col_ind, mu_row)
-            for v in range(n_cols):
-                if mu_col[v] != UNMATCHED:
-                    continue
-                reach = alternating_reach(graph.col_ptr, graph.col_ind, row_match, v, scalars)
-                if reach is None:
-                    raise RuntimeError(
-                        f"P-DBFS on graph {graph.name!r}: column {v} has an augmenting "
-                        "path after a round that augmented nothing"
-                    )
-                sweep_work += 1.0 + reach
+            reach = alternating_reach_total(col_ptr, col_ind, mu_row, unmatched)
+            if reach is None:
+                column = next(v for v in unmatched
+                              if alternating_reach_total(col_ptr, col_ind, mu_row, [v]) is None)
+                raise RuntimeError(
+                    f"P-DBFS on graph {graph.name!r}: column {column} has an augmenting "
+                    "path after a round that augmented nothing"
+                )
+            sweep_work = float(len(unmatched) + reach)
             counters["edges_scanned"] += sweep_work
             modeled += model.round_seconds(
                 total_ops=sweep_work, max_thread_ops=sweep_work, atomics=0.0

@@ -19,15 +19,17 @@ A search that fails is never walked again.  Its alternating tree is closed
 (every row in it is matched to a column in it), so no later augmenting
 path enters the tree, and a later search from the same start meets the
 same tree with every lookahead pointer at its end: it scans each of the
-tree's columns' adjacency once and fails.  The phase therefore memoizes
-each failed start's descent count and charges it on the next visit, which
-makes the last phase O(unmatched columns).  The dead trees' rows and their
-mates are recorded in an array; a start whose every neighbour row is in a
-dead tree must fail too, and is charged its own lookahead remainder plus
-:func:`~repro.graph.frontier.alternating_reach` over that array.  Until a
-search fails, the bookkeeping is one list append per descent (the columns
-the search enters) and one dict lookup per start; after that, each new
-start also checks its neighbour rows against the dead marks.
+tree's columns' adjacency once and fails.  A failed start stays unmatched,
+so every later phase charges all failed starts' descent counts at once, one
+running total, which makes the last phase O(unmatched columns).  The dead
+trees' rows and their mates are recorded in a list; a start whose every
+neighbour row is in a dead tree must fail too, and is charged its own
+lookahead remainder at once and, at the phase end, its reach over that
+list: :func:`~repro.graph.frontier.alternating_reach_total` prices all of
+a phase's such starts in one pass over their trees.  Until a search fails,
+the bookkeeping is one list append per descent (the columns the search
+enters) and one set lookup per start; after that, each new start also
+checks its neighbour rows against the dead marks.
 
 This deviates from Pothen and Fan on purpose: the visited marks reset per
 search (``round_id`` advances per start, not per phase), so the DFSs of a
@@ -44,7 +46,7 @@ import time
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import alternating_reach
+from repro.graph.frontier import alternating_reach_total
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -59,35 +61,31 @@ def _pfp_phase(
     lookahead: list[int],
     visited_round: list[int],
     round_id: int,
-    failed: dict[int, int],
-    dead_mates: np.ndarray,
-    arrays: tuple[np.ndarray, np.ndarray],
-) -> tuple[int, int, int, int]:
-    """One PFP phase: a lookahead DFS from every currently unmatched column.
+    failed: set[int],
+    dead: list[int],
+) -> tuple[int, int, int, int, int]:
+    """One PFP phase: a lookahead DFS from every currently unmatched column
+    that has not failed before.
 
-    A start that fails is recorded in ``failed`` (start -> the adjacency
-    entries its descent scanned) and its tree's rows in ``dead_mates``
-    (row -> its mate, ``-1`` for rows outside every failed tree); a start
-    that provably fails is charged its walk instead of walking it (see the
-    module docstring).  ``arrays`` is ``(col_ptr, col_ind)`` as ndarrays.
+    A start that fails joins ``failed`` and its tree's rows are recorded in
+    ``dead`` (row -> its mate, ``-1`` for rows outside every failed tree); a
+    start that provably fails is charged its walk instead of walking it (see
+    the module docstring).
 
-    Returns ``(augmentations, lookahead_hits, edges_scanned, round_id)``.
+    Returns ``(augmentations, lookahead_hits, edges_scanned, round_id,
+    failed_edges)``, where ``failed_edges`` sums the descent counts of this
+    phase's failed starts, which each later phase charges again.
     """
     unmatched = UNMATCHED
     n_cols = len(col_ptr) - 1
     augmentations = 0
     lookahead_hits = 0
     edges = 0
-    dead = memoryview(dead_mates)
-    scalars = (col_ptr, col_ind, dead)
+    failed_edges = 0
+    hopeless: list[int] = []
     # hot-path
     for start in range(n_cols):
-        if col_match[start] != unmatched:
-            continue
-        # A start that failed before fails again, scanning the same entries.
-        memo = failed.get(start)
-        if memo is not None:
-            edges += memo
+        if col_match[start] != unmatched or start in failed:
             continue
         if failed:
             stop = col_ptr[start + 1]
@@ -97,10 +95,10 @@ def _pfp_phase(
             else:
                 # Every neighbour row lies in a failed tree: the walk would
                 # fail after its own lookahead and one scan of each column
-                # it reaches.
-                memo = alternating_reach(arrays[0], arrays[1], dead_mates, start, scalars)
-                failed[start] = memo
-                edges += memo + stop - lookahead[start]
+                # it reaches, priced at the phase end.
+                failed.add(start)
+                hopeless.append(start)
+                edges += stop - lookahead[start]
                 lookahead[start] = stop
                 continue
         round_id += 1
@@ -174,11 +172,15 @@ def _pfp_phase(
                     path_rows.pop()
         else:
             # The stack emptied without augmenting: the search failed.
-            failed[start] = sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
+            failed.add(start)
+            failed_edges += sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
             for c in tree[1:]:
                 dead[col_match[c]] = c
     # end hot-path
-    return augmentations, lookahead_hits, edges, round_id
+    reach = alternating_reach_total(col_ptr, col_ind, dead, hopeless)
+    if reach is None:
+        raise RuntimeError("PFP: a start priced as hopeless reaches an unmatched row")
+    return augmentations, lookahead_hits, edges + reach, round_id, failed_edges + reach
 
 
 def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) -> MatchingResult:
@@ -197,16 +199,19 @@ def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) 
     lookahead = list(col_ptr[:-1])
     visited_round = [-1] * graph.n_rows
     round_id = 0
-    failed: dict[int, int] = {}
-    dead_mates = np.full(graph.n_rows, UNMATCHED, dtype=np.int64)
-    arrays = (graph.col_ptr, graph.col_ind)
+    failed: set[int] = set()
+    failed_edges = 0  # what the failed starts' searches scan, summed
+    dead = [UNMATCHED] * graph.n_rows
 
     while True:
         counters["phases"] += 1
-        augmented, hits, edges, round_id = _pfp_phase(
+        # Every start that failed before fails again, scanning the same entries.
+        counters["edges_scanned"] += failed_edges
+        augmented, hits, edges, round_id, newly_failed = _pfp_phase(
             col_ptr, col_ind, row_match, col_match, lookahead, visited_round, round_id,
-            failed, dead_mates, arrays,
+            failed, dead,
         )
+        failed_edges += newly_failed
         counters["augmentations"] += augmented
         counters["lookahead_hits"] += hits
         counters["edges_scanned"] += edges

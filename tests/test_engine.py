@@ -2,9 +2,8 @@
 
 Backend parity reuses the invariant suite's generator families: the same job
 list must yield bit-identical matchings on every backend.  The failure-path
-tests use a job that resolves cleanly but raises at run time (the serialized
-G-PR reference engine rejects the shrink variant), so the whole
-submit-validation tier is unaffected.
+tests use a job that resolves cleanly but raises at run time (G-HKDW with a
+phase budget of zero), so the whole submit-validation tier is unaffected.
 """
 
 from __future__ import annotations
@@ -65,10 +64,8 @@ def parity_jobs(family_graphs):
 
 
 def _boom_job(graph, job_id="boom"):
-    """Resolves fine; raises ValueError at run time on every backend."""
-    return MatchingJob(
-        graph=graph, algorithm="g-pr", kwargs={"engine": "serialized"}, job_id=job_id
-    )
+    """Resolves fine; raises RuntimeError at run time on every backend."""
+    return MatchingJob(graph=graph, algorithm="g-hkdw", kwargs={"max_phases": 0}, job_id=job_id)
 
 
 # ------------------------------------------------------------- backend parity
@@ -103,9 +100,9 @@ def test_failing_job_leaves_siblings_completed(backend, family_graphs):
         outcomes = {h.job.job_id: h for h in engine.as_completed(handles, timeout=120)}
     boom = outcomes["boom"]
     assert boom.status is JobStatus.FAILED
-    assert boom.failure is not None and boom.failure.exc_type == "ValueError"
-    assert "serialized" in boom.failure.message
-    with pytest.raises(JobFailedError, match="serialized"):
+    assert boom.failure is not None and boom.failure.exc_type == "RuntimeError"
+    assert "exceeded 0 phases" in boom.failure.message
+    with pytest.raises(JobFailedError, match="exceeded 0 phases"):
         boom.result()
     assert outcomes["before"].status is JobStatus.OK
     assert outcomes["after"].status is JobStatus.OK

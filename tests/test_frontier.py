@@ -15,8 +15,10 @@ Six guarantees:
   BFS match the deque references with every level on either path, and
   ``augmenting_dfs`` reproduces G-HKDW's old ndarray-scalar augmentation
   walk over lists, memoryviews and ndarrays;
-* ``alternating_reach`` counts exactly the adjacency a deque alternating
-  BFS scans, on narrow and wide levels alike;
+* ``alternating_reach_total`` sums exactly the adjacency deque
+  alternating BFSs scan, per start and over whole start lists (cycles,
+  repeated and zero-degree starts, several batches), and is ``None``
+  exactly when one of those BFSs meets an unmatched row;
 * PFP and P-DBFS, which price the searches that cannot augment, match
   their walking references kept here (matchings, counters, modeled
   seconds), and price only where a search provably fails;
@@ -44,7 +46,7 @@ from repro.gpusim.costmodel import MulticoreCostModel
 from repro.graph import from_edges
 from repro.graph.frontier import (
     alternating_level_bfs,
-    alternating_reach,
+    alternating_reach_total,
     augmenting_dfs,
     claiming_bfs,
     distance_label_bfs,
@@ -453,46 +455,144 @@ def _reference_reach(graph, row_match, start):
     return entered, free
 
 
+def _reference_entries(graph, row_match, start):
+    """The degree sum of the columns :func:`_reference_reach` enters from
+    ``start``, or ``None`` if its BFS meets an unmatched row."""
+    entered, free = _reference_reach(graph, row_match, start)
+    return None if free else int(graph.col_degrees[entered].sum())
+
+
+def _assert_reach_total(graph, row_match, starts):
+    """The primitive against the references, per start, over the starts
+    whose BFS meets no unmatched row, and over ``starts``.  Returns
+    ``(priced, free)`` start counts."""
+    ptr, ind = graph.csr_lists("col")
+    match = np.asarray(row_match).tolist()
+    entries = {s: _reference_entries(graph, row_match, s) for s in set(starts)}
+    for start, expected in entries.items():
+        assert alternating_reach_total(ptr, ind, match, [start]) == expected, start
+    priced = [s for s in starts if entries[s] is not None]
+    total = sum(entries[s] for s in priced)
+    assert alternating_reach_total(ptr, ind, match, priced) == total
+    free = len(starts) - len(priced)
+    assert alternating_reach_total(ptr, ind, match, starts) == (None if free else total)
+    return len(priced), free
+
+
 def _reach_cases(graph):
-    """``(row_match, start)`` pairs: every unmatched column and some random
-    columns, under a cheap and a random warm matching."""
+    """``(row_match, starts)`` under a cheap and a random warm matching: every
+    unmatched column, then 20 random columns (matched ones and repeats too)."""
     rng = np.random.default_rng(graph.n_edges)
     cheap = cheap_matching(graph).matching
     for row_match, col_match in (
         (cheap.row_match, cheap.col_match),
         _random_warm_start(graph, seed=graph.n_cols),
     ):
-        for start in np.flatnonzero(col_match == UNMATCHED).tolist():
-            yield row_match, start
-        for start in rng.integers(0, graph.n_cols, size=20).tolist():
-            yield row_match, start
+        starts = np.flatnonzero(col_match == UNMATCHED).tolist()
+        yield row_match, starts + rng.integers(0, graph.n_cols, size=20).tolist()
+
+
+#: Starts per Tarjan pass: the module's batch, one start, every start at once.
+REACH_WIDTHS = {"all-narrow": 1, "all-wide": 10**9}
 
 
 @pytest.mark.parametrize("width", ["default", "all-wide", "all-narrow"])
 def test_alternating_reach_matches_deque_bfs(golden_graph, width, monkeypatch):
-    """The scanned-entry total is the degree sum of the columns a deque BFS
-    enters, ``None`` exactly when that BFS meets an unmatched row, whichever
-    path (scalar levels or whole-level gathers) expands the levels."""
+    """The reach total is the degree sum of the columns each deque BFS
+    enters, ``None`` exactly when one of them meets an unmatched row, in
+    batches of one start, of the module's width or of every start."""
     import repro.graph.frontier as frontier
 
     if width != "default":
-        monkeypatch.setattr(frontier, "NARROW_WIDTH", ALL_WIDE if width == "all-wide" else ALL_NARROW)
+        monkeypatch.setattr(frontier, "REACH_BATCH", REACH_WIDTHS[width])
     _, graph = golden_graph
+    outcomes = {"priced": 0, "free": 0}
+    for row_match, starts in _reach_cases(graph):
+        priced, free = _assert_reach_total(graph, row_match, starts)
+        outcomes["priced"] += priced
+        outcomes["free"] += free
+    assert outcomes["priced"] and outcomes["free"]
+
+
+def test_alternating_reach_total_on_tiny_analogs():
+    """Every tiny analog, GL7d19 (its trees meet in one giant component)
+    and kron_g500-logn21 (mostly single-column components) among them:
+    under a maximum matching every unmatched column is priced, under the
+    cheap matching some starts reach a free row."""
+    free = 0
+    for name in instance_names():
+        graph = generate_instance(name, profile="tiny", seed=0)
+        maximum = hopcroft_karp_matching(graph).matching
+        starts = np.flatnonzero(maximum.col_match == UNMATCHED).tolist()
+        assert _assert_reach_total(graph, maximum.row_match, starts) == (len(starts), 0), name
+        cheap = cheap_matching(graph).matching
+        starts = np.flatnonzero(cheap.col_match == UNMATCHED).tolist()
+        free += _assert_reach_total(graph, cheap.row_match, starts)[1]
+    assert free
+
+
+def _matched_graph(edges, n_rows, n_cols, pairs, name):
+    """``(graph, row_match)`` with row ``u`` matched to column ``v`` for each
+    ``(u, v)`` in ``pairs``."""
+    graph = from_edges(edges, n_rows=n_rows, n_cols=n_cols, name=name)
+    row_match = np.full(n_rows, UNMATCHED, dtype=np.int64)
+    for u, v in pairs:
+        row_match[u] = v
+    return graph, row_match
+
+
+def test_alternating_reach_total_on_cycles():
+    """Two rings (columns 0-2 and 3-5, each column adjacent to its mate row
+    and the next ring row) with ring A feeding ring B, entered from the free
+    columns 6 (into A) and 7 (into B); column 8 loops onto itself."""
+    ring_a = [(r, c) for c in range(3) for r in (c, (c + 1) % 3)]
+    ring_b = [(r, c) for c in range(3, 6) for r in (c, 3 + (c + 1 - 3) % 3)]
+    edges = ring_a + ring_b + [(3, 2), (0, 6), (1, 6), (4, 7), (6, 8)]
+    pairs = [(u, u) for u in range(6)] + [(6, 8)]
+    graph, row_match = _matched_graph(edges, 7, 9, pairs, "rings")
     ptr, ind = graph.csr_lists("col")
-    degrees = graph.col_degrees
-    outcomes = {"none": 0, "priced": 0}
-    for row_match, start in _reach_cases(graph):
-        entered, free = _reference_reach(graph, row_match, start)
-        got = alternating_reach(
-            graph.col_ptr, graph.col_ind, row_match, start, (ptr, ind, row_match.tolist())
-        )
-        if free:
-            assert got is None, start
-            outcomes["none"] += 1
-        else:
-            assert got == int(degrees[entered].sum()), start
-            outcomes["priced"] += 1
-    assert outcomes["none"] and outcomes["priced"]
+    match = row_match.tolist()
+    ring_a_entries, ring_b_entries = 7, 6
+    assert alternating_reach_total(ptr, ind, match, [7]) == 1 + ring_b_entries
+    assert alternating_reach_total(ptr, ind, match, [6]) == 2 + ring_a_entries + ring_b_entries
+    assert alternating_reach_total(ptr, ind, match, [8]) == 1
+    for starts in ([6, 7], [7, 6], [6, 7, 6], [0, 3, 6], [5, 0, 7, 8, 2], list(range(9))):
+        assert _assert_reach_total(graph, row_match, starts)[1] == 0, starts
+    # A free row next to ring B: every start that reaches B meets it.
+    graph, row_match = _matched_graph(edges + [(7, 4)], 8, 9, pairs, "rings-free")
+    assert _assert_reach_total(graph, row_match, [8, 6, 7, 0]) == (1, 3)
+
+
+def test_alternating_reach_total_zero_degree_and_empty_starts():
+    graph, row_match = _matched_graph([(0, 1), (0, 2)], 1, 4, [(0, 1)], "isolated")
+    ptr, ind = graph.csr_lists("col")
+    match = row_match.tolist()
+    assert alternating_reach_total(ptr, ind, match, []) == 0
+    assert alternating_reach_total(ptr, ind, match, [0]) == 0
+    assert alternating_reach_total(ptr, ind, match, [0, 3, 0]) == 0
+    assert alternating_reach_total(ptr, ind, match, [3, 2, 0]) == 2
+    assert _assert_reach_total(graph, row_match, [0, 1, 2, 3, 2]) == (5, 0)
+
+
+def test_alternating_reach_total_spans_batches():
+    """One row shared by 3,000 columns: each free column reaches the row's
+    mate, column 0, and every batch walks that tree again."""
+    import repro.graph.frontier as frontier
+
+    n = 3000
+    graph, row_match = _matched_graph([(0, c) for c in range(n)], 1, n, [(0, 0)], "star-3000")
+    ptr, ind = graph.csr_lists("col")
+    starts = list(range(1, n))
+    assert len(starts) > 2 * frontier.REACH_BATCH
+    assert alternating_reach_total(ptr, ind, row_match.tolist(), starts) == 2 * len(starts)
+    assert alternating_reach_total(ptr, ind, row_match.tolist(), [0] + starts) == 2 * len(starts) + 1
+    # A free row seen only from the last start makes the whole total None.
+    graph, row_match = _matched_graph(
+        [(0, c) for c in range(n)] + [(1, n - 1)], 2, n, [(0, 0)], "star-3000-free"
+    )
+    ptr, ind = graph.csr_lists("col")
+    assert alternating_reach_total(ptr, ind, row_match.tolist(), starts) is None
+    assert alternating_reach_total(ptr, ind, row_match.tolist(), starts[:-1]) == 2 * (n - 2)
 
 
 # ------------------------------------------- hopeless searches, priced
@@ -759,22 +859,26 @@ def _counting(monkeypatch, module, attr):
 def test_pfp_prices_only_after_a_search_fails(monkeypatch):
     import repro.seq.pothen_fan as pothen_fan
 
-    calls = _counting(monkeypatch, pothen_fan, "alternating_reach")
+    calls = _counting(monkeypatch, pothen_fan, "alternating_reach_total")
+
+    def priced():
+        return sum(len(starts) for *_, starts in calls)
+
     perfect = uniform_random_bipartite(50, 50, avg_degree=8.0, seed=6)
     for kind in ("cold", "cheap", "warm"):
         result = pothen_fan_matching(perfect, _start(perfect, kind, 6))
         assert result.cardinality == perfect.n_cols
-    assert calls == []
+    assert priced() == 0
     # One row shared by three columns: the second free column fails after a
     # walk, the third is priced.
     star = from_edges([(0, 0), (0, 1), (0, 2)], n_rows=1, n_cols=3, name="star")
     result = pothen_fan_matching(star, Matching.empty(star))
     assert result.cardinality == 1
-    assert len(calls) == 1
+    assert priced() == 1
     deficient = _deficient_graph(1003)
     assert deficient.n_cols > deficient.n_rows
     pothen_fan_matching(deficient, Matching.empty(deficient))
-    assert len(calls) > 1
+    assert priced() > 1
 
 
 def test_pdbfs_claims_only_in_rounds(monkeypatch):
@@ -793,7 +897,7 @@ def test_pdbfs_claims_only_in_rounds(monkeypatch):
 def test_pdbfs_sweep_reaching_a_free_row_raises(monkeypatch):
     import repro.multicore.pdbfs as pdbfs
 
-    monkeypatch.setattr(pdbfs, "alternating_reach", lambda *args, **kwargs: None)
+    monkeypatch.setattr(pdbfs, "alternating_reach_total", lambda *args, **kwargs: None)
     graph = _deficient_graph(1003)
     with pytest.raises(RuntimeError, match="deficient-1003"):
         pdbfs_matching(graph, Matching.empty(graph))

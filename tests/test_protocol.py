@@ -62,6 +62,28 @@ CASES = {
     "mtx-capacities-seed": {
         "mtx": MTX, "algorithm": "b-aug", "capacities": "uniform:1:3", "seed": 5,
     },
+    "pdbfs-threads-zero": {**G, "algorithm": "p-dbfs", "kwargs": {"n_threads": 0}},
+    "pdbfs-threads-negative": {**G, "algorithm": "p-dbfs", "kwargs": {"n_threads": -2}},
+    "pdbfs-threads-bool": {**G, "algorithm": "p-dbfs", "kwargs": {"n_threads": True}},
+    "pdbfs-threads-float": {**G, "algorithm": "p-dbfs", "kwargs": {"n_threads": 2.5}},
+    "pdbfs-threads-two": {**G, "algorithm": "p-dbfs", "kwargs": {"n_threads": 2}},
+    "gpr-adaptive-zero": {**G, "kwargs": {"strategy": "adaptive:0"}},
+    "gpr-strategy-int": {**G, "kwargs": {"strategy": 5}},
+    "gpr-engine-warp": {**G, "kwargs": {"engine": "warp"}},
+    "gpr-engine-serialized": {**G, "kwargs": {"engine": "serialized"}},
+    "gpr-first-serialized": {**G, "algorithm": "g-pr-first", "kwargs": {"engine": "serialized"}},
+}
+#: The solver configs check their fields when they are made, so a bad value
+#: is a rejected request (this message everywhere), never a failed solve.
+BAD_CONFIGS = {
+    "pdbfs-threads-zero": "n_threads must be an integer >= 1, got 0",
+    "pdbfs-threads-negative": "n_threads must be an integer >= 1, got -2",
+    "pdbfs-threads-bool": "n_threads must be an integer >= 1, got True",
+    "pdbfs-threads-float": "n_threads must be an integer >= 1, got 2.5",
+    "gpr-adaptive-zero": "malformed strategy spec 'adaptive:0': adaptive strategy needs k > 0",
+    "gpr-strategy-int": "strategy must be a string such as 'adaptive:0.7', got 5",
+    "gpr-engine-warp": "unknown engine 'warp'; use 'lockstep' or 'serialized'",
+    "gpr-engine-serialized": "the serialized reference engine only supports the 'first' variant",
 }
 SERVER_ONLY_CASES = {
     "tenant": {**G, "tenant": "team-a"},
@@ -215,3 +237,14 @@ def test_batch_rejects_server_only_fields_by_name(name, server, tmp_path, capsys
     status, cardinality = _via_match(payload, server.port)
     assert status == "ok" and cardinality > 0
     assert _via_server_batch(payload, server.port) == (status, cardinality)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_solver_configs_are_rejected_before_solving(case, tmp_path, capsys):
+    assert _via_batch(CASES[case], tmp_path, capsys) == ("rejected", BAD_CONFIGS[case])
+
+
+@pytest.mark.parametrize("case", ["pdbfs-threads-two", "gpr-first-serialized"])
+def test_good_solver_configs_solve(case, tmp_path, capsys):
+    status, cardinality = _via_batch(CASES[case], tmp_path, capsys)
+    assert status == "ok" and cardinality > 0
