@@ -5,10 +5,11 @@ harness and the batched :mod:`repro.service` — goes through the same two
 steps:
 
 1. :func:`resolve_algorithm` turns an algorithm name plus keyword arguments
-   into an :class:`ExecutionPlan`: the registry entry, a fully-built config
-   object and the validated extra arguments.  Unknown keywords raise
-   ``TypeError`` uniformly across the registry, and an explicit ``config=``
-   conflicts with config-field keywords instead of silently winning.
+   into an :class:`ExecutionPlan`: the registry entry, a config object built
+   from the config-field keywords and the checked extra arguments.  Field
+   keywords are the only way to configure a run: unknown keywords raise
+   ``TypeError`` uniformly across the registry, and a bad value raises
+   ``ValueError`` or ``TypeError`` here, before any graph is touched.
 2. :meth:`ExecutionPlan.run` executes the plan on a graph (optionally from a
    warm-start matching).  Plans are immutable and graph-independent, so one
    plan can be reused across a whole batch of graphs.
@@ -18,17 +19,17 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-import enum
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.capacity.augment import capacitated_augment_matching
 from repro.capacity.auction import capacitated_auction_matching
-from repro.capacity.expand import capacitated_expand_matching
+from repro.capacity.expand import _inner_plan, capacitated_expand_matching
 from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.validate import check_int
 from repro.gpusim.device import VirtualGPU
 from repro.matching import Matching, MatchingResult
 from repro.multicore.pdbfs import PDBFSConfig, pdbfs_matching
@@ -73,7 +74,9 @@ class AlgorithmSpec:
         they cannot be overridden by keyword arguments.
     extra_params:
         Non-config keyword arguments the runner accepts (e.g. ``max_phases``
-        for G-HKDW, ``seed`` for the greedy heuristics).
+        for G-HKDW, ``seed`` for the greedy heuristics), each mapped to the
+        module-level check :func:`resolve_algorithm` runs on its value
+        (module-level, so plans still pickle to process workers).
     accepts_device:
         Whether the algorithm runs on the virtual GPU.
     accepts_initial:
@@ -100,7 +103,7 @@ class AlgorithmSpec:
     maximum: bool = True
     config_cls: type | None = None
     config_overrides: Mapping[str, Any] = field(default_factory=dict)
-    extra_params: tuple[str, ...] = ()
+    extra_params: Mapping[str, Callable[[Any], Any]] = field(default_factory=dict)
     accepts_device: bool = False
     accepts_initial: bool = True
     entropy_seeded: bool = False
@@ -245,6 +248,14 @@ def _run_b_auction(graph, initial, config, device, **_):
     return capacitated_auction_matching(graph, config=config, device=device)
 
 
+def _check_max_phases(value) -> None:
+    check_int("max_phases", value, 1, optional=True)
+
+
+def _check_seed(value) -> None:
+    check_int("seed", value, 0, optional=True)
+
+
 def _gpr_spec(name: str, variant: GPRVariant) -> AlgorithmSpec:
     return AlgorithmSpec(
         name=name,
@@ -268,7 +279,7 @@ SPECS: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             name="g-hkdw",
             runner=_run_ghkdw,
-            extra_params=("max_phases",),
+            extra_params={"max_phases": _check_max_phases},
             accepts_device=True,
         ),
         # multicore comparator
@@ -302,7 +313,7 @@ SPECS: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             name="b-expand",
             runner=_run_b_expand,
-            extra_params=("inner",),
+            extra_params={"inner": _inner_plan},
             accepts_initial=False,
             capacitated=True,
         ),
@@ -325,14 +336,14 @@ SPECS: dict[str, AlgorithmSpec] = {
             name="cheap",
             runner=_run_cheap,
             maximum=False,
-            extra_params=("seed",),
+            extra_params={"seed": _check_seed},
             accepts_initial=False,
         ),
         AlgorithmSpec(
             name="karp-sipser",
             runner=_run_karp_sipser,
             maximum=False,
-            extra_params=("seed",),
+            extra_params={"seed": _check_seed},
             accepts_initial=False,
             entropy_seeded=True,
         ),
@@ -347,8 +358,6 @@ MAXIMUM_ALGORITHMS = tuple(name for name, spec in SPECS.items() if spec.maximum)
 def resolve_algorithm(
     name: str,
     *,
-    config: Any | None = None,
-    device: VirtualGPU | None = None,
     device_factory: Callable[[], VirtualGPU] | None = None,
     shards: int | None = None,
     partition: str | None = None,
@@ -360,13 +369,10 @@ def resolve_algorithm(
     ----------
     name:
         Registry key (case-insensitive), e.g. ``"g-pr"`` or ``"pr"``.
-    config:
-        Pre-built config object; mutually exclusive with config-field
-        keywords.
-    device / device_factory:
-        For GPU algorithms: a virtual device to reuse, or a factory invoked
-        once per :meth:`ExecutionPlan.run` (so every run gets a fresh
-        cost-model ledger).  Mutually exclusive.
+    device_factory:
+        For GPU algorithms: a factory invoked once per
+        :meth:`ExecutionPlan.run`, so every run gets a fresh cost-model
+        ledger.
     shards / partition:
         When ``shards`` is given, :meth:`ExecutionPlan.run` executes through
         the :mod:`repro.sharded` subsystem: the graph is column-block
@@ -384,14 +390,12 @@ def resolve_algorithm(
     Raises
     ------
     ValueError
-        Unknown algorithm name, ``shards < 1``, or an unknown partition
-        method.
+        Unknown algorithm name, ``shards < 1``, an unknown partition
+        method, or a keyword value its config or check refuses.
     TypeError
-        Unknown keyword arguments, a ``config`` of the wrong type, a
-        ``config`` combined with config-field keywords, a ``device`` for
-        an algorithm that does not accept one, ``partition=`` without
-        ``shards=``, or ``shards=`` with an algorithm that cannot run
-        sharded.
+        Unknown keyword arguments, a ``device_factory`` for an algorithm
+        that does not run on a device, ``partition=`` without ``shards=``,
+        or ``shards=`` with an algorithm that cannot run sharded.
     """
     key = str(name).strip().lower()
     if key not in SPECS:
@@ -424,13 +428,8 @@ def resolve_algorithm(
     elif partition is not None:
         raise TypeError("partition= requires shards=")
 
-    if device is not None and device_factory is not None:
-        raise TypeError("pass either device= or device_factory=, not both")
-    if (device is not None or device_factory is not None) and not spec.accepts_device:
+    if device_factory is not None and not spec.accepts_device:
         raise TypeError(f"algorithm {key!r} does not run on a device")
-    if device is not None:
-        def device_factory(_device=device):  # noqa: F811 - deliberate rebinding
-            return _device
 
     config_fields = spec.config_fields()
     config_kwargs = {k: v for k, v in kwargs.items() if k in config_fields}
@@ -443,32 +442,10 @@ def resolve_algorithm(
             f"accepted: {list(accepted) if accepted else 'none'}"
         )
 
-    if config is not None:
-        if spec.config_cls is None:
-            raise TypeError(f"algorithm {key!r} does not take a config")
-        if not isinstance(config, spec.config_cls):
-            raise TypeError(
-                f"algorithm {key!r} expects a {spec.config_cls.__name__}, "
-                f"got {type(config).__name__}"
-            )
-        if config_kwargs:
-            raise TypeError(
-                f"pass either config= or config field keyword(s) "
-                f"{sorted(config_kwargs)}, not both"
-            )
-        for field_name, pinned in spec.config_overrides.items():
-            given = getattr(config, field_name)
-            if isinstance(pinned, enum.Enum):
-                try:
-                    given = type(pinned)(given)
-                except ValueError:
-                    pass
-            if given != pinned:
-                raise TypeError(
-                    f"algorithm {key!r} pins {field_name}={pinned!r}; "
-                    f"got a config with {field_name}={getattr(config, field_name)!r}"
-                )
-    elif spec.config_cls is not None:
+    for extra_name, value in extra_kwargs.items():
+        spec.extra_params[extra_name](value)
+    config = None
+    if spec.config_cls is not None:
         config = spec.config_cls(**{**dict(spec.config_overrides), **config_kwargs})
 
     return ExecutionPlan(
@@ -507,10 +484,10 @@ def max_bipartite_matching(
         Optional starting matching; by default every algorithm starts from
         the cheap greedy matching, as in the paper's experiments.
     **kwargs:
-        Forwarded to :func:`resolve_algorithm` — either a pre-built
-        ``config=`` / ``device=``, or individual config fields such as
-        ``strategy="fix:10"`` or ``global_relabel_k=0.7``.  Unknown keywords
-        raise ``TypeError``.
+        Forwarded to :func:`resolve_algorithm`: config fields such as
+        ``strategy="fix:10"`` or ``global_relabel_k=0.7``, extra parameters
+        such as ``seed``, or ``device_factory``, ``shards`` and
+        ``partition``.  Unknown keywords raise ``TypeError``.
 
     Returns
     -------
@@ -519,7 +496,8 @@ def max_bipartite_matching(
     Raises
     ------
     ValueError
-        For an unknown algorithm name.
+        For an unknown algorithm name or a keyword value the algorithm
+        refuses.
     TypeError
         For keyword arguments the algorithm does not accept.
 

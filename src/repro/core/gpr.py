@@ -42,6 +42,7 @@ from repro.core.kernels import (
 from repro.core.relabel import gpu_global_relabel
 from repro.core.strategies import GlobalRelabelStrategy, parse_strategy
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.validate import check_int
 from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -55,6 +56,13 @@ class GPRVariant(str, enum.Enum):
     FIRST = "first"
     NO_SHRINK = "noshrink"
     SHRINK = "shrink"
+
+
+#: Hardware waves kept in flight per launch: the lockstep engine makes writes
+#: of earlier waves visible to later waves of the same launch, as a launch
+#: with more threads than cores sees them on a real device.
+#: ``wave_size = WAVES_IN_FLIGHT × total_cores``.
+WAVES_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -73,16 +81,16 @@ class GPRConfig:
         parsed into a strategy when the config is made.
     shrink_threshold:
         Minimum active-list length for which the shrink kernel is worth its
-        overhead (512 in the paper, §III-C2).
+        overhead (512 in the paper, §III-C2); an integer >= 1.
     engine:
         ``"lockstep"`` (vectorised, default) or ``"serialized"`` (per-thread
         reference interpreter; only supported for the ``first`` variant and
         meant for the race-tolerance tests).
     max_iterations:
-        Safety bound on main-loop iterations; ``None`` derives
+        Budget of main-loop iterations, an integer >= 1; ``None`` derives
         ``50 × (n + m) + 1000`` from the graph.
     seed:
-        Seed for the serialized engine's thread-order permutation.
+        Seed (>= 0) for the serialized engine's thread-order permutation.
     """
 
     variant: GPRVariant | str = GPRVariant.SHRINK
@@ -91,24 +99,19 @@ class GPRConfig:
     engine: str = "lockstep"
     max_iterations: int | None = None
     seed: int | None = None
-    #: Number of hardware waves kept in flight per launch; the lockstep engine
-    #: makes writes of earlier waves visible to later waves of the same
-    #: launch, matching the visibility a launch with more threads than cores
-    #: has on a real device.  ``wave_size = waves_in_flight × total_cores``.
-    waves_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        # A bad strategy, engine or variant pairing fails here, where the
-        # config is made: for a job request, before any graph is built.
+        # Every field is parsed or checked here, where the config is made:
+        # for a job request, before any graph is built.
+        object.__setattr__(self, "variant", GPRVariant(self.variant))
         object.__setattr__(self, "strategy", parse_strategy(self.strategy))
-        variant = self.resolved_variant()
+        check_int("shrink_threshold", self.shrink_threshold, 1)
+        check_int("max_iterations", self.max_iterations, 1, optional=True)
+        check_int("seed", self.seed, 0, optional=True)
         if self.engine not in ("lockstep", "serialized"):
             raise ValueError(f"unknown engine {self.engine!r}; use 'lockstep' or 'serialized'")
-        if self.engine == "serialized" and variant is not GPRVariant.FIRST:
+        if self.engine == "serialized" and self.variant is not GPRVariant.FIRST:
             raise ValueError("the serialized reference engine only supports the 'first' variant")
-
-    def resolved_variant(self) -> GPRVariant:
-        return GPRVariant(self.variant)
 
 
 @dataclass
@@ -166,7 +169,7 @@ def gpr_matching(
         the initial-matching cardinality.
     """
     config = config or GPRConfig()
-    variant = config.resolved_variant()
+    variant = config.variant
     strategy = config.strategy
     gpu = device or VirtualGPU()
     rng = np.random.default_rng(config.seed) if config.seed is not None else None
@@ -253,7 +256,7 @@ def _run_first(
                 state.mu_col,
                 state.psi_row,
                 state.psi_col,
-                wave_size=max(1, config.waves_in_flight) * gpu.spec.total_cores,
+                wave_size=WAVES_IN_FLIGHT * gpu.spec.total_cores,
                 candidates=candidates,
             )
         gpu.charge_kernel("g-pr-krnl", work)
@@ -325,7 +328,7 @@ def _run_active_list(
                 ap,
                 ia,
                 loop,
-                wave_size=max(1, config.waves_in_flight) * gpu.spec.total_cores,
+                wave_size=WAVES_IN_FLIGHT * gpu.spec.total_cores,
             )
             gpu.charge_kernel("g-pr-pushkrnl", work)
             ac, ap = ap, ac

@@ -475,115 +475,82 @@ class IncrementalMatcher:
         self.counters["searches"] += 1  # one sweep counts as one search
         row_seen = bytearray(self.graph.n_rows)
         for v in np.flatnonzero(self._col_match < 0):
-            if self._augment_from_col(int(v), row_seen, count_search=False):
+            if self._augment(int(v), self.graph.column_neighbors,
+                             self._col_match, self._row_match, row_seen):
                 return True
         return False
 
-    def _augment_from_col(
-        self, start: int, row_seen: bytearray | None = None, *, count_search: bool = True
-    ) -> bool:
-        """DFS for an augmenting path from the free column ``start``; flips it.
+    def _augment_from_col(self, start: int) -> bool:
+        """Augment from the free column ``start``, if a path exists."""
+        self.counters["searches"] += 1
+        return self._augment(start, self.graph.column_neighbors,
+                             self._col_match, self._row_match, bytearray(self.graph.n_rows))
 
-        The walk is scalar (one small overlay adjacency list per frame — see
-        the frontier-layer split in :mod:`repro.graph.frontier`), so each
-        frame holds its neighbours as a plain Python list and the visited
-        marks live in a ``bytearray``; ``edges_scanned`` is accumulated
+    def _augment_from_row(self, start: int) -> bool:
+        """Augment from the free row ``start``, if a path exists."""
+        self.counters["searches"] += 1
+        return self._augment(start, self.graph.row_neighbors,
+                             self._row_match, self._col_match, bytearray(self.graph.n_cols))
+
+    def _augment(
+        self,
+        start: int,
+        neighbors: Callable[[int], np.ndarray],
+        near_match: np.ndarray,
+        far_match: np.ndarray,
+        far_seen: bytearray,
+    ) -> bool:
+        """DFS for an augmenting path from the free vertex ``start``; flips it.
+
+        Side-agnostic: ``start`` lies on the *near* side, ``neighbors(x)``
+        lists a near vertex's far-side neighbours, and the two match arrays
+        and the far-side visited marks are passed in.  The walk is scalar
+        (one small overlay adjacency list per frame — see the frontier-layer
+        split in :mod:`repro.graph.frontier`), so each frame holds its
+        neighbours as a plain Python list; ``edges_scanned`` is accumulated
         locally and flushed in bulk, with end-values matching the historical
         per-edge loop exactly.
         """
-        if count_search:
-            self.counters["searches"] += 1
-        graph, counters = self.graph, self.counters
-        row_match, col_match = self._row_match, self._col_match
-        if row_seen is None:
-            row_seen = bytearray(graph.n_rows)
-        # Explicit stack of [column, neighbours, next offset]; path_rows[i] is
-        # the row taken out of stack[i] (same shape as the seq HK DFS).
-        stack: list[list] = [[start, graph.column_neighbors(start).tolist(), 0]]
-        path_rows: list[int] = []
+        counters = self.counters
+        # Explicit stack of [near vertex, neighbours, next offset]; path[i] is
+        # the far vertex taken out of stack[i] (same shape as the seq HK DFS).
+        stack: list[list] = [[start, neighbors(start).tolist(), 0]]
+        path: list[int] = []
         edges = 0
         try:
             while stack:
                 frame = stack[-1]
-                v, neighbors, idx = frame[0], frame[1], frame[2]
+                x, adjacent, idx = frame[0], frame[1], frame[2]
                 advanced = False
-                while idx < len(neighbors):
-                    u = neighbors[idx]
+                while idx < len(adjacent):
+                    y = adjacent[idx]
                     idx += 1
                     edges += 1
-                    if row_seen[u]:
+                    if far_seen[y]:
                         continue
-                    row_seen[u] = True
-                    w = int(row_match[u])
+                    far_seen[y] = True
+                    w = int(far_match[y])
                     if w < 0:
-                        row_match[u] = v
-                        col_match[v] = u
+                        far_match[y] = x
+                        near_match[x] = y
                         for depth in range(len(stack) - 2, -1, -1):
-                            prev_col = stack[depth][0]
-                            prev_row = path_rows[depth]
-                            row_match[prev_row] = prev_col
-                            col_match[prev_col] = prev_row
+                            prev_near = stack[depth][0]
+                            prev_far = path[depth]
+                            far_match[prev_far] = prev_near
+                            near_match[prev_near] = prev_far
                         counters["augmentations"] += 1
                         return True
                     frame[2] = idx
-                    path_rows.append(u)
-                    stack.append([w, graph.column_neighbors(w).tolist(), 0])
+                    path.append(y)
+                    stack.append([w, neighbors(w).tolist(), 0])
                     advanced = True
                     break
                 if advanced:
                     continue
                 frame[2] = idx
                 stack.pop()
-                if path_rows:
-                    path_rows.pop()
-            return False
-        finally:
-            counters["edges_scanned"] += edges
-
-    def _augment_from_row(self, start: int, col_seen: bytearray | None = None) -> bool:
-        """Mirror of :meth:`_augment_from_col` rooted at a free row."""
-        self.counters["searches"] += 1
-        graph, counters = self.graph, self.counters
-        row_match, col_match = self._row_match, self._col_match
-        if col_seen is None:
-            col_seen = bytearray(graph.n_cols)
-        stack: list[list] = [[start, graph.row_neighbors(start).tolist(), 0]]
-        path_cols: list[int] = []
-        edges = 0
-        try:
-            while stack:
-                frame = stack[-1]
-                u, neighbors, idx = frame[0], frame[1], frame[2]
-                advanced = False
-                while idx < len(neighbors):
-                    v = neighbors[idx]
-                    idx += 1
-                    edges += 1
-                    if col_seen[v]:
-                        continue
-                    col_seen[v] = True
-                    w = int(col_match[v])
-                    if w < 0:
-                        col_match[v] = u
-                        row_match[u] = v
-                        for depth in range(len(stack) - 2, -1, -1):
-                            prev_row = stack[depth][0]
-                            prev_col = path_cols[depth]
-                            col_match[prev_col] = prev_row
-                            row_match[prev_row] = prev_col
-                        counters["augmentations"] += 1
-                        return True
-                    frame[2] = idx
-                    path_cols.append(v)
-                    stack.append([w, graph.row_neighbors(w).tolist(), 0])
-                    advanced = True
-                    break
-                if advanced:
-                    continue
-                frame[2] = idx
-                stack.pop()
-                if path_cols:
-                    path_cols.pop()
+                if path:
+                    path.pop()
             return False
         finally:
             counters["edges_scanned"] += edges

@@ -1,17 +1,32 @@
-"""Structural validation of bipartite graphs.
+"""Structural validation of bipartite graphs, and the solvers' integer check.
 
 The builders in :mod:`repro.graph.builders` always produce valid graphs; this
 module exists for graphs deserialised from disk or constructed manually, and
 as the error-reporting backend of the property-based tests.
+:func:`check_int` is the one test every integer solver option passes when
+its config or plan is made.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
-__all__ = ["GraphValidationError", "validate_graph"]
+__all__ = ["GraphValidationError", "check_int", "validate_graph"]
+
+
+def check_int(name: str, value, minimum: int, *, optional: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer ``>= minimum``.
+
+    A bool is not an integer here.  With ``optional``, ``None`` passes too.
+    """
+    if optional and value is None:
+        return
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class GraphValidationError(ValueError):

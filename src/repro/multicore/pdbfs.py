@@ -30,7 +30,6 @@ reach that meets a free row raises ``RuntimeError``.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import alternating_reach_total, claiming_bfs
+from repro.graph.validate import check_int
 from repro.gpusim.costmodel import MulticoreCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -52,9 +52,7 @@ class PDBFSConfig:
     n_threads: int = 8
 
     def __post_init__(self) -> None:
-        threads = self.n_threads
-        if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
-            raise ValueError(f"n_threads must be an integer >= 1, got {threads!r}")
+        check_int("n_threads", self.n_threads, 1)
 
 
 def _augment(path: list[int], mu_row: list[int], mu_col: list[int]) -> None:

@@ -18,6 +18,8 @@ modelled sequential runtime comparable with the GPU cost model.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from collections import deque
@@ -36,22 +38,29 @@ __all__ = ["PushRelabelConfig", "push_relabel_matching"]
 class PushRelabelConfig:
     """Tuning knobs of the sequential push-relabel algorithm.
 
+    A global relabel always runs before the first push, as the paper does
+    for the GPU algorithm.
+
     Attributes
     ----------
     global_relabel_k:
         A global relabel is performed every ``global_relabel_k * (n + m)``
-        pushes.  The paper reports ``k = 0.5`` as the best value for its data
-        set and uses it in the experiments.
+        pushes; a finite number > 0.  The paper reports ``k = 0.5`` as the
+        best value for its data set and uses it in the experiments.
     gap_relabeling:
-        Enable the gap heuristic.
-    initial_global_relabel:
-        Run a global relabel before the first push (the paper does this for
-        the GPU algorithm and the sequential reference benefits equally).
+        Enable the gap heuristic (a bool).
     """
 
     global_relabel_k: float = 0.5
     gap_relabeling: bool = True
-    initial_global_relabel: bool = True
+
+    def __post_init__(self) -> None:
+        k = self.global_relabel_k
+        if not (isinstance(k, numbers.Real) and not isinstance(k, bool)
+                and math.isfinite(k) and k > 0):
+            raise ValueError(f"global_relabel_k must be a finite number > 0, got {k!r}")
+        if not isinstance(self.gap_relabeling, bool):
+            raise ValueError(f"gap_relabeling must be a bool, got {self.gap_relabeling!r}")
 
 
 def _global_relabel(
@@ -139,8 +148,7 @@ def push_relabel_matching(
     psi_row_arr = np.zeros(m, dtype=np.int64)
     psi_col_arr = np.ones(n, dtype=np.int64)
 
-    if config.initial_global_relabel:
-        _global_relabel(graph, row_match_arr, col_match_arr, psi_row_arr, psi_col_arr, counters)
+    _global_relabel(graph, row_match_arr, col_match_arr, psi_row_arr, psi_col_arr, counters)
 
     # The push loop touches one adjacency slice and a handful of labels per
     # iteration, so it runs on plain list state (frontier-layer split, see

@@ -76,11 +76,6 @@ class ShardedMatcher:
         ``backend`` / ``workers`` and shuts it down afterwards.
     backend / workers:
         Used only when ``engine`` is ``None``.
-    window:
-        Maximum per-shard jobs in flight at once.  Defaults to all shards
-        for resident stores and to the store's ``max_resident`` for spilled
-        stores — the knob that keeps out-of-core runs at O(largest shard)
-        peak memory.
     kwargs:
         Extra keyword arguments for the per-shard algorithm.
     """
@@ -94,7 +89,6 @@ class ShardedMatcher:
         engine: Engine | None = None,
         backend: str = "inline",
         workers: int = 0,
-        window: int | None = None,
         kwargs: dict | None = None,
     ) -> None:
         self.sharded = sharded
@@ -117,15 +111,14 @@ class ShardedMatcher:
         self._engine = engine
         self._backend = backend
         self._workers = workers
-        if window is None:
-            store = sharded.store
-            if getattr(store, "resident", False):
-                window = max(1, sharded.n_shards)
-            else:
-                window = max(1, getattr(store, "max_resident", 1))
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._window = int(window)
+        # Per-shard jobs in flight at once: every shard of a resident store,
+        # the store's ``max_resident`` of a spilled one, which keeps an
+        # out-of-core run at O(largest shard) peak memory.
+        store = sharded.store
+        if getattr(store, "resident", False):
+            self._window = max(1, sharded.n_shards)
+        else:
+            self._window = max(1, getattr(store, "max_resident", 1))
 
     # ------------------------------------------------------------------ run
     def run(self) -> MatchingResult:
@@ -405,7 +398,6 @@ def sharded_matching(
     engine: Engine | None = None,
     backend: str = "inline",
     workers: int = 0,
-    window: int | None = None,
     **kwargs,
 ) -> MatchingResult:
     """One-call sharded matching.
@@ -428,7 +420,6 @@ def sharded_matching(
         engine=engine,
         backend=backend,
         workers=workers,
-        window=window,
         kwargs=kwargs,
     )
     return matcher.run()

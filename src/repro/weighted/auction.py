@@ -54,6 +54,15 @@ __all__ = [
 ]
 
 
+#: Geometric ε divisor between scaling rounds.  The last round's ε is
+#: ``0.45 / N`` (``N`` = augmented problem size), which makes integer
+#: effective weights exactly optimal.
+SCALING_FACTOR = 5.0
+#: Safety valve on total Jacobi bidding rounds across all ε levels; a genuine
+#: instance never comes close.
+MAX_BID_ROUNDS = 1_000_000
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     """Tuning knobs of the ε-scaling auction solver.
@@ -63,30 +72,12 @@ class AuctionConfig:
     objective:
         ``"max"`` (default) maximises total weight, ``"min"`` minimises it —
         both among *maximum-cardinality* matchings.
-    scaling_factor:
-        Geometric ε divisor between scaling rounds (> 1).
-    final_epsilon:
-        Override for the last round's ε.  Default ``0.45 / N`` (``N`` =
-        augmented problem size), which makes integer effective weights
-        exactly optimal.
-    max_bid_rounds:
-        Safety valve on total Jacobi bidding rounds across all ε levels; a
-        genuine instance never comes close.
     """
 
     objective: str = "max"
-    scaling_factor: float = 5.0
-    final_epsilon: float | None = None
-    max_bid_rounds: int = 1_000_000
 
     def __post_init__(self) -> None:
         _check_objective(self.objective)
-        if not self.scaling_factor > 1.0:
-            raise ValueError("scaling_factor must be > 1")
-        if self.final_epsilon is not None and not self.final_epsilon > 0:
-            raise ValueError("final_epsilon must be positive")
-        if self.max_bid_rounds < 1:
-            raise ValueError("max_bid_rounds must be at least 1")
 
 
 def build_augmented_problem(
@@ -200,7 +191,7 @@ def weighted_auction_matching(
     ptr, objs, w_aug = build_augmented_problem(graph, cfg.objective)
     degrees = np.diff(ptr)
     spread = float(w_aug.max() - w_aug.min())
-    final_eps = cfg.final_epsilon if cfg.final_epsilon is not None else 0.45 / n
+    final_eps = 0.45 / n
     epsilon = max(final_eps, spread / 8.0)
 
     prices = np.zeros(n, dtype=np.float64)
@@ -238,10 +229,10 @@ def weighted_auction_matching(
             if len(free) == 0:
                 break
             counters["bid_rounds"] += 1
-            if counters["bid_rounds"] > cfg.max_bid_rounds:
+            if counters["bid_rounds"] > MAX_BID_ROUNDS:
                 raise RuntimeError(
-                    f"auction exceeded max_bid_rounds={cfg.max_bid_rounds}; "
-                    "the instance or configuration is pathological"
+                    f"auction exceeded {MAX_BID_ROUNDS} bid rounds; "
+                    "the instance is pathological"
                 )
             # Bid kernel: every free person scans its candidates for the two
             # best values at current prices.
@@ -287,7 +278,7 @@ def weighted_auction_matching(
                 device.charge_kernel("auction_assign", SparseWork(len(free), 1))
         if epsilon <= final_eps:
             break
-        epsilon = max(final_eps, epsilon / cfg.scaling_factor)
+        epsilon = max(final_eps, epsilon / SCALING_FACTOR)
 
     duals = AuctionCertificate(
         objective=cfg.objective,

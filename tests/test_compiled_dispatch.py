@@ -14,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import repro.core.gpr as gpr_module
 from repro.compiled import dispatch
 from repro.compiled.calibrate import CALIBRATION_SCHEMA, calibrate, default_instances
 from repro.core.ghkdw import ghkdw_matching
@@ -117,8 +118,9 @@ def _assert_results_identical(base, twin):
 
 @pytest.mark.parametrize("variant", list(GPRVariant))
 @pytest.mark.parametrize("waves", [1, 2])
-def test_gpr_counter_golden_parity(graph, variant, waves):
-    config = GPRConfig(variant=variant, waves_in_flight=waves, seed=5)
+def test_gpr_counter_golden_parity(graph, variant, waves, monkeypatch):
+    monkeypatch.setattr(gpr_module, "WAVES_IN_FLIGHT", waves)
+    config = GPRConfig(variant=variant, seed=5)
     base, twin = _both_tiers(lambda: gpr_matching(graph, config=config))
     _assert_results_identical(base, twin)
 

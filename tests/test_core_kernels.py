@@ -441,8 +441,7 @@ def _checked_bfs(monkeypatch):
 SOLVERS = {
     "g-pr": lambda g: gpr_matching(g, config=GPRConfig(shrink_threshold=8)),
     "g-pr-noshrink": lambda g: gpr_matching(g, config=GPRConfig(variant="noshrink")),
-    # Small waves, so launches split into several waves.
-    "g-pr-first": lambda g: gpr_matching(g, config=GPRConfig(variant="first", waves_in_flight=1)),
+    "g-pr-first": lambda g: gpr_matching(g, config=GPRConfig(variant="first")),
     "g-hkdw": lambda g: ghkdw_matching(g),
 }
 
@@ -450,6 +449,9 @@ SOLVERS = {
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_narrow_and_wide_launches_agree(solver, tiny_analog, monkeypatch):
     solve = SOLVERS[solver]
+    if solver == "g-pr-first":
+        # Small waves, so launches split into several waves.
+        monkeypatch.setattr(gpr_module, "WAVES_IN_FLIGHT", 1)
     with dispatch.override(False):
         monkeypatch.setattr(frontier, "NARROW_WIDTH", 0)
         wide = solve(tiny_analog)

@@ -1,12 +1,14 @@
-"""Documentation honesty checks: intra-repo links and CLI help.
+"""Documentation honesty checks: intra-repo links, CLI help and solver keywords.
 
-Run by the CI ``docs`` job (and the tier-1 suite).  Two guarantees:
+Run by the CI ``docs`` job (and the tier-1 suite).  Three guarantees:
 
 * every relative link in ``docs/*.md`` and ``README.md`` points at a file
   that exists, so the docs tree cannot rot silently;
 * ``python -m repro.cli <subcommand> --help`` works for every subcommand,
   and ``docs/cli.md`` documents exactly the subcommands and flags the
-  parser actually exposes — so the CLI reference cannot drift.
+  parser actually exposes — so the CLI reference cannot drift;
+* the keyword table in ``docs/formats.md`` lists exactly the ``kwargs``
+  each registry entry accepts, so adding a solver option needs a doc edit.
 """
 
 from __future__ import annotations
@@ -90,3 +92,17 @@ def test_readme_documents_every_registered_algorithm():
     table = (REPO_ROOT / "README.md").read_text()
     for name in SPECS:
         assert f"`{name}`" in table, f"README's registry table lacks {name!r}"
+
+
+def test_formats_doc_lists_every_accepted_kwarg():
+    from repro.core.api import SPECS
+
+    lines = (REPO_ROOT / "docs" / "formats.md").read_text().splitlines()
+    start = lines.index("| Algorithm | Accepted `kwargs` |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, accepted = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", line).groups()
+        documented[name] = tuple(re.findall(r"`(\w+)`", accepted))
+    assert documented == {name: spec.accepted_kwargs() for name, spec in SPECS.items()}

@@ -22,6 +22,7 @@ from repro.dynamic import (
 )
 from repro.generators import (
     apply_capacity_spec,
+    generate_instance,
     random_update_trace,
     rmat_bipartite,
     road_network_graph,
@@ -246,6 +247,32 @@ def test_delegated_batches_agree_with_incremental():
     assert incremental.counters["recomputes"] == 0
     snapshot = delegated.graph.snapshot()
     assert is_maximum_matching(snapshot, delegated.matching)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("roadNet-PA", (327, 305, 69, 96_569)),
+        ("amazon0505", (215, 220, 33, 96_889)),
+        ("delaunay_n20", (320, 25, 25, 9_571)),
+    ],
+)
+def test_incremental_repair_counters_are_pinned(name, expected):
+    # (cardinality, searches, augmentations, edges scanned) after replaying a
+    # trace one update at a time; the repair's column and row searches share
+    # one walk, so a change to either side shows here.
+    graph = generate_instance(name, profile="tiny", seed=20130421)
+    matcher = IncrementalMatcher(graph, plan="hk", batch_threshold=10**9)
+    for update in random_update_trace(graph, 400, seed=7):
+        matcher.apply([update])
+    counters = matcher.counters
+    assert (
+        matcher.cardinality,
+        counters["searches"],
+        counters["augmentations"],
+        counters["edges_scanned"],
+    ) == expected
+    assert is_maximum_matching(matcher.graph.snapshot(), matcher.matching)
 
 
 def test_insert_both_endpoints_matched_can_still_augment():

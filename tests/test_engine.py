@@ -3,7 +3,7 @@
 Backend parity reuses the invariant suite's generator families: the same job
 list must yield bit-identical matchings on every backend.  The failure-path
 tests use a job that resolves cleanly but raises at run time (G-HKDW with a
-phase budget of zero), so the whole submit-validation tier is unaffected.
+phase budget of one), so the whole submit-validation tier is unaffected.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def parity_jobs(family_graphs):
 
 def _boom_job(graph, job_id="boom"):
     """Resolves fine; raises RuntimeError at run time on every backend."""
-    return MatchingJob(graph=graph, algorithm="g-hkdw", kwargs={"max_phases": 0}, job_id=job_id)
+    return MatchingJob(graph=graph, algorithm="g-hkdw", kwargs={"max_phases": 1}, job_id=job_id)
 
 
 # ------------------------------------------------------------- backend parity
@@ -101,8 +101,8 @@ def test_failing_job_leaves_siblings_completed(backend, family_graphs):
     boom = outcomes["boom"]
     assert boom.status is JobStatus.FAILED
     assert boom.failure is not None and boom.failure.exc_type == "RuntimeError"
-    assert "exceeded 0 phases" in boom.failure.message
-    with pytest.raises(JobFailedError, match="exceeded 0 phases"):
+    assert "exceeded 1 phases" in boom.failure.message
+    with pytest.raises(JobFailedError, match="exceeded 1 phases"):
         boom.result()
     assert outcomes["before"].status is JobStatus.OK
     assert outcomes["after"].status is JobStatus.OK

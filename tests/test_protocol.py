@@ -72,6 +72,18 @@ CASES = {
     "gpr-engine-warp": {**G, "kwargs": {"engine": "warp"}},
     "gpr-engine-serialized": {**G, "kwargs": {"engine": "serialized"}},
     "gpr-first-serialized": {**G, "algorithm": "g-pr-first", "kwargs": {"engine": "serialized"}},
+    "gpr-seed-string": {**G, "kwargs": {"seed": "x"}},
+    "gpr-shrink-threshold-string": {**G, "kwargs": {"shrink_threshold": "x"}},
+    "gpr-max-iterations-string": {**G, "kwargs": {"max_iterations": "x"}},
+    "gpr-waves-negative": {**G, "kwargs": {"waves_in_flight": -3}},
+    "pr-relabel-k-string": {**G, "algorithm": "pr", "kwargs": {"global_relabel_k": "x"}},
+    "pr-relabel-k-negative": {**G, "algorithm": "pr", "kwargs": {"global_relabel_k": -1}},
+    "pr-relabel-k-quarter": {**G, "algorithm": "pr", "kwargs": {"global_relabel_k": 0.25}},
+    "pr-gap-string": {**G, "algorithm": "pr", "kwargs": {"gap_relabeling": "no"}},
+    "ghkdw-max-phases-zero": {**G, "algorithm": "g-hkdw", "kwargs": {"max_phases": 0}},
+    "cheap-seed-string": {**G, "algorithm": "cheap", "kwargs": {"seed": "x"}},
+    "karp-sipser-seed-negative": {**G, "algorithm": "karp-sipser", "kwargs": {"seed": -1}},
+    "b-expand-inner-cheap": {**G, "algorithm": "b-expand", "kwargs": {"inner": "cheap"}},
 }
 #: The solver configs check their fields when they are made, so a bad value
 #: is a rejected request (this message everywhere), never a failed solve.
@@ -84,6 +96,23 @@ BAD_CONFIGS = {
     "gpr-strategy-int": "strategy must be a string such as 'adaptive:0.7', got 5",
     "gpr-engine-warp": "unknown engine 'warp'; use 'lockstep' or 'serialized'",
     "gpr-engine-serialized": "the serialized reference engine only supports the 'first' variant",
+    "gpr-seed-string": "seed must be an integer >= 0, got 'x'",
+    "gpr-shrink-threshold-string": "shrink_threshold must be an integer >= 1, got 'x'",
+    "gpr-max-iterations-string": "max_iterations must be an integer >= 1, got 'x'",
+    "gpr-waves-negative": (
+        "algorithm 'g-pr' got unexpected keyword argument(s) ['waves_in_flight']; "
+        "accepted: ['engine', 'max_iterations', 'seed', 'shrink_threshold', 'strategy']"
+    ),
+    "pr-relabel-k-string": "global_relabel_k must be a finite number > 0, got 'x'",
+    "pr-relabel-k-negative": "global_relabel_k must be a finite number > 0, got -1",
+    "pr-gap-string": "gap_relabeling must be a bool, got 'no'",
+    "ghkdw-max-phases-zero": "max_phases must be an integer >= 1, got 0",
+    "cheap-seed-string": "seed must be an integer >= 0, got 'x'",
+    "karp-sipser-seed-negative": "seed must be an integer >= 0, got -1",
+    "b-expand-inner-cheap": (
+        "b-expand needs a maximum-cardinality, cardinality-only inner algorithm "
+        "to solve the expansion; 'cheap' is not one"
+    ),
 }
 SERVER_ONLY_CASES = {
     "tenant": {**G, "tenant": "team-a"},
@@ -244,7 +273,17 @@ def test_bad_solver_configs_are_rejected_before_solving(case, tmp_path, capsys):
     assert _via_batch(CASES[case], tmp_path, capsys) == ("rejected", BAD_CONFIGS[case])
 
 
-@pytest.mark.parametrize("case", ["pdbfs-threads-two", "gpr-first-serialized"])
+@pytest.mark.parametrize(
+    "case", ["pdbfs-threads-two", "gpr-first-serialized", "pr-relabel-k-quarter"]
+)
 def test_good_solver_configs_solve(case, tmp_path, capsys):
     status, cardinality = _via_batch(CASES[case], tmp_path, capsys)
     assert status == "ok" and cardinality > 0
+
+
+def test_a_budget_of_one_is_accepted_and_fails_when_solved(server, tmp_path, capsys):
+    # The smallest budget is a valid request; one phase is too few to solve.
+    payload = {**G, "algorithm": "g-hkdw", "kwargs": {"max_phases": 1}}
+    assert _via_batch(payload, tmp_path, capsys) == ("failed", None)
+    assert _via_match(payload, server.port) == ("failed", None)
+    assert _via_server_batch(payload, server.port) == ("failed", None)

@@ -160,12 +160,6 @@ def test_pr_counters_populated(family_graph):
     assert result.wall_time > 0
 
 
-def test_pr_without_initial_global_relabel(family_graph):
-    cfg = PushRelabelConfig(initial_global_relabel=False, global_relabel_k=0.5)
-    result = push_relabel_matching(family_graph, config=cfg)
-    assert result.cardinality == maximum_matching_cardinality(family_graph)
-
-
 def test_pr_without_gap_relabeling(family_graph):
     cfg = PushRelabelConfig(gap_relabeling=False)
     result = push_relabel_matching(family_graph, config=cfg)

@@ -246,15 +246,15 @@ def test_unseeded_karp_sipser_is_never_cached_or_deduplicated(small_graphs, coun
 # ----------------------------------------------------------- failure isolation
 def test_failing_job_does_not_abort_batch(small_graphs):
     g = small_graphs[0]
-    # A phase budget of zero resolves fine but raises RuntimeError at run time.
-    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 0}, job_id="boom")
+    # A phase budget of one resolves fine but raises RuntimeError at run time.
+    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 1}, job_id="boom")
     jobs = [MatchingJob(graph=g, algorithm="pr", job_id="a"), boom,
             MatchingJob(graph=g, algorithm="hk", job_id="b")]
     report = MatchingService().submit_batch(jobs)
     by_id = {r.job.job_id: r for r in report.results}
     assert report.failed == 1 and not report.all_ok
     assert by_id["boom"].status == "failed" and by_id["boom"].result is None
-    assert "exceeded 0 phases" in by_id["boom"].error.message
+    assert "exceeded 1 phases" in by_id["boom"].error.message
     assert by_id["a"].ok and by_id["b"].ok
     assert by_id["a"].result.cardinality == by_id["b"].result.cardinality
     assert report.failures() == [by_id["boom"]]
@@ -264,7 +264,7 @@ def test_failing_job_does_not_abort_batch(small_graphs):
 
 def test_failed_jobs_are_not_cached(small_graphs, counting_execute):
     g = small_graphs[0]
-    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 0})
+    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 1})
     service = MatchingService()
     first = service.submit(boom)
     second = service.submit(boom)
@@ -275,7 +275,7 @@ def test_failed_jobs_are_not_cached(small_graphs, counting_execute):
 
 def test_failed_duplicates_share_the_failure(small_graphs):
     g = small_graphs[0]
-    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 0})
+    boom = MatchingJob(graph=g, algorithm="g-hkdw", kwargs={"max_phases": 1})
     report = MatchingService().submit_batch([boom, boom])
     assert report.failed == 2 and report.executed == 1 and report.deduplicated == 1
     assert all(r.status == "failed" and r.error is not None for r in report.results)
@@ -457,7 +457,7 @@ def test_cli_batch_failed_job_sets_exit_code_but_siblings_complete(tmp_path, cap
     lines = [
         {"graph": "roadNet-PA", "algorithm": "pr", "profile": "tiny", "id": "ok"},
         {"graph": "roadNet-PA", "algorithm": "g-hkdw", "profile": "tiny", "id": "boom",
-         "kwargs": {"max_phases": 0}},
+         "kwargs": {"max_phases": 1}},
     ]
     manifest.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     rc = main(["batch", "--manifest", str(manifest), "--no-cache"])
@@ -467,6 +467,6 @@ def test_cli_batch_failed_job_sets_exit_code_but_siblings_complete(tmp_path, cap
     by_id = {row["id"]: row for row in rows if row["type"] == "result"}
     assert by_id["ok"]["status"] == "ok" and by_id["ok"]["cardinality"] > 0
     assert by_id["boom"]["status"] == "failed" and by_id["boom"]["cardinality"] is None
-    assert "exceeded 0 phases" in by_id["boom"]["error"]
+    assert "exceeded 1 phases" in by_id["boom"]["error"]
     assert rows[-1]["failed"] == 1
     assert "boom" in captured.err
