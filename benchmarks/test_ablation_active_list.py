@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_PROFILE, BENCH_SEED
-from repro.bench.harness import geometric_mean, modeled_seconds_for, reference_device
+from repro.bench.harness import geometric_mean, reference_device
 from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
 from repro.generators.suite import generate_instance
 from repro.seq.greedy import cheap_matching
@@ -35,7 +35,7 @@ def test_ablation_active_list_and_shrink(benchmark):
                 config=GPRConfig(variant=variant, shrink_threshold=shrink_threshold),
                 device=reference_device(),
             )
-            times.append(modeled_seconds_for(result))
+            times.append(result.modeled_time)
         return geometric_mean(times)
 
     def ablation():

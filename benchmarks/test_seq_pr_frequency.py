@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_PROFILE, BENCH_SEED
-from repro.bench.harness import geometric_mean, modeled_seconds_for
+from repro.bench.harness import geometric_mean
 from repro.generators.suite import generate_instance
 from repro.seq.greedy import cheap_matching
 from repro.seq.push_relabel import PushRelabelConfig, push_relabel_matching
@@ -35,7 +35,7 @@ def test_sequential_pr_global_relabel_frequency(benchmark):
                 result = push_relabel_matching(
                     graph, initial=initial.copy(), config=PushRelabelConfig(global_relabel_k=k)
                 )
-                times.append(modeled_seconds_for(result))
+                times.append(result.modeled_time)
             geomeans[k] = geometric_mean(times)
         return geomeans
 

@@ -12,7 +12,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench.harness import SuiteRunner, geometric_mean, modeled_seconds_for, reference_device
+from repro.bench.harness import SuiteRunner, geometric_mean, reference_device
 from repro.bench.reports import build_figure4, build_table1, render_table
 from repro.core.gpr import GPRConfig, gpr_matching
 from repro.generators.suite import generate_instance
@@ -48,7 +48,7 @@ def main() -> None:
                 graph, initial=initial, config=GPRConfig(strategy=strategy),
                 device=reference_device(),
             )
-            times.append(modeled_seconds_for(result))
+            times.append(result.modeled_time)
         print(f"  {strategy:<14} geometric-mean modelled time: {geometric_mean(times) * 1e3:.3f} ms")
 
 

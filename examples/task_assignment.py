@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.harness import modeled_seconds_for
 from repro.engine import Engine, JobStatus, MatchingJob
 from repro.graph import from_edges
 
@@ -62,7 +61,7 @@ def main() -> None:
             result = handle.result()
             results[name] = result
             print(f"{name:>7}: assigned {result.cardinality} tasks, "
-                  f"modelled time {modeled_seconds_for(result) * 1e3:.3f} ms "
+                  f"modelled time {result.modeled_time * 1e3:.3f} ms "
                   f"(ran on {handle.worker}, {handle.seconds * 1e3:.1f} ms wall)")
 
     if not results:

@@ -27,7 +27,6 @@ from repro.bench.harness import (
     InstanceResult,
     SuiteRunner,
     geometric_mean,
-    modeled_seconds_for,
 )
 from repro.bench.profiles import performance_profile, speedup_profile
 from repro.bench.reports import (
@@ -51,7 +50,6 @@ __all__ = [
     "AlgorithmRun",
     "InstanceResult",
     "geometric_mean",
-    "modeled_seconds_for",
     "speedup_profile",
     "performance_profile",
     "build_figure1",

@@ -3,10 +3,11 @@
 The paper's methodology (§IV): every algorithm starts from the common cheap
 matching, only the time after that initialisation is measured, and aggregate
 numbers are geometric means over the 28 instances.  The runner reproduces
-that protocol with modelled seconds: the GPU algorithms report their virtual
-device's cost-model time, P-DBFS its multicore cost-model time, and the
-sequential baselines are converted from their work counters with
-:class:`~repro.gpusim.costmodel.CpuCostModel`.
+that protocol with modelled seconds, which every solver prices itself (see
+:attr:`repro.matching.MatchingResult.modeled_time`): the GPU algorithms
+report their virtual device's cost-model time, P-DBFS its multicore
+cost-model time, and the sequential baselines
+:class:`~repro.gpusim.costmodel.CpuCostModel` over their work counters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from repro.core.api import ExecutionPlan, resolve_algorithm
 from repro.engine import Engine, ExecutionBackend, MatchingJob
 from repro.generators.suite import SUITE_SPECS, SuiteInstance, generate_instance
-from repro.gpusim.costmodel import CpuCostModel
 from repro.gpusim.device import VirtualGPU, reference_device
 from repro.matching import MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -33,24 +33,9 @@ __all__ = [
     "reference_device",
 ]
 
-_CPU_MODEL = CpuCostModel()
-
-#: Counter keys that constitute "work" for the sequential cost model.
-_SEQ_WORK_KEYS = ("edges_scanned", "gr_edges_scanned", "relabels")
-
-
 def modeled_seconds_for(result: MatchingResult) -> float:
-    """Modelled seconds of a result, deriving them for CPU algorithms.
-
-    GPU and multicore algorithms carry their own cost-model time; sequential
-    algorithms report work counters that are converted with the CPU model.
-    """
-    if result.modeled_time is not None:
-        return float(result.modeled_time)
-    work = sum(float(result.counters.get(key, 0.0)) for key in _SEQ_WORK_KEYS)
-    if work == 0.0:
-        work = float(result.counters.get("kernel_total_work", 0.0))
-    return _CPU_MODEL.seconds(work)
+    """``result.modeled_time`` as a float; ``perfbench/table1.py`` imports it."""
+    return float(result.modeled_time)
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -172,16 +157,14 @@ class SuiteRunner:
         """
         graph = generate_instance(spec.instance_id, profile=self.profile, seed=self.seed)
         initial = cheap_matching(graph).matching
-        handles = {}
-        for name, plan in self.algorithms.items():
-            # Sharded plans refuse warm starts (every shard begins from its
-            # own local solve), so they run cold instead.
-            warm = initial.copy() if plan.shards is None else None
-            handles[name] = self._engine.submit(
+        handles = {
+            name: self._engine.submit(
                 MatchingJob(graph=graph, algorithm=plan.algorithm, job_id=name),
                 plan=plan,
-                initial_matching=warm,
+                initial_matching=initial.copy(),
             )
+            for name, plan in self.algorithms.items()
+        }
         runs: dict[str, AlgorithmRun] = {}
         maximum = 0
         for name, handle in handles.items():
@@ -189,7 +172,7 @@ class SuiteRunner:
             runs[name] = AlgorithmRun(
                 algorithm=name,
                 cardinality=result.cardinality,
-                modeled_seconds=modeled_seconds_for(result),
+                modeled_seconds=result.modeled_time,
                 wall_seconds=result.wall_time,
                 counters=result.counters,
             )

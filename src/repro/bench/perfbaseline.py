@@ -8,7 +8,8 @@ gives the repo a measured perf trajectory:
   ``pfp``, ``pr``, ``p-dbfs``) over the evaluation suite through
   :class:`~repro.bench.harness.SuiteRunner` and records, per (instance,
   algorithm): wall-clock seconds (best of ``repeats``), modeled seconds
-  (deterministic, derived from work counters) and cardinality.
+  (deterministic: each solver prices its own work counters) and
+  cardinality.
 * ``BENCH_<profile>.json`` files (schema below) persist a capture;
   ``BENCH_small.json`` at the repo root is the committed baseline — the
   first point of the perf trajectory, refreshed via
@@ -93,11 +94,8 @@ DEFAULT_MODELED_TOLERANCE = 1.05
 CROSS_PROFILE_SLACK = 3.0
 
 
-def _perf_plans(shards: int | None = None, partition: str | None = None):
-    return {
-        name: resolve_algorithm(registry, shards=shards, partition=partition)
-        for name, registry in PERF_ALGORITHMS.items()
-    }
+def _perf_plans():
+    return {name: resolve_algorithm(registry) for name, registry in PERF_ALGORITHMS.items()}
 
 
 def _warmup() -> None:
@@ -125,8 +123,6 @@ def capture(
     seed: int = 20130421,
     instances: list[str] | None = None,
     repeats: int = 1,
-    shards: int | None = None,
-    partition: str | None = None,
 ) -> dict:
     """Measure the tracked CPU baselines over the suite; returns a schema doc.
 
@@ -142,11 +138,6 @@ def capture(
         Wall-clock seconds keep the *minimum* over this many suite runs
         (modeled seconds and cardinalities are deterministic and asserted
         stable across repeats).
-    shards / partition:
-        When ``shards`` is set, every baseline runs through the sharded
-        subsystem (per-shard solves + reconciliation) instead of a
-        single-graph solve; the capture records the setting so a sharded
-        capture is never silently compared against an unsharded one by eye.
 
     Raises
     ------
@@ -163,7 +154,7 @@ def capture(
         runner = SuiteRunner(
             profile=profile,
             seed=seed,
-            algorithms=_perf_plans(shards, partition),
+            algorithms=_perf_plans(),
             instances=instances,
         )
         try:
@@ -205,7 +196,7 @@ def capture(
             "geomean_modeled_seconds": geometric_mean(modeled),
             "total_wall_seconds": float(sum(walls)),
         }
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "profile": profile,
         "seed": seed,
@@ -214,10 +205,6 @@ def capture(
         "aggregate": aggregate,
         "instances": best,
     }
-    if shards is not None:
-        doc["shards"] = int(shards)
-        doc["partition"] = partition or "contiguous"
-    return doc
 
 
 def save_baseline(path: str | Path, doc: dict) -> None:

@@ -15,7 +15,6 @@ from repro.bench.harness import (
     InstanceResult,
     SuiteRunner,
     geometric_mean,
-    modeled_seconds_for,
     reference_device,
 )
 from repro.bench.profiles import performance_profile, speedup_profile
@@ -92,7 +91,7 @@ def build_figure1(
                 )
                 result = gpr_matching(graph, initial=initial.copy(), config=config,
                                       device=reference_device())
-                times.append(modeled_seconds_for(result))
+                times.append(result.modeled_time)
             cells.append(
                 Figure1Cell(
                     variant=variant_name,

@@ -38,7 +38,11 @@ def capacitated_auction_matching(
     config: AuctionConfig | None = None,
     device=None,
 ) -> MatchingResult:
-    """Maximum-cardinality, weight-optimal many-to-one assignment of ``graph``."""
+    """Maximum-cardinality, weight-optimal many-to-one assignment of ``graph``.
+
+    The result's modelled seconds are the wrapped auction's: the device's
+    when one is given, the CPU cost model's otherwise.
+    """
     b_row, b_col = effective_capacities(graph)
     if int(b_row.max(initial=1)) == 1 and int(b_col.max(initial=1)) == 1:
         result = weighted_auction_matching(graph, config=config, device=device)
@@ -105,5 +109,6 @@ def capacitated_auction_matching(
         "B-AUC",
         matching,
         counters=counters,
+        modeled_time=result.modeled_time,
         wall_time=time.perf_counter() - start,
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.capacity.matching import CapacitatedMatching, effective_capacities
 from repro.graph.bipartite import BipartiteGraph
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import Matching, MatchingResult
 
 __all__ = ["capacitated_augment_matching"]
@@ -195,5 +196,6 @@ def capacitated_augment_matching(
         "B-AUG",
         matching,
         counters=counters,
+        modeled_time=CpuCostModel().seconds(counters["edges_scanned"]),
         wall_time=time.perf_counter() - start,
     )

@@ -134,7 +134,8 @@ def capacitated_expand_matching(
 
     With every (effective) capacity equal to 1 the expansion is the input
     graph itself, so the call delegates to the ``inner`` algorithm and
-    returns its result unchanged (bit-identical matching arrays).
+    returns its result unchanged (bit-identical matching arrays).  Either
+    way the result's modelled seconds are the inner solve's.
     """
     plan = _inner_plan(inner)
     b_row, b_col = effective_capacities(graph)
@@ -187,5 +188,6 @@ def capacitated_expand_matching(
         f"B-EXP[{inner_result.algorithm}]",
         matching,
         counters=counters,
+        modeled_time=inner_result.modeled_time,
         wall_time=time.perf_counter() - start,
     )

@@ -56,7 +56,7 @@ import sys
 from pathlib import Path
 
 from repro.bench import perfbaseline
-from repro.bench.harness import SuiteRunner, modeled_seconds_for
+from repro.bench.harness import SuiteRunner
 from repro.bench.reports import build_figure1, build_figure2, build_figure3, build_figure4, build_table1, render_table
 from repro.capacity import assignment_demand
 from repro.core.api import SPECS, resolve_algorithm
@@ -112,7 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "n_edges": graph.n_edges,
         "algorithm": result.algorithm,
         "cardinality": result.cardinality,
-        "modeled_seconds": modeled_seconds_for(result),
+        "modeled_seconds": result.modeled_time,
         "wall_seconds": result.wall_time,
     }
     if "total_weight" in result.counters:
@@ -438,9 +438,6 @@ def _cmd_perf_calibrate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards is not None:
-        print("error: --calibrate does not support --shards", file=sys.stderr)
-        return 2
     try:
         doc = calibrate(profile=args.profile, seed=args.seed, repeats=args.repeats)
     except ValueError as exc:
@@ -491,8 +488,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             seed=args.seed,
             instances=args.instances or None,
             repeats=args.repeats,
-            shards=args.shards,
-            partition=args.partition,
         )
     except (KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
@@ -819,11 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="restrict to these suite instances")
     perf.add_argument("--repeats", type=int, default=1,
                       help="suite passes; wall times keep the per-entry minimum")
-    perf.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="measure the baselines through the sharded subsystem "
-                           "with N shards instead of single-graph solves")
-    perf.add_argument("--partition", default=None, choices=("contiguous", "degree"),
-                      help="shard splitter for --shards (default: contiguous)")
     perf.add_argument("--compare", default=None, metavar="PATH",
                       help="compare against this baseline; exit 1 on regressions")
     perf.add_argument("--update", default=None, metavar="PATH",
@@ -841,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--calibrate", action="store_true",
                       help="fit measured per-kernel wall time against the cost-model "
                            "predictions and report the most divergent kernels "
-                           "(incompatible with --compare / --update / --shards); "
+                           "(incompatible with --compare / --update); "
                            "--output writes the repro-calibration/1 document")
     perf.add_argument("--format", default="table", choices=("table", "json"))
     perf.set_defaults(func=_cmd_perf)

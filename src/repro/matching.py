@@ -183,13 +183,17 @@ class MatchingResult:
         The final matching (already canonicalised).
     cardinality:
         Cached ``matching.cardinality``.
+    modeled_time:
+        Modelled execution time in seconds on the reference machine for this
+        algorithm's class, set by the solver that built the result: the
+        virtual device's ledger for the GPU solvers (and the auctions given a
+        device), the multicore model for P-DBFS, and
+        :class:`~repro.gpusim.costmodel.CpuCostModel` over the work counters
+        for the sequential ones.  Wrappers (``b-expand``, ``b-auction``,
+        sharded runs) pass on the seconds of the solves they wrap.
     counters:
         Raw work counters (edges scanned, pushes, kernel launches, ...);
         algorithm-specific keys, consumed by :mod:`repro.bench`.
-    modeled_time:
-        Modelled execution time in seconds on the reference machine for this
-        algorithm's class (CPU / multicore / GPU), or ``None`` when the
-        algorithm does not provide a cost model.
     wall_time:
         Wall-clock seconds spent by this Python implementation.
     duals:
@@ -201,8 +205,8 @@ class MatchingResult:
     algorithm: str
     matching: Matching
     cardinality: int
+    modeled_time: float
     counters: dict = field(default_factory=dict)
-    modeled_time: float | None = None
     wall_time: float = 0.0
     duals: object | None = None
 
@@ -228,18 +232,22 @@ class MatchingResult:
         algorithm: str,
         matching: Matching,
         counters: dict | None = None,
-        modeled_time: float | None = None,
+        *,
+        modeled_time: float,
         wall_time: float = 0.0,
         duals: object | None = None,
     ) -> "MatchingResult":
-        """Build a result, canonicalising the matching and caching its cardinality."""
+        """Build a result, canonicalising the matching and caching its cardinality.
+
+        ``modeled_time`` is required: every solver prices its own work.
+        """
         canonical = matching.canonical()
         return cls(
             algorithm=algorithm,
             matching=canonical,
             cardinality=canonical.cardinality,
             counters=dict(counters or {}),
-            modeled_time=modeled_time,
+            modeled_time=float(modeled_time),
             wall_time=wall_time,
             duals=duals,
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 
 __all__ = ["cheap_matching", "karp_sipser_matching"]
@@ -62,7 +63,10 @@ def cheap_matching(graph: BipartiteGraph, seed: int | None = None) -> MatchingRe
         np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
     )
     return MatchingResult.create(
-        "cheap", matching, counters={"edges_scanned": edges_scanned, "phases": 1}
+        "cheap",
+        matching,
+        counters={"edges_scanned": edges_scanned, "phases": 1},
+        modeled_time=CpuCostModel().seconds(edges_scanned),
     )
 
 
@@ -153,5 +157,8 @@ def karp_sipser_matching(graph: BipartiteGraph, seed: int | None = None) -> Matc
             break
 
     return MatchingResult.create(
-        "karp-sipser", matching, counters={"edges_scanned": edges_scanned, "phases": 1}
+        "karp-sipser",
+        matching,
+        counters={"edges_scanned": edges_scanned, "phases": 1},
+        modeled_time=CpuCostModel().seconds(edges_scanned),
     )

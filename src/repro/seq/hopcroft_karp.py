@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import alternating_level_bfs, augmenting_dfs
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -48,7 +49,8 @@ def _prepare(graph: BipartiteGraph, initial: Matching | None):
     return matching.row_match, matching.col_match
 
 
-def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
+def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> MatchingResult:
+    t0 = time.perf_counter()
     row_match_arr, col_match_arr = _prepare(graph, initial)
     counters = {"edges_scanned": 0, "phases": 0, "augmentations": 0}
     if duff_wassel:
@@ -98,17 +100,18 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool):
     matching = Matching(
         np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
     )
-    return matching, counters
+    wall = time.perf_counter() - t0
+    return MatchingResult.create(
+        "HKDW" if duff_wassel else "HK", matching, counters=counters,
+        modeled_time=CpuCostModel().seconds(counters["edges_scanned"]), wall_time=wall,
+    )
 
 
 def hopcroft_karp_matching(
     graph: BipartiteGraph, initial: Matching | None = None
 ) -> MatchingResult:
     """Maximum cardinality matching with the Hopcroft–Karp algorithm."""
-    t0 = time.perf_counter()
-    matching, counters = _run(graph, initial, duff_wassel=False)
-    wall = time.perf_counter() - t0
-    return MatchingResult.create("HK", matching, counters=counters, wall_time=wall)
+    return _run(graph, initial, duff_wassel=False)
 
 
 def hkdw_matching(graph: BipartiteGraph, initial: Matching | None = None) -> MatchingResult:
@@ -118,7 +121,4 @@ def hkdw_matching(graph: BipartiteGraph, initial: Matching | None = None) -> Mat
     augmentation round of each phase, performs additional unrestricted DFS
     augmentations from the still-unmatched columns whose BFS level is finite.
     """
-    t0 = time.perf_counter()
-    matching, counters = _run(graph, initial, duff_wassel=True)
-    wall = time.perf_counter() - t0
-    return MatchingResult.create("HKDW", matching, counters=counters, wall_time=wall)
+    return _run(graph, initial, duff_wassel=True)

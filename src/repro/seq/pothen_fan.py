@@ -3,40 +3,42 @@
 PFP performs, for every unmatched column, a DFS that first tries the
 *lookahead*: scanning the column's adjacency for a directly unmatched row
 before descending.  A phase visits all unmatched columns; phases repeat until
-one makes no progress.  This is the third sequential algorithm used in §IV of
+one makes no progress.  Here only the first phase is walked (see below).
+This is the third sequential algorithm used in §IV of
 the paper to filter out instances every sequential code solves in under a
 second ("Pothen-Fan-Plus").
 
 The whole DFS — lookahead and descent — works one small adjacency slice at
 a time, so per the frontier-layer split (:mod:`repro.graph.frontier`) it
 runs as a scalar walk over the cached ``csr_lists()`` views with matching,
-lookahead and visited state in plain Python lists (one function call per
-*phase*, locals only in the per-edge scans): no per-edge ndarray boxing,
-bulk counter updates per phase, end-values identical to the historical
+lookahead and visited state in plain Python lists (one function call for
+the phase, locals only in the per-edge scans): no per-edge ndarray boxing,
+bulk counter updates, end-values identical to the historical
 implementation.
 
 A search that fails is never walked again.  Its alternating tree is closed
 (every row in it is matched to a column in it), so no later augmenting
 path enters the tree, and a later search from the same start meets the
 same tree with every lookahead pointer at its end: it scans each of the
-tree's columns' adjacency once and fails.  A failed start stays unmatched,
-so every later phase charges all failed starts' descent counts at once, one
-running total, which makes the last phase O(unmatched columns).  The dead
-trees' rows and their mates are recorded in a list; a start whose every
-neighbour row is in a dead tree must fail too, and is charged its own
-lookahead remainder at once and, at the phase end, its reach over that
-list: :func:`~repro.graph.frontier.alternating_reach_total` prices all of
-a phase's such starts in one pass over their trees.  Until a search fails,
+tree's columns' adjacency once and fails.  The visited marks reset per
+search (``round_id`` advances per start, not per phase), so a start that
+fails has no augmenting path at all, and a second phase would find every
+column still unmatched among the first phase's failed starts.  The solve
+therefore runs one phase and, when that phase augmented, charges the
+second phase's failed searches as one running total of their descent
+counts instead of walking them: every solve that augments reports
+``phases: 2``.  The dead trees' rows and their mates are recorded in a
+list; a start whose every neighbour row is in a dead tree must fail too,
+and is charged its own lookahead remainder at once and, at the phase end,
+its reach over that list: :func:`~repro.graph.frontier.alternating_reach_total`
+prices all such starts in one pass over their trees.  Until a search fails,
 the bookkeeping is one list append per descent (the columns the search
-enters) and one set lookup per start; after that, each new start also
-checks its neighbour rows against the dead marks.
+enters); after that, each new start also checks its neighbour rows against
+the dead marks.
 
-This deviates from Pothen and Fan on purpose: the visited marks reset per
-search (``round_id`` advances per start, not per phase), so the DFSs of a
-phase are not vertex-disjoint.  A start that fails therefore has no
-augmenting path at all, and every solve that augments reports
-``phases: 2``.  It stays so, because vertex-disjoint phases would move the
-frozen modeled figures of Table I.
+This deviates from Pothen and Fan on purpose: with vertex-disjoint phases
+a failed start could still have an augmenting path, and the frozen
+modeled figures of Table I would move.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import alternating_reach_total
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -58,26 +61,24 @@ def _pfp_phase(
     col_ind: list[int],
     row_match: list[int],
     col_match: list[int],
-    lookahead: list[int],
-    visited_round: list[int],
-    round_id: int,
-    failed: set[int],
-    dead: list[int],
-) -> tuple[int, int, int, int, int]:
-    """One PFP phase: a lookahead DFS from every currently unmatched column
-    that has not failed before.
+) -> tuple[int, int, int, int]:
+    """PFP's one phase: a lookahead DFS from every currently unmatched column.
 
-    A start that fails joins ``failed`` and its tree's rows are recorded in
-    ``dead`` (row -> its mate, ``-1`` for rows outside every failed tree); a
-    start that provably fails is charged its walk instead of walking it (see
-    the module docstring).
+    A failed start's tree rows are recorded in ``dead`` (row -> its mate,
+    ``-1`` for rows outside every failed tree); a start that provably fails
+    is charged its walk instead of walking it (see the module docstring).
 
-    Returns ``(augmentations, lookahead_hits, edges_scanned, round_id,
-    failed_edges)``, where ``failed_edges`` sums the descent counts of this
-    phase's failed starts, which each later phase charges again.
+    Returns ``(augmentations, lookahead_hits, edges_scanned, failed_edges)``,
+    where ``failed_edges`` sums what the failed starts' searches scan.
     """
     unmatched = UNMATCHED
     n_cols = len(col_ptr) - 1
+    # Lookahead pointer: next adjacency offset to inspect for a free row, per column.
+    lookahead = list(col_ptr[:-1])
+    visited_round = [-1] * len(row_match)
+    dead = [unmatched] * len(row_match)
+    round_id = 0
+    any_failed = False
     augmentations = 0
     lookahead_hits = 0
     edges = 0
@@ -85,9 +86,9 @@ def _pfp_phase(
     hopeless: list[int] = []
     # hot-path
     for start in range(n_cols):
-        if col_match[start] != unmatched or start in failed:
+        if col_match[start] != unmatched:
             continue
-        if failed:
+        if any_failed:
             stop = col_ptr[start + 1]
             for idx in range(col_ptr[start], stop):
                 if dead[col_ind[idx]] < 0:
@@ -96,7 +97,6 @@ def _pfp_phase(
                 # Every neighbour row lies in a failed tree: the walk would
                 # fail after its own lookahead and one scan of each column
                 # it reaches, priced at the phase end.
-                failed.add(start)
                 hopeless.append(start)
                 edges += stop - lookahead[start]
                 lookahead[start] = stop
@@ -172,7 +172,7 @@ def _pfp_phase(
                     path_rows.pop()
         else:
             # The stack emptied without augmenting: the search failed.
-            failed.add(start)
+            any_failed = True
             failed_edges += sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
             for c in tree[1:]:
                 dead[col_match[c]] = c
@@ -180,7 +180,7 @@ def _pfp_phase(
     reach = alternating_reach_total(col_ptr, col_ind, dead, hopeless)
     if reach is None:
         raise RuntimeError("PFP: a start priced as hopeless reaches an unmatched row")
-    return augmentations, lookahead_hits, edges + reach, round_id, failed_edges + reach
+    return augmentations, lookahead_hits, edges + reach, failed_edges + reach
 
 
 def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) -> MatchingResult:
@@ -192,34 +192,22 @@ def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) 
         matching = initial.copy().canonical()
     row_match = matching.row_match.tolist()
     col_match = matching.col_match.tolist()
-    counters = {"edges_scanned": 0, "phases": 0, "augmentations": 0, "lookahead_hits": 0}
-
     col_ptr, col_ind = graph.csr_lists("col")
-    # Lookahead pointer: next adjacency offset to inspect for a free row, per column.
-    lookahead = list(col_ptr[:-1])
-    visited_round = [-1] * graph.n_rows
-    round_id = 0
-    failed: set[int] = set()
-    failed_edges = 0  # what the failed starts' searches scan, summed
-    dead = [UNMATCHED] * graph.n_rows
-
-    while True:
-        counters["phases"] += 1
-        # Every start that failed before fails again, scanning the same entries.
+    augmented, hits, edges, failed_edges = _pfp_phase(col_ptr, col_ind, row_match, col_match)
+    counters = {
+        "edges_scanned": edges, "phases": 1, "augmentations": augmented, "lookahead_hits": hits,
+    }
+    if augmented:
+        # The second phase: every start that failed fails again, scanning
+        # the same entries, and nothing augments.
+        counters["phases"] = 2
         counters["edges_scanned"] += failed_edges
-        augmented, hits, edges, round_id, newly_failed = _pfp_phase(
-            col_ptr, col_ind, row_match, col_match, lookahead, visited_round, round_id,
-            failed, dead,
-        )
-        failed_edges += newly_failed
-        counters["augmentations"] += augmented
-        counters["lookahead_hits"] += hits
-        counters["edges_scanned"] += edges
-        if augmented == 0:
-            break
 
     wall = time.perf_counter() - t0
     result = Matching(
         np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
     )
-    return MatchingResult.create("PFP", result, counters=counters, wall_time=wall)
+    return MatchingResult.create(
+        "PFP", result, counters=counters,
+        modeled_time=CpuCostModel().seconds(counters["edges_scanned"]), wall_time=wall,
+    )

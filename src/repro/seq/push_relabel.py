@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.frontier import distance_label_bfs
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
@@ -264,4 +265,10 @@ def push_relabel_matching(
     result = Matching(
         np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
     )
-    return MatchingResult.create("PR", result, counters=counters, wall_time=wall)
+    # Priced work: the push loop's and the global relabels' adjacency scans
+    # plus one operation per label update.
+    work = counters["edges_scanned"] + counters["gr_edges_scanned"] + counters["relabels"]
+    return MatchingResult.create(
+        "PR", result, counters=counters,
+        modeled_time=CpuCostModel().seconds(work), wall_time=wall,
+    )

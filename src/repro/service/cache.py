@@ -85,7 +85,8 @@ class DiskCache:
     File names are the SHA-256 of the key's repr — the key already contains
     the graph's content hash, so collisions would require a SHA-256 collision.
     Corrupt or unreadable entries are treated as misses and overwritten on
-    the next ``put``.
+    the next ``put``, and so are stale ones: a result pickled before every
+    solver priced its own work has no float ``modeled_time``.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -108,7 +109,9 @@ class DiskCache:
             with self._lock:
                 self.misses += 1
             return None
-        if not isinstance(result, MatchingResult):
+        if not isinstance(result, MatchingResult) or not isinstance(
+            getattr(result, "modeled_time", None), float
+        ):
             with self._lock:
                 self.misses += 1
             return None

@@ -72,10 +72,8 @@ class ShardedMatcher:
         per-shard kernel (must not itself be sharded); ``None`` resolves one
         from ``algorithm`` / ``kwargs``.
     engine:
-        Engine for the per-shard jobs; ``None`` builds a private one from
-        ``backend`` / ``workers`` and shuts it down afterwards.
-    backend / workers:
-        Used only when ``engine`` is ``None``.
+        Engine for the per-shard jobs; ``None`` runs them on a private
+        inline :class:`~repro.engine.Engine`, shut down afterwards.
     kwargs:
         Extra keyword arguments for the per-shard algorithm.
     """
@@ -87,8 +85,6 @@ class ShardedMatcher:
         *,
         plan=None,
         engine: Engine | None = None,
-        backend: str = "inline",
-        workers: int = 0,
         kwargs: dict | None = None,
     ) -> None:
         self.sharded = sharded
@@ -109,8 +105,6 @@ class ShardedMatcher:
             )
         self._plan = plan
         self._engine = engine
-        self._backend = backend
-        self._workers = workers
         # Per-shard jobs in flight at once: every shard of a resident store,
         # the store's ``max_resident`` of a spilled one, which keeps an
         # out-of-core run at O(largest shard) peak memory.
@@ -141,10 +135,7 @@ class ShardedMatcher:
         engine = self._engine
         own_engine = engine is None
         if own_engine:
-            engine = Engine(
-                backend=self._backend,
-                max_workers=self._workers or None,
-            )
+            engine = Engine()
         try:
             shard_seconds = self._solve_shards(engine, row_match, col_match, counters)
         finally:
@@ -168,8 +159,6 @@ class ShardedMatcher:
     # ---------------------------------------------------- act 1: local solves
     def _solve_shards(self, engine, row_match, col_match, counters) -> float:
         """Solve and merge every non-empty shard; returns their modeled seconds."""
-        from repro.bench.harness import modeled_seconds_for
-
         sharded = self.sharded
         # Summed in shard order, so the total does not depend on arrival order.
         seconds = [0.0] * sharded.n_shards
@@ -197,10 +186,8 @@ class ShardedMatcher:
             self._merge_shard(
                 index, result, row_match, col_match, row_owner, counters
             )
-            seconds[index] = modeled_seconds_for(result)
-            for key in ("edges_scanned",):
-                if key in result.counters:
-                    counters["edges_scanned"] += int(result.counters[key])
+            seconds[index] = result.modeled_time
+            counters["edges_scanned"] += int(result.counters.get("edges_scanned", 0))
         return sum(seconds)
 
     def _merge_shard(self, index, result, row_match, col_match, row_owner, counters):
@@ -396,8 +383,6 @@ def sharded_matching(
     shards: int | None = None,
     partition: str = "contiguous",
     engine: Engine | None = None,
-    backend: str = "inline",
-    workers: int = 0,
     **kwargs,
 ) -> MatchingResult:
     """One-call sharded matching.
@@ -414,12 +399,4 @@ def sharded_matching(
         if shards is None:
             raise ValueError("shards= is required when passing an in-memory graph")
         sharded = partition_graph(graph, shards, partition)
-    matcher = ShardedMatcher(
-        sharded,
-        algorithm,
-        engine=engine,
-        backend=backend,
-        workers=workers,
-        kwargs=kwargs,
-    )
-    return matcher.run()
+    return ShardedMatcher(sharded, algorithm, engine=engine, kwargs=kwargs).run()

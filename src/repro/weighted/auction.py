@@ -8,7 +8,8 @@ kernels with per-thread work equal to the adjacency scanned, exactly the
 execution shape the :mod:`repro.gpusim` cost model charges.  Passing a
 :class:`~repro.gpusim.device.VirtualGPU` runs the same Jacobi bidding rounds
 as modelled kernel launches (``auction_bid`` / ``auction_assign``) and
-reports modelled seconds.
+reports the device's modelled seconds; without a device the bids' adjacency
+scans are priced with the single-core CPU model.
 
 Deficient (non-square / infeasible) instances are handled with the classic
 **square augmentation**: persons are the real rows plus one artificial
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.gpusim.costmodel import SparseWork
+from repro.gpusim.costmodel import CpuCostModel, SparseWork
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.weighted.duals import (
     AuctionCertificate,
@@ -137,6 +138,13 @@ def _segment_max2(values: np.ndarray, offsets: np.ndarray):
     return best, first, second
 
 
+def _modeled_seconds(device, counters: dict) -> float:
+    """The device's modelled seconds, or the CPU model over the scans."""
+    if device is not None:
+        return device.elapsed_seconds
+    return CpuCostModel().seconds(counters["edges_scanned"])
+
+
 def weighted_auction_matching(
     graph: BipartiteGraph,
     config: AuctionConfig | None = None,
@@ -156,7 +164,8 @@ def weighted_auction_matching(
         Jacobi bidding round is charged to the device's cost ledger as an
         ``auction_bid`` kernel (per-thread work = adjacency scanned per
         bidding person) plus an ``auction_assign`` kernel (one thread per
-        bid), and the result carries the modelled time.
+        bid), and the result carries the device's modelled time; without
+        one it carries the CPU cost model over ``edges_scanned``.
 
     Returns
     -------
@@ -185,7 +194,9 @@ def weighted_auction_matching(
         )
         counters.update(total_weight=0.0, objective=cfg.objective)
         return MatchingResult.create(
-            "W-AUC", matching, counters=counters, wall_time=time.perf_counter() - t0, duals=duals
+            "W-AUC", matching, counters=counters,
+            modeled_time=_modeled_seconds(device, counters),
+            wall_time=time.perf_counter() - t0, duals=duals,
         )
 
     ptr, objs, w_aug = build_augmented_problem(graph, cfg.objective)
@@ -299,7 +310,7 @@ def weighted_auction_matching(
         "W-AUC",
         matching,
         counters=counters,
-        modeled_time=device.elapsed_seconds if device is not None else None,
+        modeled_time=_modeled_seconds(device, counters),
         wall_time=time.perf_counter() - t0,
         duals=duals,
     )

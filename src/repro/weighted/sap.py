@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.weighted.duals import (
     DualCertificate,
@@ -187,6 +188,7 @@ def weighted_sap_matching(
         "W-SAP",
         matching,
         counters=counters,
+        modeled_time=CpuCostModel().seconds(counters["edges_scanned"]),
         wall_time=time.perf_counter() - t0,
         duals=duals,
     )

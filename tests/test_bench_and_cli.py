@@ -15,14 +15,11 @@ from repro.bench import (
     build_figure4,
     build_table1,
     geometric_mean,
-    modeled_seconds_for,
     performance_profile,
     render_table,
     speedup_profile,
 )
 from repro.cli import main
-from repro.matching import MatchingResult, Matching
-from repro.graph.builders import empty_graph
 
 _TINY_SUBSET = ("amazon0505", "roadNet-PA", "hugetrace-00000", "delaunay_n20")
 
@@ -41,17 +38,6 @@ def test_geometric_mean():
         geometric_mean([])
     with pytest.raises(ValueError):
         geometric_mean([1.0, 0.0])
-
-
-def test_modeled_seconds_for_cpu_and_gpu():
-    gpu_like = MatchingResult.create("x", Matching.empty(empty_graph(1, 1)), modeled_time=0.5)
-    assert modeled_seconds_for(gpu_like) == 0.5
-    cpu_like = MatchingResult.create(
-        "y",
-        Matching.empty(empty_graph(1, 1)),
-        counters={"edges_scanned": 1000, "gr_edges_scanned": 500, "relabels": 100},
-    )
-    assert modeled_seconds_for(cpu_like) > 0
 
 
 def test_suite_runner_unknown_instance():

@@ -27,6 +27,7 @@ def _result(tag: int, size: int = 8) -> MatchingResult:
         algorithm=f"alg-{tag}",
         matching=Matching(row_match=row_match, col_match=col_match),
         cardinality=size,
+        modeled_time=float(tag),
         counters={"tag": tag},
     )
 

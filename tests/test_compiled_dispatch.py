@@ -321,7 +321,6 @@ def test_cli_perf_calibrate_rejects_compare_and_update(tmp_path, capsys):
     assert main(["perf", "--calibrate", "--compare", str(tmp_path / "b.json")]) == 2
     assert "--calibrate" in capsys.readouterr().err
     assert main(["perf", "--calibrate", "--update", str(tmp_path / "b.json")]) == 2
-    assert main(["perf", "--calibrate", "--shards", "2"]) == 2
 
 
 def test_cli_perf_reports_backend_capabilities(capsys):

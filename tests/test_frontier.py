@@ -40,9 +40,8 @@ from repro.generators.mesh import road_network_graph
 from repro.generators.powerlaw import chung_lu_bipartite
 from repro.generators.random_bipartite import uniform_random_bipartite
 from repro.generators.rmat import rmat_bipartite
-from repro.bench.harness import modeled_seconds_for
 from repro.generators.suite import generate_instance, instance_names
-from repro.gpusim.costmodel import MulticoreCostModel
+from repro.gpusim.costmodel import CpuCostModel, MulticoreCostModel
 from repro.graph import from_edges
 from repro.graph.frontier import (
     alternating_level_bfs,
@@ -695,7 +694,10 @@ def _reference_pfp(graph, initial):
         if augmented == 0:
             break
     matching = Matching(np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64))
-    return MatchingResult.create("PFP", matching, counters=counters)
+    return MatchingResult.create(
+        "PFP", matching, counters=counters,
+        modeled_time=CpuCostModel().seconds(counters["edges_scanned"]),
+    )
 
 
 def _reference_pdbfs(graph, initial, n_threads):
@@ -802,7 +804,7 @@ def _start(graph, kind, seed):
 def _fingerprint(result):
     return (
         result.counters,
-        modeled_seconds_for(result),
+        result.modeled_time,
         result.cardinality,
         result.matching.row_match.tolist(),
     )

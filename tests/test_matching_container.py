@@ -117,9 +117,15 @@ def test_equality(tiny_graph):
 
 def test_matching_result_create(tiny_graph):
     m = Matching.from_pairs(tiny_graph, [(0, 0), (2, 2)])
-    result = MatchingResult.create("test", m, counters={"pushes": 3}, wall_time=0.5)
+    result = MatchingResult.create(
+        "test", m, counters={"pushes": 3}, modeled_time=1, wall_time=0.5
+    )
     assert result.algorithm == "test"
     assert result.cardinality == 2
     assert result.counters == {"pushes": 3}
     assert result.wall_time == 0.5
-    assert result.modeled_time is None
+    assert result.modeled_time == 1.0 and isinstance(result.modeled_time, float)
+    with pytest.raises(TypeError):
+        MatchingResult.create("test", m, counters={"pushes": 3})
+    with pytest.raises(TypeError):
+        MatchingResult.create("test", m, modeled_time=None)

@@ -154,9 +154,7 @@ def test_warmup_compiles_dispatch_twins_before_plan_runs(monkeypatch):
         def run(self, graph):
             events.append("plan")
 
-    monkeypatch.setattr(
-        perfbaseline, "_perf_plans", lambda shards=None, partition=None: {"X": _Plan()}
-    )
+    monkeypatch.setattr(perfbaseline, "_perf_plans", lambda: {"X": _Plan()})
     perfbaseline._warmup()
     assert events[0] == "jit"
     assert events.count("jit") == 1

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -203,6 +205,24 @@ def test_disk_cache_persists_across_services(tmp_path, small_graphs):
     assert second.executed == 0
     assert second.cache_hits == len(jobs)
     assert second.cardinalities() == first.cardinalities()
+
+
+def test_disk_cache_treats_an_unpriced_entry_as_a_miss(tmp_path, small_graphs):
+    """An entry pickled before every solver priced its own result holds
+    ``modeled_time=None``: it is a miss, recomputed and overwritten."""
+    job = MatchingJob(graph=small_graphs[0], algorithm="pfp")
+    fresh = max_bipartite_matching(small_graphs[0], "pfp")
+    cache = DiskCache(tmp_path)
+    stale = dataclasses.replace(fresh, modeled_time=None)
+    cache._path(job.cache_key()).write_bytes(pickle.dumps(stale))
+    assert cache.get(job.cache_key()) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+    report = MatchingService(cache=DiskCache(tmp_path)).submit_batch([job])
+    assert (report.executed, report.cache_hits) == (1, 0)
+    served = DiskCache(tmp_path).get(job.cache_key())
+    assert served.modeled_time == fresh.modeled_time
+    assert served.counters == fresh.counters
 
 
 # ----------------------------------------------------------------- worker pool

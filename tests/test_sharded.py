@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.harness import modeled_seconds_for
 from repro.core.api import max_bipartite_matching, resolve_algorithm
 from repro.engine import Engine
 from repro.engine.execution import validate_job_args
@@ -180,12 +179,11 @@ def test_modeled_time_sums_the_shards_and_the_reconcile(algorithm, suite_graphs)
     for index in range(sharded.n_shards):
         if sharded.shard_edge_counts[index]:
             shard = max_bipartite_matching(sharded.shard(index), algorithm)
-            shard_seconds += modeled_seconds_for(shard)
+            shard_seconds += shard.modeled_time
             shard_edges += int(shard.counters.get("edges_scanned", 0))
     reconcile = CpuCostModel().seconds(result.counters["edges_scanned"] - shard_edges)
     assert shard_seconds > 0
     assert result.modeled_time == shard_seconds + reconcile
-    assert modeled_seconds_for(result) == result.modeled_time
 
 
 def test_result_is_maximum_on_whole_graph(suite_graphs):
