@@ -27,12 +27,7 @@ import numpy as np
 import pytest
 
 from repro.generators.suite import generate_instance
-from repro.graph.frontier import (
-    NARROW_WIDTH,
-    alternating_reach_total,
-    expand_frontier,
-    sorted_unique,
-)
+from repro.graph.frontier import NARROW_WIDTH, alternating_reach_total, sorted_unique
 from repro.matching import UNMATCHED
 from repro.seq.hopcroft_karp import hopcroft_karp_matching
 
@@ -64,7 +59,8 @@ def _deque_reach(ptr, ind, row_match, start):
 
 def _gathered_reach(graph, lists, row_match, start):
     """The per-start reach the total replaced: narrow levels walked over
-    lists, wider ones gathered with ``expand_frontier`` and deduplicated with
+    lists, wider ones gathered with whole-array ops (the ``np.repeat`` gather
+    of the frontier layer's level steps) and deduplicated with
     ``sorted_unique``, columns marked in a ``bytearray``."""
     ptr, ind, match = lists
     seen = bytearray(graph.n_cols)
@@ -86,7 +82,15 @@ def _gathered_reach(graph, lists, row_match, start):
                         nxt.append(w)
             frontier = nxt
         else:
-            rows = expand_frontier(graph.col_ptr, graph.col_ind, frontier)
+            frontier = np.asarray(frontier, dtype=np.int64)
+            begins = graph.col_ptr[frontier]
+            degrees = graph.col_ptr[frontier + 1] - begins
+            offsets = np.zeros(len(frontier) + 1, dtype=np.int64)
+            np.cumsum(degrees, out=offsets[1:])
+            flat = np.arange(offsets[-1], dtype=np.int64) - np.repeat(
+                offsets[:-1] - begins, degrees
+            )
+            rows = graph.col_ind[flat]
             entries += len(rows)
             mates = row_match[rows]
             if np.any(mates < 0):

@@ -136,7 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "merge_conflicts",
                 "reconcile_phases",
                 "reconcile_augmentations",
-                "frontier_handoffs",
             )
         }
     print(json.dumps(payload, indent=2))

@@ -14,9 +14,9 @@ directly.  This module does that comparison:
   the wall time between two consecutive ``charge_kernel`` calls is
   attributed to the launch being charged, matching the repo's
   charge-after-access convention;
-* the three vectorized frontier primitives the CPU baselines run
-  (``expand_frontier``, ``alternating_level_bfs``, ``distance_label_bfs``)
-  are timed directly on per-instance prepared state, against a
+* the two vectorized frontier primitives the CPU baselines run
+  (``alternating_level_bfs``, ``distance_label_bfs``) are timed directly
+  on per-instance prepared state, against a
   :class:`~repro.gpusim.costmodel.CpuCostModel` prediction for the
   operations they report;
 * per kernel, a least-squares constant through the origin is fitted over
@@ -152,7 +152,7 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
     sequential :class:`~repro.gpusim.costmodel.CpuCostModel` — the same
     pricing the CPU baselines charge for the equivalent loops.
     """
-    from repro.graph.frontier import alternating_level_bfs, distance_label_bfs, expand_frontier
+    from repro.graph.frontier import alternating_level_bfs, distance_label_bfs
     from repro.gpusim.costmodel import CpuCostModel
     from repro.seq.greedy import cheap_matching
 
@@ -160,7 +160,6 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
     matching = cheap_matching(graph).matching
     row_match = matching.row_match
     col_match = matching.col_match
-    frontier = np.flatnonzero(col_match >= -1).astype(np.int64)  # every column
     infinity = graph.infinity_label
 
     out: dict[str, tuple[float, float]] = {}
@@ -176,11 +175,6 @@ def _measure_frontier_primitives(graph, repeats: int) -> dict[str, tuple[float, 
             ops = ops_of(result)
         out[name] = (model.seconds(ops), wall)
 
-    timed(
-        "expand_frontier",
-        lambda res: float(len(res) + len(frontier)),
-        lambda: expand_frontier(graph.col_ptr, graph.col_ind, frontier),
-    )
     timed(
         "alternating_level_bfs",
         lambda res: float(res[2] + graph.n_cols),

@@ -1,7 +1,7 @@
 """Per-function dispatch between the NumPy paths and their compiled twins.
 
-Seven functions carry a small shim: the three vectorized frontier
-primitives the CPU baselines and the sharded reconcile run
+Six functions carry a small shim: the two vectorized frontier primitives
+the CPU baselines and the sharded reconcile run
 (:mod:`repro.graph.frontier`) and the four lockstep wave kernels of G-PR
 and G-HKDW (:mod:`repro.core`).  Each shim asks :func:`implementation_for`
 for a compiled twin and falls back to the vectorized NumPy body when it
@@ -79,11 +79,6 @@ def _micro_graph() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return col_ptr, col_ind, row_ptr, row_ind
 
 
-def _warm_expand_frontier() -> None:
-    col_ptr, col_ind, _, _ = _micro_graph()
-    frontier_jit.expand_frontier(col_ptr, col_ind, np.array([0, 1], dtype=np.int64))
-
-
 def _warm_alternating_level_bfs() -> None:
     col_ptr, col_ind, _, _ = _micro_graph()
     row_match = np.array([0, -1], dtype=np.int64)
@@ -149,7 +144,6 @@ def _warm_ghkdw_augment() -> None:
 _REGISTRY: dict[str, Entry] = {
     entry.name: entry
     for entry in (
-        Entry("expand_frontier", frontier_jit.expand_frontier, _warm_expand_frontier),
         Entry(
             "alternating_level_bfs",
             frontier_jit.alternating_level_bfs,

@@ -1,7 +1,7 @@
 """Numba twins of the hot frontier primitives in :mod:`repro.graph.frontier`.
 
-One twin per vectorized primitive a solver runs: ``expand_frontier`` (the
-sharded reconcile's level BFS), ``alternating_level_bfs`` (HK/HKDW) and
+One twin per vectorized primitive a solver runs: ``alternating_level_bfs``
+(HK/HKDW and the sharded reconcile, which runs HK's phase loop) and
 ``distance_label_bfs`` (PR's global relabeling).  Every function here is a
 scalar-loop port of a NumPy path and must be *bit-identical* to it: same
 output arrays, same dtypes, same ``edges_scanned`` counters.  The ports
@@ -24,27 +24,6 @@ from repro.compiled._jit import jit
 
 _UNMATCHED = -1  # mirrors repro.graph.matching.UNMATCHED
 _INF = np.iinfo(np.int64).max
-
-
-@jit
-def expand_frontier(ptr, ind, frontier):
-    """Scalar twin of :func:`repro.graph.frontier.expand_frontier`.
-
-    Emits the targets in frontier-major, adjacency-minor order -- the exact
-    order ``np.repeat`` + sliced gathers produce.
-    """
-    total = np.int64(0)
-    for i in range(frontier.shape[0]):
-        v = frontier[i]
-        total += ptr[v + 1] - ptr[v]
-    targets = np.empty(total, np.int64)
-    out = 0
-    for i in range(frontier.shape[0]):
-        v = frontier[i]
-        for idx in range(ptr[v], ptr[v + 1]):
-            targets[out] = ind[idx]
-            out += 1
-    return targets
 
 
 @jit
@@ -154,5 +133,4 @@ def distance_label_bfs(row_ptr, row_ind, row_match, col_match, psi_row, psi_col,
 __all__ = [
     "alternating_level_bfs",
     "distance_label_bfs",
-    "expand_frontier",
 ]

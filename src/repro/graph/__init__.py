@@ -26,11 +26,10 @@ Public classes / functions
 :func:`validate_graph`
     Structural validation with informative errors.
 :mod:`repro.graph.frontier`
-    The shared frontier walks of the CPU baselines and G-HKDW:
-    whole-frontier CSR expansion, the Hopcroft–Karp level BFS and
-    push-relabel distance-label BFS, the alternating reach that prices
-    searches which cannot augment, the P-DBFS claiming search and the
-    vertex-disjoint augmenting DFS.
+    The shared frontier walks of the CPU baselines and G-HKDW: the
+    Hopcroft–Karp level BFS and push-relabel distance-label BFS, the
+    alternating reach that prices searches which cannot augment, the
+    P-DBFS claiming search and the vertex-disjoint augmenting DFS.
 """
 
 from repro.graph.bipartite import BipartiteGraph
@@ -38,7 +37,6 @@ from repro.graph.frontier import (
     alternating_level_bfs,
     claiming_bfs,
     distance_label_bfs,
-    expand_frontier,
 )
 from repro.graph.builders import (
     from_biadjacency,
@@ -65,7 +63,6 @@ __all__ = [
     "alternating_level_bfs",
     "claiming_bfs",
     "distance_label_bfs",
-    "expand_frontier",
     "from_edges",
     "from_dense",
     "from_scipy_sparse",

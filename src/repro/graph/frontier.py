@@ -9,7 +9,7 @@ boundary once per *edge* (``int(col_ind[idx])``, ``row_match[u]``, a dict
 counter increment) — a ~170 ns/edge interpreter tax on the exact loops the
 paper times.
 
-Three kinds of walk replace that:
+Two kinds of walk replace that:
 
 * **Level steps.**  Every level-synchronous BFS runs one of two steps per
   level: :func:`column_step` (frontier columns → rows → mates) under
@@ -21,9 +21,6 @@ Three kinds of walk replace that:
   gathers a wider one with whole-array ops (``np.repeat`` on the CSR
   pointer diffs, :func:`sorted_unique` per level).  Both bodies do every
   read before the first write, so they are lockstep kernel bodies as well.
-* **Whole-frontier array ops** outside the steps: :func:`expand_frontier`
-  gathers every out-edge of a frontier in one shot (the sharded
-  reconcile's level BFS).
 * **Scalar walks over lists or zero-copy memoryviews** for the traversals
   whose working set is one adjacency slice at a time (DFS descents, the
   per-push minimum scan, P-DBFS claim searches, the pricing of searches
@@ -37,7 +34,9 @@ Three kinds of walk replace that:
   read than ndarray indexing, and writes land in the array itself, where a
   list would cost an O(vertices) ``tolist()`` and ``np.array()`` per call.
   :func:`augmenting_dfs` is the vertex-disjoint augmenting DFS of HK/HKDW
-  (over lists) and of G-HKDW's augmentation kernels (over memoryviews).
+  (over lists), of the sharded reconcile, which runs HK's phase loop (over
+  memoryviews of the sharded graph's column CSR), and of G-HKDW's
+  augmentation kernels (over memoryviews).
 
 Every function is bit-compatible with the historical per-edge loops: same
 levels, same claim order, same matchings, same counter end-values
@@ -66,7 +65,6 @@ __all__ = [
     "claiming_bfs",
     "column_step",
     "distance_label_bfs",
-    "expand_frontier",
     "row_step",
     "scalar_views",
     "sorted_unique",
@@ -114,32 +112,6 @@ def _gather(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray):
     np.cumsum(degrees, out=offsets[1:])
     flat = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1] - starts, degrees)
     return ind[flat], degrees
-
-
-def expand_frontier(ptr: np.ndarray, ind: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """All out-edges of ``frontier``, flattened in scan order.
-
-    Parameters
-    ----------
-    ptr, ind:
-        A CSR structure (``col_ptr``/``col_ind`` or ``row_ptr``/``row_ind``).
-    frontier:
-        Vertex indices to expand, in processing order.
-
-    Returns
-    -------
-    targets:
-        One ``int64`` entry per scanned edge: ``targets[k]`` is the ``k``-th
-        neighbour a deque BFS would scan.  The order is frontier-major,
-        adjacency-minor — exactly the order a FIFO traversal visits edges.
-    """
-    frontier = np.asarray(frontier, dtype=np.int64)
-    if len(frontier) == 0:
-        return _EMPTY
-    fn = _compiled.implementation_for("expand_frontier")
-    if fn is not None and not _compiled.recording(ptr, ind, frontier):
-        return fn(ptr, ind, frontier)
-    return _gather(ptr, ind, frontier)[0]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -554,10 +526,12 @@ def augmenting_dfs(
 ) -> tuple[int, list[int]]:
     """One round of vertex-disjoint augmenting DFS from the columns ``roots``.
 
-    The scalar walk shared by HK/HKDW and G-HKDW's augmentation kernels.
-    Each root runs an iterative DFS (explicit stack, so long paths hit no
-    recursion limit) over the cached
-    :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views, claiming
+    The scalar walk shared by HK/HKDW (and so the sharded reconcile) and
+    G-HKDW's augmentation kernels.  Each root runs an iterative DFS
+    (explicit stack, so long paths hit no recursion limit) over the column
+    CSR as lists (the cached
+    :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views) or
+    memoryviews, claiming
     every row it passes in ``row_used``; claims persist across roots, so the
     paths found are vertex-disjoint.  A search stops at the first unclaimed
     unmatched row and flips the path in place.  With ``restrict_levels`` a

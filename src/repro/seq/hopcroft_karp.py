@@ -11,17 +11,20 @@ unrestricted DFS augmentations from the remaining unmatched rows; it has the
 same worst case but is often faster in practice.  The GPU comparator of the
 paper, G-HKDW, parallelises this variant.
 
-Hot paths follow the frontier-layer split (:mod:`repro.graph.frontier`): the
-phase BFS is :func:`~repro.graph.frontier.alternating_level_bfs`, whose
-levels are vectorized when wide and scalar when narrow, while the
-vertex-disjoint DFS — whose working set is one small adjacency slice per
-stack frame — is the shared
-:func:`~repro.graph.frontier.augmenting_dfs`, which G-HKDW's augmentation
-kernels run as well.  Here it walks the cached ``csr_lists()`` views with
-the matching and level state held in plain Python lists, one call per
-*round* rather than per root; the matching crosses to ndarrays once per
-phase for the BFS.  Matchings and counter end-values are bit-identical to
-the historical per-edge implementation.
+Both run one phase loop, :func:`hopcroft_karp_phases`, which the sharded
+matcher's reconcile (:mod:`repro.sharded.matcher`) runs as well, over the
+whole sharded graph's column CSR.  Hot paths follow the frontier-layer
+split (:mod:`repro.graph.frontier`): the phase BFS is
+:func:`~repro.graph.frontier.alternating_level_bfs`, whose levels are
+vectorized when wide and scalar when narrow, while the vertex-disjoint
+DFS — whose working set is one small adjacency slice per stack frame — is
+the shared :func:`~repro.graph.frontier.augmenting_dfs`, which G-HKDW's
+augmentation kernels run as well.  It walks the adjacency as lists (HK's
+cached ``csr_lists()``) or memoryviews (the reconcile's memory-mapped
+``col_ind``) with the matching and level state held in plain Python lists,
+one call per *round* rather than per root; the matching crosses to
+ndarrays once per phase for the BFS.  Matchings and counter end-values are
+bit-identical to the historical per-edge implementation.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
 
-__all__ = ["hopcroft_karp_matching", "hkdw_matching"]
+__all__ = ["hopcroft_karp_matching", "hopcroft_karp_phases", "hkdw_matching"]
 
 _INF = np.iinfo(np.int64).max
 
@@ -49,16 +52,34 @@ def _prepare(graph: BipartiteGraph, initial: Matching | None):
     return matching.row_match, matching.col_match
 
 
-def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> MatchingResult:
-    t0 = time.perf_counter()
-    row_match_arr, col_match_arr = _prepare(graph, initial)
+def hopcroft_karp_phases(
+    col_ptr: np.ndarray,
+    col_ind: np.ndarray,
+    dfs_ptr,
+    dfs_ind,
+    row_match: list[int],
+    col_match: list[int],
+    duff_wassel: bool = False,
+) -> dict[str, int]:
+    """Run Hopcroft–Karp phases until no augmenting path is left.
+
+    Each phase builds the level structure with
+    :func:`~repro.graph.frontier.alternating_level_bfs` over the column CSR
+    arrays ``col_ptr``/``col_ind``, then augments along vertex-disjoint
+    shortest paths with :func:`~repro.graph.frontier.augmenting_dfs` over
+    ``dfs_ptr``/``dfs_ind``, the same CSR as lists or memoryviews.  With
+    ``duff_wassel`` an unrestricted DFS round from the still-unmatched
+    columns of finite level follows (HKDW).  ``row_match`` and
+    ``col_match`` are lists, updated in place.
+
+    Returns the counters ``edges_scanned``, ``phases`` and
+    ``augmentations``, plus ``extra_augmentations`` with ``duff_wassel``.
+    """
     counters = {"edges_scanned": 0, "phases": 0, "augmentations": 0}
     if duff_wassel:
         counters["extra_augmentations"] = 0
-    col_ptr_l, col_ind_l = graph.csr_lists("col")
-    row_match = row_match_arr.tolist()
-    col_match = col_match_arr.tolist()
-    n_cols = graph.n_cols
+    n_rows = len(row_match)
+    n_cols = len(col_match)
 
     while True:
         # The matching state crosses the list/ndarray boundary once per
@@ -66,7 +87,7 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> 
         row_match_arr = np.array(row_match, dtype=np.int64)
         col_match_arr = np.array(col_match, dtype=np.int64)
         level_arr, shortest, bfs_edges = alternating_level_bfs(
-            graph.col_ptr, graph.col_ind, row_match_arr, col_match_arr
+            col_ptr, col_ind, row_match_arr, col_match_arr
         )
         counters["edges_scanned"] += bfs_edges
         counters["phases"] += 1
@@ -75,8 +96,8 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> 
         level = level_arr.tolist()
         roots = np.flatnonzero(col_match_arr == UNMATCHED).tolist()
         augmented, per_root = augmenting_dfs(
-            col_ptr_l, col_ind_l, roots, level, row_match, col_match,
-            bytearray(graph.n_rows), restrict_levels=True,
+            dfs_ptr, dfs_ind, roots, level, row_match, col_match,
+            bytearray(n_rows), restrict_levels=True,
         )
         counters["edges_scanned"] += sum(per_root)
         counters["augmentations"] += augmented
@@ -89,14 +110,25 @@ def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> 
                 if col_match[v] == UNMATCHED and level[v] != _INF
             ]
             extra, per_root = augmenting_dfs(
-                col_ptr_l, col_ind_l, roots, level, row_match, col_match,
-                bytearray(graph.n_rows), restrict_levels=False,
+                dfs_ptr, dfs_ind, roots, level, row_match, col_match,
+                bytearray(n_rows), restrict_levels=False,
             )
             counters["edges_scanned"] += sum(per_root)
             counters["extra_augmentations"] += extra
         if augmented == 0 and extra == 0:
             break
+    return counters
 
+
+def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> MatchingResult:
+    t0 = time.perf_counter()
+    row_match_arr, col_match_arr = _prepare(graph, initial)
+    row_match = row_match_arr.tolist()
+    col_match = col_match_arr.tolist()
+    counters = hopcroft_karp_phases(
+        graph.col_ptr, graph.col_ind, *graph.csr_lists("col"), row_match, col_match,
+        duff_wassel,
+    )
     matching = Matching(
         np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
     )

@@ -5,16 +5,17 @@ per-shard one:
 
 * :mod:`repro.sharded.partition` — :class:`ShardedBipartiteGraph`: the
   column-block partition of the dual-CSR representation (contiguous or
-  degree-balanced splitters), per-shard :class:`BipartiteGraph` views, the
-  boundary-row index, and a ``content_hash()`` identical to the unsharded
-  graph's.
+  degree-balanced splitters), per-shard :class:`BipartiteGraph` views, one
+  global column CSR, the boundary rows, and a ``content_hash()`` identical
+  to the unsharded graph's.
 * :mod:`repro.sharded.matcher` — :class:`ShardedMatcher`: per-shard kernels
-  as Engine jobs on any backend, then frontier-exchange reconciliation of
-  cross-shard augmenting paths until the matching is maximum on the whole
-  graph.
+  as Engine jobs on any backend, then HK's phase loop over the global
+  column CSR to reconcile cross-shard augmenting paths until the matching
+  is maximum on the whole graph.
 * :mod:`repro.sharded.ingest` — out-of-core Matrix-Market ingest that
   streams ``.mtx``/``.mtx.gz`` files directly into disk-backed shards with
-  an O(largest shard) working set.
+  an O(largest shard) working set and the column indices in one
+  memory-mapped file.
 
 >>> from repro.generators import generate_instance
 >>> from repro.sharded import sharded_matching

@@ -11,9 +11,11 @@ chunks (:class:`~repro.graph.io.MatrixMarketStream`):
   raw ``(row, local_col)`` int64 pairs to one spill file per shard.
 * **Shard builds** — spill files are read back *one at a time*, each built
   into a canonical :class:`BipartiteGraph` (deduplicated, sorted — exactly
-  like :func:`repro.graph.builders.from_edges`) and saved as raw ``.npy``
-  arrays (mmap-able) for the
-  :class:`~repro.sharded.partition.SpilledShardStore`.
+  like :func:`repro.graph.builders.from_edges`) and spilled for the
+  :class:`~repro.sharded.partition.SpilledShardStore`: its row CSR as raw
+  ``.npy`` arrays, its ``col_ind`` appended to the one column-index file
+  all shards share, in shard order.  That file is the whole graph's
+  ``col_ind``; the returned graph holds it as a read-only memory map.
 
 Peak memory is O(chunk + largest shard + vertex arrays) — independent of
 the total edge count, which is what the CI ``shard-smoke`` job asserts.
@@ -37,7 +39,6 @@ from repro.sharded.partition import (
     ShardedBipartiteGraph,
     SpilledShardStore,
     make_partition,
-    save_shard,
 )
 
 __all__ = ["ingest_matrix_market_sharded", "stream_random_bipartite_mtx"]
@@ -118,7 +119,8 @@ def ingest_matrix_market_sharded(
     n_shards / method:
         Partition shape (see :data:`~repro.sharded.partition.PARTITION_METHODS`).
     spool_dir:
-        Directory for the spill files and shard ``.npy`` arrays.  ``None``
+        Directory for the spill files, the shards' row ``.npy`` arrays and
+        the graph's column-index file.  ``None``
         creates a temporary directory that is removed when the returned
         graph is closed or garbage collected; an explicit directory is kept.
     chunk_entries:
@@ -157,21 +159,24 @@ def ingest_matrix_market_sharded(
     row_degrees = np.zeros(header.n_rows, dtype=np.int64)
     edge_counts = np.zeros(partition.n_shards, dtype=np.int64)
     shard_rows: list[np.ndarray] = []
-    for index in range(partition.n_shards):
-        lo, hi = partition.column_range(index)
-        spool_path = spool_dir / f"shard-{index:05d}.edges"
-        shard = _build_shard(spool_path, header.n_rows, hi - lo, f"shard{index}")
-        spool_path.unlink()
-        save_shard(shard, SpilledShardStore.shard_path(spool_dir, index))
-        col_degrees[lo:hi] = shard.col_degrees
-        shard_row_degrees = shard.row_degrees
-        row_degrees += shard_row_degrees
-        shard_rows.append(np.flatnonzero(shard_row_degrees > 0))
-        edge_counts[index] = shard.n_edges
-        del shard
+    with open(spool_dir / SpilledShardStore.COL_IND_FILE, "wb") as col_file:
+        for index in range(partition.n_shards):
+            lo, hi = partition.column_range(index)
+            spool_path = spool_dir / f"shard-{index:05d}.edges"
+            shard = _build_shard(spool_path, header.n_rows, hi - lo, f"shard{index}")
+            spool_path.unlink()
+            SpilledShardStore.spill(shard, spool_dir, index, col_file)
+            col_degrees[lo:hi] = shard.col_degrees
+            shard_row_degrees = shard.row_degrees
+            row_degrees += shard_row_degrees
+            shard_rows.append(np.flatnonzero(shard_row_degrees > 0))
+            edge_counts[index] = shard.n_edges
+            del shard
 
+    col_ptr = np.concatenate([[0], np.cumsum(col_degrees)])
+    col_ind = SpilledShardStore.map_col_ind(spool_dir, int(col_ptr[-1]))
     store = SpilledShardStore(
-        spool_dir, partition.n_shards, max_resident=max_resident, cleanup=cleanup
+        spool_dir, partition, col_ptr, col_ind, max_resident=max_resident, cleanup=cleanup
     )
     return ShardedBipartiteGraph(
         partition=partition,
@@ -181,6 +186,7 @@ def ingest_matrix_market_sharded(
         row_degrees=row_degrees,
         shard_edge_counts=edge_counts,
         shard_rows=shard_rows,
+        col_ind=col_ind,
         name=graph_name,
     )
 

@@ -13,21 +13,18 @@ The :class:`ShardedMatcher` runs in two acts:
    arrival-order-independent, so thread/process completion races cannot
    change the result.
 
-2. **Frontier-exchange reconciliation.**  The merged matching is maximal
-   per shard but can miss augmenting paths that cross shard boundaries
-   (pivoting on the boundary rows indexed by the partition).  Reconciliation
-   runs Hopcroft–Karp phases over the *sharded* adjacency: the level BFS
-   expands each global column frontier shard by shard with
-   :func:`~repro.graph.frontier.expand_frontier` and exchanges the
-   discovered rows globally (rows keep global ids, so a row found in one
-   shard seeds columns of every shard it touches); the level-restricted DFS
-   then augments along vertex-disjoint shortest paths, hopping shards via
-   per-shard column views that spilled stores serve *memory-mapped* — a
-   cross-shard hop is a page access, not a shard reload, and the
-   reconciler's heap stays vertex-sized.  Phases repeat until no
-   augmenting path exists anywhere — at which point the matching is maximum
-   on the *whole* graph, hence bit-identical in cardinality to the
-   single-graph solver.
+2. **Reconciliation.**  The merged matching is maximal per shard but can
+   miss augmenting paths that cross shard boundaries (pivoting on the
+   graph's ``boundary_rows``).  Reconciliation runs HK's own
+   phase loop, :func:`~repro.seq.hopcroft_karp.hopcroft_karp_phases`, over
+   the sharded graph's one global column CSR: the level BFS over its
+   arrays, the level-restricted DFS over memoryviews of them.  For an
+   ingested graph ``col_ind`` is a read-only memory map, so a path's hop
+   into another shard's columns is a page access, not a shard reload, and
+   the reconciler's heap stays vertex-sized plus one BFS level.  Phases
+   repeat until no augmenting path exists anywhere — at which point the
+   matching is maximum on the *whole* graph, hence bit-identical in
+   cardinality to the single-graph solver.
 
 Every step is deterministic given a deterministic per-shard algorithm, so
 the final matching is bit-identical across engine backends.  So is the
@@ -39,21 +36,18 @@ plus the CPU cost model over the adjacency entries the reconcile scanned.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from collections import deque
 
 import numpy as np
 
 from repro.engine import Engine, MatchingJob, as_completed
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import expand_frontier, sorted_unique
 from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
+from repro.seq.hopcroft_karp import hopcroft_karp_phases
 from repro.sharded.partition import ShardedBipartiteGraph, partition_graph
 
 __all__ = ["ShardedMatcher", "sharded_matching"]
-
-_INF = np.iinfo(np.int64).max
 
 
 class ShardedMatcher:
@@ -126,7 +120,6 @@ class ShardedMatcher:
             "merge_conflicts": 0,
             "reconcile_phases": 0,
             "reconcile_augmentations": 0,
-            "frontier_handoffs": 0,
             "edges_scanned": 0,
         }
         row_match = np.full(sharded.n_rows, UNMATCHED, dtype=np.int64)
@@ -142,9 +135,7 @@ class ShardedMatcher:
             if own_engine:
                 engine.shutdown()
 
-        shard_edges = counters["edges_scanned"]
-        self._reconcile(row_match, col_match, counters)
-        reconcile_edges = counters["edges_scanned"] - shard_edges
+        reconcile_edges = self._reconcile(row_match, col_match, counters)
 
         matching = Matching(row_match, col_match)
         wall = time.perf_counter() - t0
@@ -208,172 +199,26 @@ class ShardedMatcher:
         row_owner[rows[take]] = index
         col_match[cols[take]] = rows[take]
 
-    # ------------------------------------------- act 2: frontier reconciliation
-    def _reconcile(self, row_match, col_match, counters) -> None:
-        views = self._column_views()
-        while True:
-            level, shortest, bfs_edges = self._level_bfs(
-                row_match, col_match, counters, views
-            )
-            counters["edges_scanned"] += bfs_edges
-            counters["reconcile_phases"] += 1
-            if shortest == _INF:
-                break
-            augmented, dfs_edges = self._augment_phase(
-                level, row_match, col_match, views
-            )
-            counters["edges_scanned"] += dfs_edges
-            counters["reconcile_augmentations"] += augmented
-            if augmented == 0:
-                break
+    # ------------------------------------------------- act 2: reconciliation
+    def _reconcile(self, row_match, col_match, counters) -> int:
+        """HK phases over the global column CSR; returns the entries scanned.
 
-    def _column_views(self) -> list[tuple]:
-        """Per-shard ``(col_ptr, col_ind, column offset)`` for reconciliation.
-
-        Served by the store's ``column_csr``: resident stores hand out the
-        graphs' own arrays; spilled stores a heap-loaded vertex-sized
-        ``col_ptr`` plus a *memory-mapped* ``col_ind``.  Cross-shard
-        augmenting paths hop shards essentially at random (a matched row's
-        column can live anywhere), so the reconciler holds every shard's
-        view for its whole run — at O(n_cols) heap, because the edge-sized
-        side is file-backed and paged by the OS, never reloaded per hop.
+        The DFS walks memoryviews of the arrays: a ``tolist()`` of a
+        memory-mapped ``col_ind`` would put the whole edge list on the heap.
         """
         sharded = self.sharded
-        boundaries = sharded.partition.boundaries
-        return [
-            (*sharded.store.column_csr(index), int(boundaries[index]))
-            for index in range(sharded.n_shards)
-        ]
-
-    def _level_bfs(self, row_match, col_match, counters, views):
-        """Global alternating level BFS, one shard-frontier exchange per level.
-
-        The column frontier is split by owning shard, each slice expands with
-        the vectorized :func:`expand_frontier` over that shard's column CSR,
-        and the discovered rows (global ids) are pooled — the *exchange* —
-        before stepping to their matched columns, which may live in any
-        shard.
-        """
-        sharded = self.sharded
-        boundaries = sharded.partition.boundaries
-        level = np.full(sharded.n_cols, _INF, dtype=np.int64)
-        frontier = np.flatnonzero(col_match == UNMATCHED)
-        level[frontier] = 0
-        depth = 0
-        shortest = _INF
-        edges = 0
-        while frontier.size:
-            shard_ids = sharded.partition.shard_of(frontier)
-            rows_parts: list[np.ndarray] = []
-            handoffs = 0
-            for index in np.unique(shard_ids):
-                local = frontier[shard_ids == index] - boundaries[index]
-                ptr, ind, _ = views[int(index)]
-                targets = expand_frontier(ptr, ind, local)
-                if targets.size:
-                    rows_parts.append(targets)
-                    mates = row_match[targets]
-                    crossing = mates[mates >= 0]
-                    if crossing.size:
-                        handoffs += int(
-                            np.count_nonzero(
-                                sharded.partition.shard_of(crossing) != index
-                            )
-                        )
-            counters["frontier_handoffs"] += handoffs
-            if not rows_parts:
-                break
-            rows = np.concatenate(rows_parts)
-            edges += rows.size
-            mates = row_match[rows]
-            if (mates == UNMATCHED).any():
-                shortest = depth + 1
-            next_cols = sorted_unique(mates[mates >= 0])
-            next_cols = next_cols[level[next_cols] == _INF]
-            level[next_cols] = depth + 1
-            depth += 1
-            if depth >= shortest:
-                break
-            frontier = next_cols
-        return level, shortest, edges
-
-    def _augment_phase(self, level_arr, row_match_arr, col_match_arr, views):
-        """Vertex-disjoint level-restricted DFS round (HK semantics).
-
-        Mirrors :func:`repro.seq.hopcroft_karp._augment_phase`, with one
-        twist: a column's adjacency is looked up through the partition
-        (``bisect`` on the boundaries) because the path may hop shards at
-        every boundary row.  The hops land on the pre-opened ``views`` —
-        array (or memory-map) indexing, never a shard load.
-        """
-        sharded = self.sharded
-        boundary_list = sharded.partition.boundaries.tolist()
-        level = level_arr.tolist()
-        row_match = row_match_arr.tolist()
-        col_match = col_match_arr.tolist()
-        row_used = bytearray(sharded.n_rows)
-        unmatched = UNMATCHED
-        augmented = 0
-        edges = 0
-        roots = np.flatnonzero(col_match_arr == UNMATCHED).tolist()
-
-        def frame(v: int) -> list:
-            shard_index = bisect_right(boundary_list, v) - 1
-            ptr, ind, offset = views[shard_index]
-            local = v - offset
-            return [v, ind, int(ptr[local]), int(ptr[local + 1])]
-
-        for start in roots:
-            stack = [frame(start)]
-            path_rows: list[int] = []
-            u = -1
-            while stack:
-                top = stack[-1]
-                v, ind, idx, stop = top
-                want = level[v] + 1
-                advanced = False
-                done = False
-                while idx < stop:
-                    u = int(ind[idx])
-                    idx += 1
-                    edges += 1
-                    if row_used[u]:
-                        continue
-                    w = row_match[u]
-                    if w != unmatched:
-                        if level[w] != want:
-                            continue
-                        row_used[u] = True
-                        top[2] = idx
-                        path_rows.append(u)
-                        stack.append(frame(w))
-                        advanced = True
-                        break
-                    row_used[u] = True
-                    done = True
-                    break
-                if advanced:
-                    continue
-                if done:
-                    # Augment along the stack: flip every (col, row) pair.
-                    row_match[u] = v
-                    col_match[v] = u
-                    for depth in range(len(stack) - 2, -1, -1):
-                        prev_col = stack[depth][0]
-                        prev_row = path_rows[depth]
-                        row_match[prev_row] = prev_col
-                        col_match[prev_col] = prev_row
-                    augmented += 1
-                    break
-                top[2] = idx
-                if idx >= stop:
-                    stack.pop()
-                    if path_rows:
-                        path_rows.pop()
-
-        row_match_arr[:] = row_match
-        col_match_arr[:] = col_match
-        return augmented, edges
+        rows = row_match.tolist()
+        cols = col_match.tolist()
+        hk = hopcroft_karp_phases(
+            sharded.col_ptr, sharded.col_ind,
+            memoryview(sharded.col_ptr), memoryview(sharded.col_ind), rows, cols,
+        )
+        row_match[:] = rows
+        col_match[:] = cols
+        counters["reconcile_phases"] = hk["phases"]
+        counters["reconcile_augmentations"] = hk["augmentations"]
+        counters["edges_scanned"] += hk["edges_scanned"]
+        return hk["edges_scanned"]
 
 
 def sharded_matching(

@@ -4,8 +4,8 @@ A :class:`ShardedBipartiteGraph` splits the column side into contiguous
 blocks: shard ``s`` owns the global columns ``[boundaries[s],
 boundaries[s+1])`` and stores them as an ordinary :class:`BipartiteGraph`
 with *local* column ids and *global* row ids.  Rows are replicated — a row
-adjacent to columns in several shards appears in each of them — and the
-boundary index records exactly which rows those are, because they are the
+adjacent to columns in several shards appears in each of them — and
+``boundary_rows`` lists exactly which rows those are, because they are the
 only place augmenting paths can cross shards.
 
 Two splitters produce the boundaries (:data:`PARTITION_METHODS`):
@@ -15,18 +15,26 @@ Two splitters produce the boundaries (:data:`PARTITION_METHODS`):
 * ``degree`` — boundaries chosen on the cumulative column-degree curve so
   shards carry roughly equal *edge* counts (degree-balanced).
 
+The graph also holds one global column CSR — the whole graph's, not per
+shard: ``col_ptr`` built from the resident column degrees, and ``col_ind``,
+the partitioned graph's own array or, after the out-of-core ingest, a
+read-only memory map of one file.  The sharded matcher's reconcile walks
+it, and shard ``s``'s column CSR is its slice ``[boundaries[s],
+boundaries[s+1])``.
+
 Shards are served by a store: :class:`MaterializedShardStore` keeps them in
 memory (cheap views of an existing graph), :class:`SpilledShardStore` keeps
-them on disk and loads at most ``max_resident`` at a time — the contract the
-out-of-core ingest (:mod:`repro.sharded.ingest`) and the CI memory gate rely
-on.  Always-resident metadata is vertex-sized only (degrees, boundaries,
-boundary index), never edge-sized.
+their row CSR on disk, cuts their column CSR out of the global one, and
+loads at most ``max_resident`` at a time — the contract the out-of-core
+ingest (:mod:`repro.sharded.ingest`) and the CI memory gate rely on.
+Always-resident heap is vertex-sized only (degrees, ``col_ptr``,
+boundaries, boundary rows); the edge-sized ``col_ind`` of a spilled graph
+stays a memory map.
 
 ``content_hash()`` reproduces the *unsharded* ``BipartiteGraph.content_hash``
-byte for byte by streaming the global CSR arrays out of the shards (the
-column side concatenates; the row side is a stable per-row-block merge), so
-sharded and in-memory representations of the same graph share one cache
-identity.
+byte for byte (the column side read from the global arrays; the row side a
+stable per-row-block merge streamed out of the shards), so sharded and
+in-memory representations of the same graph share one cache identity.
 """
 
 from __future__ import annotations
@@ -49,10 +57,8 @@ __all__ = [
     "MaterializedShardStore",
     "ShardedBipartiteGraph",
     "SpilledShardStore",
-    "load_shard",
     "make_partition",
     "partition_graph",
-    "save_shard",
 ]
 
 PARTITION_METHODS = ("contiguous", "degree")
@@ -137,33 +143,6 @@ def make_partition(
 
 
 # ------------------------------------------------------------- shard stores
-#: The four CSR arrays persisted per shard, one raw ``.npy`` file each —
-#: raw (not ``.npz``) so any of them can be memory-mapped individually,
-#: which is how the reconciler walks spilled shards without heap loads.
-_SHARD_ARRAYS = ("col_ptr", "col_ind", "row_ptr", "row_ind")
-
-
-def save_shard(graph: BipartiteGraph, base: str | Path) -> None:
-    """Persist one shard's CSR arrays as ``<base>.<array>.npy`` files.
-
-    The shape needs no sidecar: ``n_cols`` / ``n_rows`` are the pointer
-    array lengths minus one.
-    """
-    for field in _SHARD_ARRAYS:
-        np.save(f"{base}.{field}.npy", getattr(graph, field))
-
-
-def load_shard(path: str | Path, name: str = "shard") -> BipartiteGraph:
-    """Load a shard previously written by :func:`save_shard`."""
-    arrays = {field: np.load(f"{path}.{field}.npy") for field in _SHARD_ARRAYS}
-    return BipartiteGraph(
-        n_rows=arrays["row_ptr"].size - 1,
-        n_cols=arrays["col_ptr"].size - 1,
-        name=name,
-        **arrays,
-    )
-
-
 class MaterializedShardStore:
     """All shards resident in memory (views over an in-memory graph)."""
 
@@ -179,11 +158,6 @@ class MaterializedShardStore:
     def load(self, index: int) -> BipartiteGraph:
         return self._shards[index]
 
-    def column_csr(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """The shard's ``(col_ptr, col_ind)`` without loading anything new."""
-        graph = self._shards[index]
-        return graph.col_ptr, graph.col_ind
-
     def close(self) -> None:
         self._shards.clear()
 
@@ -191,22 +165,30 @@ class MaterializedShardStore:
 class SpilledShardStore:
     """Disk-backed shards with an LRU of at most ``max_resident`` loaded.
 
-    This is the piece that turns graph size into a per-shard bound: only the
-    ``.npy`` files live for the whole graph, and ``load`` keeps a small LRU
-    so a matcher walking shard by shard never holds more than
-    ``max_resident`` edge-sized arrays.  :meth:`column_csr` additionally
-    serves the column adjacency *memory-mapped* — random cross-shard access
-    (the reconciler's DFS) touches pages the OS caches and reclaims, with no
-    edge-sized heap allocation at all.  With ``cleanup=True`` the directory
-    is removed on :meth:`close` (and by a GC finalizer as a backstop).
+    This is the piece that turns graph size into a per-shard bound.  A
+    shard's row CSR lives in two raw ``.npy`` files (:meth:`spill`); its
+    column CSR is a slice of the graph's global ``col_ptr`` and of the one
+    ``col_ind`` file every shard appended to in shard order, which
+    :meth:`map_col_ind` opens as a read-only memory map.  ``load`` keeps a
+    small LRU, so a matcher walking shard by shard never holds more than
+    ``max_resident`` shards' row arrays on the heap, and no shard's column
+    indices at all.  With ``cleanup=True`` the directory is removed on
+    :meth:`close` (and by a GC finalizer as a backstop).
     """
 
     resident = False
 
+    #: The raw ``int64`` file holding every shard's ``col_ind``, in shard order.
+    COL_IND_FILE = "col_ind.int64"
+    #: Each shard's row CSR arrays, one raw ``.npy`` file each.
+    _ROW_ARRAYS = ("row_ptr", "row_ind")
+
     def __init__(
         self,
         directory: str | Path,
-        n_shards: int,
+        partition: ColumnPartition,
+        col_ptr: np.ndarray,
+        col_ind: np.ndarray,
         *,
         max_resident: int = 1,
         cleanup: bool = False,
@@ -214,7 +196,9 @@ class SpilledShardStore:
         if max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, got {max_resident}")
         self._directory = Path(directory)
-        self._n_shards = int(n_shards)
+        self._partition = partition
+        self._col_ptr = col_ptr
+        self._col_ind = col_ind
         self.max_resident = int(max_resident)
         self._cache: OrderedDict[int, BipartiteGraph] = OrderedDict()
         self._finalizer = (
@@ -223,50 +207,61 @@ class SpilledShardStore:
             else None
         )
 
+    @classmethod
+    def spill(cls, graph: BipartiteGraph, directory: str | Path, index: int, col_file) -> None:
+        """Write shard ``index``: its row CSR as ``.npy`` files in ``directory``,
+        its ``col_ind`` appended to the open :data:`COL_IND_FILE` ``col_file``.
+
+        ``ndarray.tofile`` writes the column indices without a heap copy.
+        """
+        graph.col_ind.tofile(col_file)
+        for field in cls._ROW_ARRAYS:
+            np.save(cls._row_path(directory, index, field), getattr(graph, field))
+
+    @classmethod
+    def map_col_ind(cls, directory: str | Path, n_edges: int) -> np.ndarray:
+        """The :data:`COL_IND_FILE` in ``directory`` as a read-only memory map."""
+        if n_edges == 0:
+            # Zero-length files cannot be mmapped; an edgeless graph has no
+            # column indices to map anyway.
+            return np.empty(0, dtype=np.int64)
+        return np.memmap(
+            Path(directory) / cls.COL_IND_FILE, dtype=np.int64, mode="r", shape=(n_edges,)
+        )
+
     @staticmethod
-    def shard_path(directory: str | Path, index: int) -> Path:
-        """Base path of a shard's ``.npy`` quartet (no extension)."""
-        return Path(directory) / f"shard-{index:05d}"
+    def _row_path(directory: str | Path, index: int, field: str) -> Path:
+        return Path(directory) / f"shard-{index:05d}.{field}.npy"
 
     @property
     def n_shards(self) -> int:
-        return self._n_shards
-
-    @property
-    def directory(self) -> Path:
-        return self._directory
+        return self._partition.n_shards
 
     def load(self, index: int) -> BipartiteGraph:
-        if not 0 <= index < self._n_shards:
-            raise IndexError(f"shard index {index} out of range [0, {self._n_shards})")
+        if not 0 <= index < self.n_shards:
+            raise IndexError(f"shard index {index} out of range [0, {self.n_shards})")
         cached = self._cache.get(index)
         if cached is not None:
             self._cache.move_to_end(index)
             return cached
-        graph = load_shard(self.shard_path(self._directory, index), name=f"shard{index}")
+        lo, hi = self._partition.column_range(index)
+        col_ptr = self._col_ptr[lo : hi + 1]
+        row_ptr, row_ind = (
+            np.load(self._row_path(self._directory, index, field)) for field in self._ROW_ARRAYS
+        )
+        graph = BipartiteGraph(
+            n_rows=row_ptr.size - 1,
+            n_cols=hi - lo,
+            col_ptr=col_ptr - col_ptr[0],
+            col_ind=self._col_ind[col_ptr[0] : col_ptr[-1]],
+            row_ptr=row_ptr,
+            row_ind=row_ind,
+            name=f"shard{index}",
+        )
         self._cache[index] = graph
         while len(self._cache) > self.max_resident:
             self._cache.popitem(last=False)
         return graph
-
-    def column_csr(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(col_ptr, col_ind)`` with the edge-sized ``col_ind`` mmapped.
-
-        ``col_ptr`` is vertex-sized and loaded onto the heap; ``col_ind``
-        is a read-only memory map, so holding every shard's view at once
-        still costs O(n_cols) heap — the residency of the edge data is the
-        page cache's problem, not the process's.
-        """
-        if not 0 <= index < self._n_shards:
-            raise IndexError(f"shard index {index} out of range [0, {self._n_shards})")
-        base = self.shard_path(self._directory, index)
-        col_ptr = np.load(f"{base}.col_ptr.npy")
-        n_edges = int(col_ptr[-1]) if col_ptr.size else 0
-        if n_edges == 0:
-            # Zero-length arrays cannot be mmapped; an empty shard has no
-            # edge data to map anyway.
-            return col_ptr, np.empty(0, dtype=np.int64)
-        return col_ptr, np.load(f"{base}.col_ind.npy", mmap_mode="r")
 
     def close(self) -> None:
         self._cache.clear()
@@ -280,10 +275,13 @@ class ShardedBipartiteGraph:
 
     Shard ``s`` is an ordinary :class:`BipartiteGraph` over the global rows
     and the local columns ``[boundaries[s], boundaries[s+1])``; the store
-    decides whether shards are resident or spilled.  Resident metadata is
-    vertex-sized: global degree arrays, the partition boundaries and the
-    boundary-row index (rows adjacent to more than one shard — the only
-    rows a cross-shard augmenting path can pivot on).
+    decides whether shards are resident or spilled.  The graph keeps the
+    global column CSR (``col_ptr`` from ``col_degrees``; ``col_ind`` as
+    given, uncopied — a memory map for a spilled graph), the global degree
+    arrays, the partition boundaries and the boundary rows (rows adjacent
+    to more than one shard — the only rows a cross-shard augmenting path
+    can pivot on).  ``shard_rows`` lists, per shard, the rows with an edge
+    in it.
     """
 
     def __init__(
@@ -295,7 +293,8 @@ class ShardedBipartiteGraph:
         col_degrees: np.ndarray,
         row_degrees: np.ndarray,
         shard_edge_counts: np.ndarray,
-        shard_rows: list[np.ndarray] | None = None,
+        shard_rows: list[np.ndarray],
+        col_ind: np.ndarray,
         name: str = "sharded",
     ) -> None:
         if store.n_shards != partition.n_shards:
@@ -316,41 +315,15 @@ class ShardedBipartiteGraph:
             raise ValueError("row_degrees must have one entry per row")
         if self.shard_edge_counts.size != partition.n_shards:
             raise ValueError("shard_edge_counts must have one entry per shard")
-        self._build_boundary_index(shard_rows)
-        self._content_hash: str | None = None
-
-    def _build_boundary_index(self, shard_rows: list[np.ndarray] | None) -> None:
-        """Index the rows adjacent to >= 2 shards (CSR row -> shard ids)."""
-        if shard_rows is None:
-            shard_rows = []
-            for index in range(self.n_shards):
-                shard = self.store.load(index)
-                shard_rows.append(np.flatnonzero(shard.row_degrees > 0))
-        counts = np.zeros(self.n_rows, dtype=np.int64)
+        self.col_ptr = np.concatenate([[0], np.cumsum(self.col_degrees)])
+        self.col_ind = np.asarray(col_ind, dtype=np.int64)
+        if self.col_ind.shape != (int(self.col_ptr[-1]),):
+            raise ValueError("col_ind must have one entry per edge")
+        shard_counts = np.zeros(self.n_rows, dtype=np.int64)
         for present in shard_rows:
-            counts[present] += 1
-        self.row_shard_counts = counts
-        boundary_mask = counts >= 2
-        self.boundary_rows = np.flatnonzero(boundary_mask)
-        pair_rows: list[np.ndarray] = []
-        pair_shards: list[np.ndarray] = []
-        for index, present in enumerate(shard_rows):
-            hit = present[boundary_mask[present]]
-            if hit.size:
-                pair_rows.append(hit)
-                pair_shards.append(np.full(hit.size, index, dtype=np.int64))
-        if pair_rows:
-            rows = np.concatenate(pair_rows)
-            shards = np.concatenate(pair_shards)
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            self._boundary_shard_ind = shards[order]
-            self._boundary_ptr = np.searchsorted(
-                rows, np.concatenate([self.boundary_rows, [self.n_rows]])
-            )
-        else:
-            self._boundary_shard_ind = np.empty(0, dtype=np.int64)
-            self._boundary_ptr = np.zeros(self.boundary_rows.size + 1, dtype=np.int64)
+            shard_counts[present] += 1
+        self.boundary_rows = np.flatnonzero(shard_counts >= 2)
+        self._content_hash: str | None = None
 
     # -- shape -------------------------------------------------------------
     @property
@@ -374,45 +347,30 @@ class ShardedBipartiteGraph:
     def column_range(self, index: int) -> tuple[int, int]:
         return self.partition.column_range(index)
 
-    def boundary_shards(self, row: int) -> np.ndarray:
-        """Shard ids a *boundary* row is adjacent to (empty for other rows)."""
-        slot = np.searchsorted(self.boundary_rows, row)
-        if slot >= self.boundary_rows.size or self.boundary_rows[slot] != row:
-            return np.empty(0, dtype=np.int64)
-        return self._boundary_shard_ind[self._boundary_ptr[slot] : self._boundary_ptr[slot + 1]]
-
     def close(self) -> None:
         self.store.close()
 
     # -- identity ----------------------------------------------------------
     def content_hash(self, *, row_block: int | None = None) -> str:
-        """The digest of the *unsharded* graph, streamed out of the shards.
+        """The digest of the *unsharded* graph.
 
-        Column side: global ``col_ptr``/``col_ind`` are per-shard
-        concatenations (plus edge offsets), hashed shard by shard.  Row
-        side: global ``row_ptr`` comes from the resident degree array;
-        global ``row_ind`` is reassembled in row blocks with a stable merge
-        (shards are visited in column order, so each row's neighbours come
-        out sorted).  With a spilled store the default block count equals
-        the shard count, keeping the working set at O(largest shard).
+        Column side: the global ``col_ptr`` and ``col_ind``, the latter fed
+        in slices of at most one shard's edge count (the hasher copies each
+        chunk).  Row side: global ``row_ptr`` comes from the resident
+        degree array; global ``row_ind`` is reassembled in row blocks with a
+        stable merge (shards are visited in column order, so each row's
+        neighbours come out sorted).  With a spilled store the default
+        block count equals the shard count, keeping the working set at
+        O(largest shard).
         """
         if self._content_hash is not None:
             return self._content_hash
         hasher = ChunkedContentHasher(self.n_rows, self.n_cols)
-
-        col_ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.cumsum(self.col_degrees, out=col_ptr[1:])
-        hasher.update("col_ptr", col_ptr)
-        del col_ptr
-        for index in range(self.n_shards):
-            shard = self.store.load(index)
-            if shard.n_edges:
-                hasher.update("col_ind", shard.col_ind)
-
-        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(self.row_degrees, out=row_ptr[1:])
-        hasher.update("row_ptr", row_ptr)
-        del row_ptr
+        hasher.update("col_ptr", self.col_ptr)
+        step = max(1, int(self.shard_edge_counts.max(initial=0)))
+        for start in range(0, self.n_edges, step):
+            hasher.update("col_ind", self.col_ind[start : start + step])
+        hasher.update("row_ptr", np.concatenate([[0], np.cumsum(self.row_degrees)]))
         for chunk in self._iter_row_ind_blocks(row_block):
             hasher.update("row_ind", chunk)
 
@@ -452,21 +410,8 @@ class ShardedBipartiteGraph:
     # -- materialization ---------------------------------------------------
     def to_graph(self, name: str | None = None) -> BipartiteGraph:
         """Reassemble the full in-memory graph (testing / small instances)."""
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        for index in range(self.n_shards):
-            shard = self.store.load(index)
-            if not shard.n_edges:
-                continue
-            rows_parts.append(shard.col_ind)
-            local_cols = np.repeat(
-                np.arange(shard.n_cols, dtype=np.int64), np.diff(shard.col_ptr)
-            )
-            cols_parts.append(local_cols + self.col_offset(index))
-        if rows_parts:
-            edges = np.column_stack([np.concatenate(rows_parts), np.concatenate(cols_parts)])
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
+        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), self.col_degrees)
+        edges = np.column_stack([self.col_ind, cols])
         return from_edges(
             edges,
             n_rows=self.n_rows,
@@ -535,5 +480,6 @@ def partition_graph(
         row_degrees=graph.row_degrees,
         shard_edge_counts=edge_counts,
         shard_rows=shard_rows,
+        col_ind=graph.col_ind,
         name=name if name is not None else f"{graph.name}@{partition.n_shards}",
     )

@@ -196,7 +196,7 @@ def test_rpr004_dispatch_lookup_inside_region_is_reported():
             total = 0
             # hot-path
             for v in cols:
-                fn = _compiled.implementation_for("expand_frontier")
+                fn = _compiled.implementation_for("alternating_level_bfs")
                 total += ptr[v]
             # end hot-path
             return total
@@ -212,9 +212,9 @@ def test_rpr004_hoisted_dispatch_lookup_is_clean():
     source = textwrap.dedent(
         """
         def scan(cols, ptr):
-            fn = _compiled.implementation_for("expand_frontier")
+            fn = _compiled.implementation_for("alternating_level_bfs")
             total = 0
-            # hot-path compiled=expand_frontier
+            # hot-path compiled=alternating_level_bfs
             for v in cols:
                 total += ptr[v]
             # end hot-path

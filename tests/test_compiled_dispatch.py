@@ -26,7 +26,7 @@ from repro.generators import (
     rmat_bipartite,
     uniform_random_bipartite,
 )
-from repro.graph.frontier import alternating_level_bfs, distance_label_bfs, expand_frontier
+from repro.graph.frontier import alternating_level_bfs, distance_label_bfs
 from repro.seq.greedy import cheap_matching
 
 # Four generator families x seeds: distinct degree structure so the twins
@@ -60,15 +60,6 @@ def _both_tiers(fn):
 
 
 # ---------------------------------------------------------------- primitives
-def test_expand_frontier_parity(graph):
-    frontier = np.flatnonzero(np.arange(graph.n_cols) % 3 == 0)
-    base, twin = _both_tiers(
-        lambda: expand_frontier(graph.col_ptr, graph.col_ind, frontier)
-    )
-    np.testing.assert_array_equal(base, twin)
-    assert twin.dtype == np.int64
-
-
 def test_alternating_level_bfs_parity(graph):
     matching = cheap_matching(graph).matching
     base, twin = _both_tiers(
@@ -162,7 +153,6 @@ def test_registered_names_cover_all_shims():
     assert dispatch.registered() == (
         "alternating_level_bfs",
         "distance_label_bfs",
-        "expand_frontier",
         "ghkdw_augment",
         "global_relabel",
         "push_active_wave",

@@ -49,7 +49,6 @@ from repro.graph.frontier import (
     augmenting_dfs,
     claiming_bfs,
     distance_label_bfs,
-    expand_frontier,
     sorted_unique,
 )
 from repro.matching import UNMATCHED, Matching, MatchingResult
@@ -94,24 +93,6 @@ def golden_graph(request):
 
 
 # ---------------------------------------------------------------- primitives
-def test_expand_frontier_orders_edges_like_a_fifo_scan(tiny_graph):
-    targets = expand_frontier(
-        tiny_graph.col_ptr, tiny_graph.col_ind, np.array([1, 0])
-    )
-    expected_t = []
-    for v in (1, 0):
-        for u in tiny_graph.column_neighbors(v):
-            expected_t.append(int(u))
-    assert targets.tolist() == expected_t
-
-
-def test_expand_frontier_empty_and_isolated():
-    targets = expand_frontier(np.array([0, 0, 0]), np.empty(0, np.int64), np.array([0, 1]))
-    assert targets.size == 0 and targets.dtype == np.int64
-    targets = expand_frontier(np.array([0]), np.empty(0, np.int64), np.empty(0, np.int64))
-    assert targets.size == 0
-
-
 _RNG = np.random.default_rng(20130421)
 UNIQUE_CASES = {
     "empty": np.empty(0, np.int64),
