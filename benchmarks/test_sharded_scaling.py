@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core.api import max_bipartite_matching
+from repro.core.api import max_bipartite_matching, resolve_algorithm
 from repro.graph.io import read_matrix_market
 from repro.sharded import (
     ShardedMatcher,
@@ -45,7 +45,7 @@ def _sharded_peak(path, n_shards: int) -> tuple[int, int]:
     sharded = ingest_matrix_market_sharded(
         path, n_shards, chunk_entries=CHUNK, max_resident=1
     )
-    result = ShardedMatcher(sharded, "hk").run()
+    result = ShardedMatcher(sharded, resolve_algorithm("hk")).run()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     sharded.close()

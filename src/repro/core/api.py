@@ -185,10 +185,7 @@ class ExecutionPlan:
         else:
             sharded = partition_graph(graph, self.shards, self.partition_method)
         inner = dataclasses.replace(self, shards=None, partition_method=None)
-        matcher = ShardedMatcher(
-            sharded, self.algorithm, plan=inner, kwargs=dict(self.extra)
-        )
-        return matcher.run()
+        return ShardedMatcher(sharded, inner).run()
 
 
 # ------------------------------------------------------------------- runners

@@ -14,7 +14,6 @@ arrays.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,18 +301,18 @@ class BipartiteGraph:
         """
         cached = self.__dict__.get("_content_hash")
         if cached is None:
-            digest = hashlib.sha256()
-            digest.update(f"bipartite:{self.n_rows}:{self.n_cols}:".encode("ascii"))
-            for arr in (self.col_ptr, self.col_ind, self.row_ptr, self.row_ind):
-                digest.update(np.ascontiguousarray(arr).tobytes())
+            # Imported here: repro.graph.io imports this module.
+            from repro.graph.io import ChunkedContentHasher
+
+            hasher = ChunkedContentHasher(self.n_rows, self.n_cols)
+            for section in ("col_ptr", "col_ind", "row_ptr", "row_ind"):
+                hasher.update(section, getattr(self, section))
             if self.weights is not None:
-                digest.update(b"weights:")
-                digest.update(np.ascontiguousarray(self.weights).tobytes())
+                hasher.update("weights", self.weights)
             if self.b_row is not None:
-                digest.update(b"capacities:")
-                digest.update(np.ascontiguousarray(self.b_row).tobytes())
-                digest.update(np.ascontiguousarray(self.b_col).tobytes())
-            cached = digest.hexdigest()
+                hasher.update("capacities", self.b_row)
+                hasher.update("capacities", self.b_col)
+            cached = hasher.hexdigest()
             object.__setattr__(self, "_content_hash", cached)
         return cached
 

@@ -522,22 +522,26 @@ class MatrixMarketStreamWriter:
 class ChunkedContentHasher:
     """Incremental :meth:`BipartiteGraph.content_hash` over CSR chunks.
 
-    Feed the same byte stream the in-memory hash consumes — ``col_ptr``,
+    The one definition of the content-hash byte layout.  Feed ``col_ptr``,
     ``col_ind``, ``row_ptr``, ``row_ind`` (each as one or many ``int64``
-    chunks, in order), then optionally ``weights`` (``float64`` chunks) —
-    and :meth:`hexdigest` equals ``graph.content_hash()`` of the assembled
-    graph.  Sections must be fed in that order; chunks within a section may
-    be arbitrarily split.  This is what lets the out-of-core ingest compute
-    the cache identity without a second full pass over the input file.
+    chunks, in order), then optionally ``weights`` (``float64`` chunks),
+    then optionally ``capacities`` (``b_row`` followed by ``b_col``, as
+    ``int64`` chunks), and :meth:`hexdigest` equals ``graph.content_hash()``
+    of the assembled graph.  Sections must be fed in that order; chunks
+    within a section may be arbitrarily split.  This is what lets the
+    out-of-core ingest compute the cache identity without a second full
+    pass over the input file.
     """
 
-    _SECTIONS = ("col_ptr", "col_ind", "row_ptr", "row_ind", "weights")
+    _SECTIONS = ("col_ptr", "col_ind", "row_ptr", "row_ind", "weights", "capacities")
+    #: Optional sections open with a tag, so a graph with them never hashes
+    #: like one without.
+    _TAGS = {"weights": b"weights:", "capacities": b"capacities:"}
 
     def __init__(self, n_rows: int, n_cols: int) -> None:
         self._digest = hashlib.sha256()
         self._digest.update(f"bipartite:{n_rows}:{n_cols}:".encode("ascii"))
         self._section = 0
-        self._weights_marked = False
 
     def update(self, section: str, chunk) -> None:
         """Absorb one chunk of ``section`` (array-like of indices/weights)."""
@@ -552,15 +556,11 @@ class ChunkedContentHasher:
                 f"section {section!r} fed after {self._SECTIONS[self._section]!r}; "
                 "sections must arrive in CSR order"
             )
+        if index > self._section and section in self._TAGS:
+            self._digest.update(self._TAGS[section])
         self._section = index
-        if section == "weights":
-            if not self._weights_marked:
-                self._digest.update(b"weights:")
-                self._weights_marked = True
-            arr = np.ascontiguousarray(np.asarray(chunk, dtype=np.float64))
-        else:
-            arr = np.ascontiguousarray(np.asarray(chunk, dtype=np.int64))
-        self._digest.update(arr.tobytes())
+        dtype = np.float64 if section == "weights" else np.int64
+        self._digest.update(np.ascontiguousarray(np.asarray(chunk, dtype=dtype)).tobytes())
 
     def hexdigest(self) -> str:
         return self._digest.hexdigest()

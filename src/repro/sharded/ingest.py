@@ -8,40 +8,39 @@ chunks (:class:`~repro.graph.io.MatrixMarketStream`):
   boundaries.  ``contiguous`` boundaries need only the header, so that
   method ingests in a single pass over the entries.
 * **Routing pass** — each chunk is split by owning shard and appended as
-  raw ``(row, local_col)`` int64 pairs to one spill file per shard.
-* **Shard builds** — spill files are read back *one at a time*, each built
-  into a canonical :class:`BipartiteGraph` (deduplicated, sorted — exactly
-  like :func:`repro.graph.builders.from_edges`) and spilled for the
-  :class:`~repro.sharded.partition.SpilledShardStore`: its row CSR as raw
-  ``.npy`` arrays, its ``col_ind`` appended to the one column-index file
-  all shards share, in shard order.  That file is the whole graph's
-  ``col_ind``; the returned graph holds it as a read-only memory map.
+  raw ``(row, local_col)`` int64 pairs to one spool file per shard.
+* **Column blocks** — spool files are read back *one at a time*, each
+  deduplicated and sorted into its canonical column CSR (exactly like
+  :func:`repro.graph.builders.from_edges`), and its ``col_ind`` appended to
+  the one column-index file, in shard order.  That file is the whole
+  graph's ``col_ind`` and the only file left in the spool directory; the
+  returned graph holds it as a read-only memory map and builds each shard
+  from it on use (:meth:`~repro.sharded.partition.ShardedBipartiteGraph.shard`).
 
 Peak memory is O(chunk + largest shard + vertex arrays) — independent of
 the total edge count, which is what the CI ``shard-smoke`` job asserts.
-The exact global degree arrays fall out of the shard builds, so the
-resulting :class:`ShardedBipartiteGraph` hashes identically to
+The exact column degrees fall out of the column blocks, so the resulting
+:class:`ShardedBipartiteGraph` hashes identically to
 ``read_matrix_market(path).content_hash()`` without a dedicated full pass.
+A temporary spool directory is removed if the ingest fails.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.graph.io import DEFAULT_CHUNK_ENTRIES, MatrixMarketStream
-from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import _csr_from_pairs
-from repro.sharded.partition import (
-    ColumnPartition,
-    ShardedBipartiteGraph,
-    SpilledShardStore,
-    make_partition,
-)
+from repro.sharded.partition import ColumnPartition, ShardedBipartiteGraph, make_partition
 
 __all__ = ["ingest_matrix_market_sharded", "stream_random_bipartite_mtx"]
+
+#: The raw ``int64`` file holding every shard's ``col_ind``, in shard order.
+COL_IND_FILE = "col_ind.int64"
 
 
 def _scan_col_degrees(path: Path, n_cols: int, chunk_entries: int) -> np.ndarray:
@@ -59,7 +58,7 @@ def _route_to_spools(
     spool_dir: Path,
     chunk_entries: int,
 ) -> None:
-    """Append each entry chunk, split by owning shard, to the spill files."""
+    """Append each entry chunk, split by owning shard, to the spool files."""
     boundaries = partition.boundaries
     spools = [
         open(spool_dir / f"shard-{index:05d}.edges", "wb")
@@ -80,23 +79,22 @@ def _route_to_spools(
             handle.close()
 
 
-def _build_shard(
-    spool_path: Path, n_rows: int, width: int, name: str
-) -> BipartiteGraph:
-    raw = np.fromfile(spool_path, dtype=np.int64)
-    pairs = raw.reshape(-1, 2)
-    col_ptr, col_ind, row_ptr, row_ind, _ = _csr_from_pairs(
-        pairs[:, 0], pairs[:, 1], n_rows, width
-    )
-    return BipartiteGraph(
-        n_rows=n_rows,
-        n_cols=width,
-        col_ptr=col_ptr,
-        col_ind=col_ind,
-        row_ptr=row_ptr,
-        row_ind=row_ind,
-        name=name,
-    )
+def _write_col_ind(spool_dir: Path, partition: ColumnPartition, n_rows: int) -> np.ndarray:
+    """Dedup each spooled shard into its column CSR, one shard at a time,
+    and append its ``col_ind`` to :data:`COL_IND_FILE`; returns the column
+    degrees.  ``ndarray.tofile`` writes the indices without a heap copy."""
+    col_degrees = np.zeros(partition.n_cols, dtype=np.int64)
+    with open(spool_dir / COL_IND_FILE, "wb") as col_file:
+        for index in range(partition.n_shards):
+            lo, hi = partition.column_range(index)
+            spool_path = spool_dir / f"shard-{index:05d}.edges"
+            pairs = np.fromfile(spool_path, dtype=np.int64).reshape(-1, 2)
+            spool_path.unlink()
+            col_ptr, col_ind, _, _, _ = _csr_from_pairs(pairs[:, 0], pairs[:, 1], n_rows, hi - lo)
+            del pairs
+            col_ind.tofile(col_file)
+            col_degrees[lo:hi] = np.diff(col_ptr)
+    return col_degrees
 
 
 def ingest_matrix_market_sharded(
@@ -119,14 +117,14 @@ def ingest_matrix_market_sharded(
     n_shards / method:
         Partition shape (see :data:`~repro.sharded.partition.PARTITION_METHODS`).
     spool_dir:
-        Directory for the spill files, the shards' row ``.npy`` arrays and
-        the graph's column-index file.  ``None``
-        creates a temporary directory that is removed when the returned
-        graph is closed or garbage collected; an explicit directory is kept.
+        Directory for the spool files and the graph's column-index file.
+        ``None`` creates a temporary directory that is removed when the
+        returned graph is closed or garbage collected, or when the ingest
+        fails; an explicit directory is kept.
     chunk_entries:
         Entries parsed per chunk — the streaming working set.
     max_resident:
-        How many built shards the store keeps in memory at a time.
+        How many built shards the graph keeps in memory at a time.
     """
     path = Path(path)
     graph_name = (
@@ -145,50 +143,36 @@ def ingest_matrix_market_sharded(
     else:
         partition = make_partition(method, header.n_cols, n_shards)
 
-    cleanup = spool_dir is None
-    if cleanup:
+    owned = spool_dir is None
+    if owned:
         spool_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
     else:
         spool_dir = Path(spool_dir)
         spool_dir.mkdir(parents=True, exist_ok=True)
-
-    _route_to_spools(path, partition, spool_dir, chunk_entries)
-
-    # Build + spill shards one at a time; exact global degrees fall out.
-    col_degrees = np.zeros(header.n_cols, dtype=np.int64)
-    row_degrees = np.zeros(header.n_rows, dtype=np.int64)
-    edge_counts = np.zeros(partition.n_shards, dtype=np.int64)
-    shard_rows: list[np.ndarray] = []
-    with open(spool_dir / SpilledShardStore.COL_IND_FILE, "wb") as col_file:
-        for index in range(partition.n_shards):
-            lo, hi = partition.column_range(index)
-            spool_path = spool_dir / f"shard-{index:05d}.edges"
-            shard = _build_shard(spool_path, header.n_rows, hi - lo, f"shard{index}")
-            spool_path.unlink()
-            SpilledShardStore.spill(shard, spool_dir, index, col_file)
-            col_degrees[lo:hi] = shard.col_degrees
-            shard_row_degrees = shard.row_degrees
-            row_degrees += shard_row_degrees
-            shard_rows.append(np.flatnonzero(shard_row_degrees > 0))
-            edge_counts[index] = shard.n_edges
-            del shard
-
-    col_ptr = np.concatenate([[0], np.cumsum(col_degrees)])
-    col_ind = SpilledShardStore.map_col_ind(spool_dir, int(col_ptr[-1]))
-    store = SpilledShardStore(
-        spool_dir, partition, col_ptr, col_ind, max_resident=max_resident, cleanup=cleanup
-    )
-    return ShardedBipartiteGraph(
-        partition=partition,
-        store=store,
-        n_rows=header.n_rows,
-        col_degrees=col_degrees,
-        row_degrees=row_degrees,
-        shard_edge_counts=edge_counts,
-        shard_rows=shard_rows,
-        col_ind=col_ind,
-        name=graph_name,
-    )
+    try:
+        _route_to_spools(path, partition, spool_dir, chunk_entries)
+        col_degrees = _write_col_ind(spool_dir, partition, header.n_rows)
+        n_edges = int(col_degrees.sum())
+        # Zero-length files cannot be mmapped; an edgeless graph has no
+        # column indices to map anyway.
+        col_ind = (
+            np.memmap(spool_dir / COL_IND_FILE, dtype=np.int64, mode="r", shape=(n_edges,))
+            if n_edges
+            else np.empty(0, dtype=np.int64)
+        )
+        return ShardedBipartiteGraph(
+            partition=partition,
+            n_rows=header.n_rows,
+            col_degrees=col_degrees,
+            col_ind=col_ind,
+            max_resident=max_resident,
+            directory=spool_dir if owned else None,
+            name=graph_name,
+        )
+    except BaseException:
+        if owned:
+            shutil.rmtree(spool_dir, ignore_errors=True)
+        raise
 
 
 def stream_random_bipartite_mtx(

@@ -4,9 +4,11 @@ The :class:`ShardedMatcher` runs in two acts:
 
 1. **Local solves.**  Every non-empty shard becomes an ordinary
    :class:`~repro.engine.job.MatchingJob` (the shard *is* a
-   :class:`BipartiteGraph`), executed through an
+   :class:`BipartiteGraph`, built from its block of the global column CSR
+   when its job is submitted), executed through an
    :class:`~repro.engine.Engine` on any backend — Inline, Thread or
    ProcessPool all work because shards and resolved plans are picklable.
+   At most the graph's ``max_resident`` shard jobs are in flight at once.
    Local matchings merge into a global one with a deterministic conflict
    rule: a row matched in several shards keeps its lowest-shard assignment,
    the displaced columns go back to unmatched.  The merge is
@@ -41,13 +43,12 @@ from collections import deque
 import numpy as np
 
 from repro.engine import Engine, MatchingJob, as_completed
-from repro.graph.bipartite import BipartiteGraph
 from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.hopcroft_karp import hopcroft_karp_phases
-from repro.sharded.partition import ShardedBipartiteGraph, partition_graph
+from repro.sharded.partition import ShardedBipartiteGraph
 
-__all__ = ["ShardedMatcher", "sharded_matching"]
+__all__ = ["ShardedMatcher"]
 
 
 class ShardedMatcher:
@@ -56,57 +57,36 @@ class ShardedMatcher:
     Parameters
     ----------
     sharded:
-        The partitioned graph (see :func:`partition_graph` /
+        The partitioned graph (see
+        :func:`~repro.sharded.partition.partition_graph` /
         :func:`~repro.sharded.ingest.ingest_matrix_market_sharded`).
-    algorithm:
-        Registry name of the per-shard kernel; must be a maximum-cardinality
-        algorithm (greedy heuristics would break the parity guarantee).
     plan:
-        A pre-resolved :class:`~repro.core.api.ExecutionPlan` for the
-        per-shard kernel (must not itself be sharded); ``None`` resolves one
-        from ``algorithm`` / ``kwargs``.
+        The resolved :class:`~repro.core.api.ExecutionPlan` of the per-shard
+        kernel (:func:`~repro.core.api.resolve_algorithm`); it must not
+        itself be sharded, and must be a maximum-cardinality algorithm
+        (greedy heuristics would break the parity guarantee).
     engine:
         Engine for the per-shard jobs; ``None`` runs them on a private
         inline :class:`~repro.engine.Engine`, shut down afterwards.
-    kwargs:
-        Extra keyword arguments for the per-shard algorithm.
     """
 
     def __init__(
         self,
         sharded: ShardedBipartiteGraph,
-        algorithm: str = "hk",
+        plan,
         *,
-        plan=None,
         engine: Engine | None = None,
-        kwargs: dict | None = None,
     ) -> None:
-        self.sharded = sharded
-        self.algorithm = str(algorithm).strip().lower()
-        self.kwargs = dict(kwargs or {})
-        if plan is None:
-            from repro.core.api import resolve_algorithm
-
-            plan = resolve_algorithm(self.algorithm, **self.kwargs)
-        elif getattr(plan, "shards", None) is not None:
+        if plan.shards is not None:
             raise ValueError("the per-shard plan must not itself be sharded")
-        else:
-            self.algorithm = plan.algorithm
         if not plan.spec.maximum or plan.spec.weighted:
             raise ValueError(
                 f"sharded matching needs a maximum-cardinality algorithm, "
-                f"got {self.algorithm!r}"
+                f"got {plan.algorithm!r}"
             )
+        self.sharded = sharded
         self._plan = plan
         self._engine = engine
-        # Per-shard jobs in flight at once: every shard of a resident store,
-        # the store's ``max_resident`` of a spilled one, which keeps an
-        # out-of-core run at O(largest shard) peak memory.
-        store = sharded.store
-        if getattr(store, "resident", False):
-            self._window = max(1, sharded.n_shards)
-        else:
-            self._window = max(1, getattr(store, "max_resident", 1))
 
     # ------------------------------------------------------------------ run
     def run(self) -> MatchingResult:
@@ -140,7 +120,7 @@ class ShardedMatcher:
         matching = Matching(row_match, col_match)
         wall = time.perf_counter() - t0
         return MatchingResult.create(
-            f"sharded-{self.algorithm}",
+            f"sharded-{self._plan.algorithm}",
             matching,
             counters=counters,
             modeled_time=shard_seconds + CpuCostModel().seconds(reconcile_edges),
@@ -160,13 +140,14 @@ class ShardedMatcher:
             s for s in range(sharded.n_shards) if sharded.shard_edge_counts[s] > 0
         )
         inflight: dict[object, int] = {}
+        # The window keeps an out-of-core run at O(largest shard) peak
+        # memory: no more shards are in jobs than the graph keeps built.
         while pending or inflight:
-            while pending and len(inflight) < self._window:
+            while pending and len(inflight) < sharded.max_resident:
                 index = pending.popleft()
                 job = MatchingJob(
                     graph=sharded.shard(index),
-                    algorithm=self.algorithm,
-                    kwargs=self.kwargs,
+                    algorithm=self._plan.algorithm,
                     job_id=f"shard-{index}",
                 )
                 inflight[engine.submit(job, plan=self._plan)] = index
@@ -220,28 +201,3 @@ class ShardedMatcher:
         counters["edges_scanned"] += hk["edges_scanned"]
         return hk["edges_scanned"]
 
-
-def sharded_matching(
-    graph: BipartiteGraph | ShardedBipartiteGraph,
-    algorithm: str = "hk",
-    *,
-    shards: int | None = None,
-    partition: str = "contiguous",
-    engine: Engine | None = None,
-    **kwargs,
-) -> MatchingResult:
-    """One-call sharded matching.
-
-    Accepts either an in-memory :class:`BipartiteGraph` (partitioned on the
-    fly with ``shards`` / ``partition``) or a ready
-    :class:`ShardedBipartiteGraph` (as produced by the out-of-core ingest),
-    and returns a :class:`MatchingResult` whose cardinality equals the
-    single-graph solver's.
-    """
-    if isinstance(graph, ShardedBipartiteGraph):
-        sharded = graph
-    else:
-        if shards is None:
-            raise ValueError("shards= is required when passing an in-memory graph")
-        sharded = partition_graph(graph, shards, partition)
-    return ShardedMatcher(sharded, algorithm, engine=engine, kwargs=kwargs).run()

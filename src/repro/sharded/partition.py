@@ -2,11 +2,11 @@
 
 A :class:`ShardedBipartiteGraph` splits the column side into contiguous
 blocks: shard ``s`` owns the global columns ``[boundaries[s],
-boundaries[s+1])`` and stores them as an ordinary :class:`BipartiteGraph`
-with *local* column ids and *global* row ids.  Rows are replicated — a row
-adjacent to columns in several shards appears in each of them — and
-``boundary_rows`` lists exactly which rows those are, because they are the
-only place augmenting paths can cross shards.
+boundaries[s+1])`` and is an ordinary :class:`BipartiteGraph` with *local*
+column ids and *global* row ids.  Rows are replicated — a row adjacent to
+columns in several shards appears in each of them — and ``boundary_rows``
+lists exactly which rows those are, because they are the only place
+augmenting paths can cross shards.
 
 Two splitters produce the boundaries (:data:`PARTITION_METHODS`):
 
@@ -15,26 +15,22 @@ Two splitters produce the boundaries (:data:`PARTITION_METHODS`):
 * ``degree`` — boundaries chosen on the cumulative column-degree curve so
   shards carry roughly equal *edge* counts (degree-balanced).
 
-The graph also holds one global column CSR — the whole graph's, not per
-shard: ``col_ptr`` built from the resident column degrees, and ``col_ind``,
-the partitioned graph's own array or, after the out-of-core ingest, a
-read-only memory map of one file.  The sharded matcher's reconcile walks
-it, and shard ``s``'s column CSR is its slice ``[boundaries[s],
-boundaries[s+1])``.
-
-Shards are served by a store: :class:`MaterializedShardStore` keeps them in
-memory (cheap views of an existing graph), :class:`SpilledShardStore` keeps
-their row CSR on disk, cuts their column CSR out of the global one, and
-loads at most ``max_resident`` at a time — the contract the out-of-core
-ingest (:mod:`repro.sharded.ingest`) and the CI memory gate rely on.
+The graph stores one CSR, the whole graph's column CSR: ``col_ptr`` built
+from the column degrees, and ``col_ind``, the partitioned graph's own array
+or, after the out-of-core ingest (:mod:`repro.sharded.ingest`), a
+read-only memory map of one file.  A shard is built on use from its block
+of that CSR — the column side a view, the row side the block transposed —
+and the graph keeps at most ``max_resident`` built shards in an LRU: all
+of them for :func:`partition_graph`, the ingest's ``max_resident`` for an
+out-of-core graph, which is the contract the CI memory gate relies on.
 Always-resident heap is vertex-sized only (degrees, ``col_ptr``,
-boundaries, boundary rows); the edge-sized ``col_ind`` of a spilled graph
-stays a memory map.
+boundaries, boundary rows); the edge-sized ``col_ind`` of an ingested
+graph stays a memory map.
 
 ``content_hash()`` reproduces the *unsharded* ``BipartiteGraph.content_hash``
-byte for byte (the column side read from the global arrays; the row side a
-stable per-row-block merge streamed out of the shards), so sharded and
-in-memory representations of the same graph share one cache identity.
+byte for byte from the global arrays alone (the column side as stored; the
+row side transposed from ``col_ind`` one row block at a time), so sharded
+and in-memory representations of the same graph share one cache identity.
 """
 
 from __future__ import annotations
@@ -48,15 +44,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import _csr_from_pairs, from_edges
+from repro.graph.builders import from_edges
 from repro.graph.io import ChunkedContentHasher
 
 __all__ = [
     "PARTITION_METHODS",
     "ColumnPartition",
-    "MaterializedShardStore",
     "ShardedBipartiteGraph",
-    "SpilledShardStore",
     "make_partition",
     "partition_graph",
 ]
@@ -142,188 +136,83 @@ def make_partition(
     return ColumnPartition(n_cols=n_cols, boundaries=boundaries, method=method)
 
 
-# ------------------------------------------------------------- shard stores
-class MaterializedShardStore:
-    """All shards resident in memory (views over an in-memory graph)."""
+def _listed_by_row(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """``cols`` reordered row by row, each row's columns ascending.
 
-    resident = True
-
-    def __init__(self, shards: list[BipartiteGraph]) -> None:
-        self._shards = list(shards)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def load(self, index: int) -> BipartiteGraph:
-        return self._shards[index]
-
-    def close(self) -> None:
-        self._shards.clear()
-
-
-class SpilledShardStore:
-    """Disk-backed shards with an LRU of at most ``max_resident`` loaded.
-
-    This is the piece that turns graph size into a per-shard bound.  A
-    shard's row CSR lives in two raw ``.npy`` files (:meth:`spill`); its
-    column CSR is a slice of the graph's global ``col_ptr`` and of the one
-    ``col_ind`` file every shard appended to in shard order, which
-    :meth:`map_col_ind` opens as a read-only memory map.  ``load`` keeps a
-    small LRU, so a matcher walking shard by shard never holds more than
-    ``max_resident`` shards' row arrays on the heap, and no shard's column
-    indices at all.  With ``cleanup=True`` the directory is removed on
-    :meth:`close` (and by a GC finalizer as a backstop).
+    The ``(row, col)`` pairs are distinct (edges are deduplicated) and
+    ``0 <= col < width``, so one sort of the keys ``row * width + col``
+    orders them, several times faster than a stable argsort by row.
     """
-
-    resident = False
-
-    #: The raw ``int64`` file holding every shard's ``col_ind``, in shard order.
-    COL_IND_FILE = "col_ind.int64"
-    #: Each shard's row CSR arrays, one raw ``.npy`` file each.
-    _ROW_ARRAYS = ("row_ptr", "row_ind")
-
-    def __init__(
-        self,
-        directory: str | Path,
-        partition: ColumnPartition,
-        col_ptr: np.ndarray,
-        col_ind: np.ndarray,
-        *,
-        max_resident: int = 1,
-        cleanup: bool = False,
-    ) -> None:
-        if max_resident < 1:
-            raise ValueError(f"max_resident must be >= 1, got {max_resident}")
-        self._directory = Path(directory)
-        self._partition = partition
-        self._col_ptr = col_ptr
-        self._col_ind = col_ind
-        self.max_resident = int(max_resident)
-        self._cache: OrderedDict[int, BipartiteGraph] = OrderedDict()
-        self._finalizer = (
-            weakref.finalize(self, shutil.rmtree, str(self._directory), True)
-            if cleanup
-            else None
-        )
-
-    @classmethod
-    def spill(cls, graph: BipartiteGraph, directory: str | Path, index: int, col_file) -> None:
-        """Write shard ``index``: its row CSR as ``.npy`` files in ``directory``,
-        its ``col_ind`` appended to the open :data:`COL_IND_FILE` ``col_file``.
-
-        ``ndarray.tofile`` writes the column indices without a heap copy.
-        """
-        graph.col_ind.tofile(col_file)
-        for field in cls._ROW_ARRAYS:
-            np.save(cls._row_path(directory, index, field), getattr(graph, field))
-
-    @classmethod
-    def map_col_ind(cls, directory: str | Path, n_edges: int) -> np.ndarray:
-        """The :data:`COL_IND_FILE` in ``directory`` as a read-only memory map."""
-        if n_edges == 0:
-            # Zero-length files cannot be mmapped; an edgeless graph has no
-            # column indices to map anyway.
-            return np.empty(0, dtype=np.int64)
-        return np.memmap(
-            Path(directory) / cls.COL_IND_FILE, dtype=np.int64, mode="r", shape=(n_edges,)
-        )
-
-    @staticmethod
-    def _row_path(directory: str | Path, index: int, field: str) -> Path:
-        return Path(directory) / f"shard-{index:05d}.{field}.npy"
-
-    @property
-    def n_shards(self) -> int:
-        return self._partition.n_shards
-
-    def load(self, index: int) -> BipartiteGraph:
-        if not 0 <= index < self.n_shards:
-            raise IndexError(f"shard index {index} out of range [0, {self.n_shards})")
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            return cached
-        lo, hi = self._partition.column_range(index)
-        col_ptr = self._col_ptr[lo : hi + 1]
-        row_ptr, row_ind = (
-            np.load(self._row_path(self._directory, index, field)) for field in self._ROW_ARRAYS
-        )
-        graph = BipartiteGraph(
-            n_rows=row_ptr.size - 1,
-            n_cols=hi - lo,
-            col_ptr=col_ptr - col_ptr[0],
-            col_ind=self._col_ind[col_ptr[0] : col_ptr[-1]],
-            row_ptr=row_ptr,
-            row_ind=row_ind,
-            name=f"shard{index}",
-        )
-        self._cache[index] = graph
-        while len(self._cache) > self.max_resident:
-            self._cache.popitem(last=False)
-        return graph
-
-    def close(self) -> None:
-        self._cache.clear()
-        if self._finalizer is not None and self._finalizer.alive:
-            self._finalizer()
+    if rows.size == 0:  # also covers width 0: a zero-width block has no edges
+        return np.empty(0, dtype=np.int64)
+    keys = rows * width
+    keys += cols
+    keys.sort()
+    keys %= width
+    return keys
 
 
 # ---------------------------------------------------- the sharded container
 class ShardedBipartiteGraph:
-    """A column-block partitioned dual-CSR bipartite graph.
+    """A column-block partitioned bipartite graph over one column CSR.
 
-    Shard ``s`` is an ordinary :class:`BipartiteGraph` over the global rows
-    and the local columns ``[boundaries[s], boundaries[s+1])``; the store
-    decides whether shards are resident or spilled.  The graph keeps the
-    global column CSR (``col_ptr`` from ``col_degrees``; ``col_ind`` as
-    given, uncopied — a memory map for a spilled graph), the global degree
-    arrays, the partition boundaries and the boundary rows (rows adjacent
-    to more than one shard — the only rows a cross-shard augmenting path
-    can pivot on).  ``shard_rows`` lists, per shard, the rows with an edge
-    in it.
+    The graph stores the global column CSR only: ``col_ptr`` from
+    ``col_degrees`` and ``col_ind`` as given, uncopied (the partitioned
+    graph's own array, or a read-only memory map after the out-of-core
+    ingest).  :meth:`shard` builds shard ``s`` on use — an ordinary
+    :class:`BipartiteGraph` over the global rows and the local columns
+    ``[boundaries[s], boundaries[s+1])``, whose column CSR is its block of
+    the global one (a view) and whose row CSR is that block transposed —
+    and keeps at most ``max_resident`` built shards in an LRU.
+
+    The constructor derives the vertex-sized metadata in one pass over
+    ``col_ind``: per-shard edge counts, ``row_degrees`` and the boundary
+    rows (rows adjacent to more than one shard — the only rows a
+    cross-shard augmenting path can pivot on).  ``directory``, if given, is
+    a spool directory the graph owns: it is removed on :meth:`close` (and
+    by a finalizer as a backstop).
     """
 
     def __init__(
         self,
         *,
         partition: ColumnPartition,
-        store,
         n_rows: int,
         col_degrees: np.ndarray,
-        row_degrees: np.ndarray,
-        shard_edge_counts: np.ndarray,
-        shard_rows: list[np.ndarray],
         col_ind: np.ndarray,
-        name: str = "sharded",
+        max_resident: int,
+        directory: str | Path | None = None,
+        name: str,
     ) -> None:
-        if store.n_shards != partition.n_shards:
-            raise ValueError(
-                f"store has {store.n_shards} shards, partition {partition.n_shards}"
-            )
+        if max_resident < 1:
+            raise ValueError(f"max_resident must be >= 1, got {max_resident}")
         self.partition = partition
-        self.store = store
         self.n_rows = int(n_rows)
         self.n_cols = int(partition.n_cols)
+        self.max_resident = int(max_resident)
         self.name = name
         self.col_degrees = np.ascontiguousarray(col_degrees, dtype=np.int64)
-        self.row_degrees = np.ascontiguousarray(row_degrees, dtype=np.int64)
-        self.shard_edge_counts = np.ascontiguousarray(shard_edge_counts, dtype=np.int64)
         if self.col_degrees.size != self.n_cols:
             raise ValueError("col_degrees must have one entry per column")
-        if self.row_degrees.size != self.n_rows:
-            raise ValueError("row_degrees must have one entry per row")
-        if self.shard_edge_counts.size != partition.n_shards:
-            raise ValueError("shard_edge_counts must have one entry per shard")
         self.col_ptr = np.concatenate([[0], np.cumsum(self.col_degrees)])
         self.col_ind = np.asarray(col_ind, dtype=np.int64)
         if self.col_ind.shape != (int(self.col_ptr[-1]),):
             raise ValueError("col_ind must have one entry per edge")
+        self.shard_edge_counts = np.diff(self.col_ptr[partition.boundaries])
+        self.row_degrees = np.zeros(self.n_rows, dtype=np.int64)
         shard_counts = np.zeros(self.n_rows, dtype=np.int64)
-        for present in shard_rows:
-            shard_counts[present] += 1
+        for index in range(self.n_shards):
+            degrees = np.bincount(self._shard_rows(index), minlength=self.n_rows)
+            self.row_degrees += degrees
+            shard_counts += degrees > 0
         self.boundary_rows = np.flatnonzero(shard_counts >= 2)
+        self._shards: OrderedDict[int, BipartiteGraph] = OrderedDict()
         self._content_hash: str | None = None
+        self._finalizer = (
+            weakref.finalize(self, shutil.rmtree, str(directory), True)
+            if directory is not None
+            else None
+        )
 
     # -- shape -------------------------------------------------------------
     @property
@@ -332,14 +221,11 @@ class ShardedBipartiteGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(self.shard_edge_counts.sum())
+        return int(self.col_ptr[-1])
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
-
-    def shard(self, index: int) -> BipartiteGraph:
-        return self.store.load(index)
 
     def col_offset(self, index: int) -> int:
         return int(self.partition.boundaries[index])
@@ -347,21 +233,61 @@ class ShardedBipartiteGraph:
     def column_range(self, index: int) -> tuple[int, int]:
         return self.partition.column_range(index)
 
+    def _shard_rows(self, index: int) -> np.ndarray:
+        """Shard ``index``'s block of ``col_ind`` (a view)."""
+        lo, hi = self.column_range(index)
+        return self.col_ind[self.col_ptr[lo] : self.col_ptr[hi]]
+
+    # -- shards ------------------------------------------------------------
+    def shard(self, index: int) -> BipartiteGraph:
+        """Shard ``index``: its column block plus that block transposed.
+
+        The column CSR is a view of the global one; the row CSR lists each
+        row's local columns, sorted, so the shard is exactly the canonical
+        graph :func:`~repro.graph.builders.from_edges` builds from its edges.
+        """
+        if not 0 <= index < self.n_shards:
+            raise IndexError(f"shard index {index} out of range [0, {self.n_shards})")
+        cached = self._shards.get(index)
+        if cached is not None:
+            self._shards.move_to_end(index)
+            return cached
+        lo, hi = self.column_range(index)
+        col_ptr = self.col_ptr[lo : hi + 1] - self.col_ptr[lo]
+        col_ind = self._shard_rows(index)
+        local_cols = np.repeat(np.arange(hi - lo, dtype=np.int64), self.col_degrees[lo:hi])
+        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col_ind, minlength=self.n_rows), out=row_ptr[1:])
+        graph = BipartiteGraph(
+            n_rows=self.n_rows,
+            n_cols=hi - lo,
+            col_ptr=col_ptr,
+            col_ind=col_ind,
+            row_ptr=row_ptr,
+            row_ind=_listed_by_row(col_ind, local_cols, hi - lo),
+            name=f"{self.name}[s{index}]",
+        )
+        self._shards[index] = graph
+        while len(self._shards) > self.max_resident:
+            self._shards.popitem(last=False)
+        return graph
+
     def close(self) -> None:
-        self.store.close()
+        """Drop the built shards and remove the spool directory, if owned."""
+        self._shards.clear()
+        if self._finalizer is not None:
+            self._finalizer()
 
     # -- identity ----------------------------------------------------------
     def content_hash(self, *, row_block: int | None = None) -> str:
-        """The digest of the *unsharded* graph.
+        """The digest of the *unsharded* graph, from the global arrays only.
 
-        Column side: the global ``col_ptr`` and ``col_ind``, the latter fed
-        in slices of at most one shard's edge count (the hasher copies each
-        chunk).  Row side: global ``row_ptr`` comes from the resident
-        degree array; global ``row_ind`` is reassembled in row blocks with a
-        stable merge (shards are visited in column order, so each row's
-        neighbours come out sorted).  With a spilled store the default
-        block count equals the shard count, keeping the working set at
-        O(largest shard).
+        Column side: ``col_ptr``, then ``col_ind`` in slices of at most one
+        shard's edge count (the hasher copies each chunk).  Row side:
+        ``row_ptr`` from the row degrees, then ``row_ind`` transposed from
+        ``col_ind`` in blocks of ``row_block`` rows (default: the row count
+        over the shard count), so no shard is built and the working set
+        stays O(largest shard) whatever the residency.
         """
         if self._content_hash is not None:
             return self._content_hash
@@ -379,33 +305,22 @@ class ShardedBipartiteGraph:
 
     def _iter_row_ind_blocks(self, row_block: int | None):
         if row_block is None:
-            if getattr(self.store, "resident", False):
-                row_block = self.n_rows
-            else:
-                row_block = -(-self.n_rows // max(1, self.n_shards))
+            row_block = -(-self.n_rows // self.n_shards)
         row_block = max(1, int(row_block))
-        boundaries = self.partition.boundaries
         for r0 in range(0, self.n_rows, row_block):
             r1 = min(self.n_rows, r0 + row_block)
             rows_parts: list[np.ndarray] = []
             cols_parts: list[np.ndarray] = []
             for index in range(self.n_shards):
-                shard = self.store.load(index)
-                start = int(shard.row_ptr[r0])
-                stop = int(shard.row_ptr[r1])
-                if stop == start:
-                    continue
-                cols_parts.append(shard.row_ind[start:stop] + boundaries[index])
-                degrees = np.diff(shard.row_ptr[r0 : r1 + 1])
-                rows_parts.append(np.repeat(np.arange(r0, r1, dtype=np.int64), degrees))
-            if not rows_parts:
-                continue
-            rows = np.concatenate(rows_parts)
-            cols = np.concatenate(cols_parts)
-            # Stable by row: shards were appended in column order, so each
-            # row's neighbours are already ascending within the merge.
-            order = np.argsort(rows, kind="stable")
-            yield cols[order]
+                lo, hi = self.column_range(index)
+                rows = self._shard_rows(index)
+                keep = (rows >= r0) & (rows < r1)
+                cols = np.repeat(np.arange(lo, hi, dtype=np.int64), self.col_degrees[lo:hi])
+                rows_parts.append(rows[keep] - r0)
+                cols_parts.append(cols[keep])
+            yield _listed_by_row(
+                np.concatenate(rows_parts), np.concatenate(cols_parts), self.n_cols
+            )
 
     # -- materialization ---------------------------------------------------
     def to_graph(self, name: str | None = None) -> BipartiteGraph:
@@ -434,12 +349,13 @@ def partition_graph(
     *,
     name: str | None = None,
 ) -> ShardedBipartiteGraph:
-    """Partition an in-memory graph into column-block shards (views).
+    """Partition an in-memory graph into column-block shards.
 
-    Each shard's column CSR is a slice of the parent's arrays; the row CSR
-    is rebuilt per shard (rows keep their global ids).  Weighted graphs are
-    rejected — sharded matching is cardinality-only, strip the weights
-    first (``graph.with_weights(None)``).
+    The sharded graph holds the parent's ``col_ind`` itself, so every
+    shard's column CSR is a slice of the parent's arrays; every shard stays
+    resident once built.  Weighted graphs are rejected — sharded matching
+    is cardinality-only, strip the weights first
+    (``graph.with_weights(None)``).
     """
     if graph.weights is not None:
         raise ValueError(
@@ -447,39 +363,11 @@ def partition_graph(
             "(graph.with_weights(None))"
         )
     partition = make_partition(method, graph.n_cols, n_shards, col_degrees=graph.col_degrees)
-    shards: list[BipartiteGraph] = []
-    shard_rows: list[np.ndarray] = []
-    edge_counts = np.zeros(partition.n_shards, dtype=np.int64)
-    for index in range(partition.n_shards):
-        lo, hi = partition.column_range(index)
-        ptr = graph.col_ptr[lo : hi + 1]
-        base = int(ptr[0]) if ptr.size else 0
-        width = hi - lo
-        rows = graph.col_ind[base : int(ptr[-1])] if ptr.size else np.empty(0, dtype=np.int64)
-        local_cols = np.repeat(np.arange(width, dtype=np.int64), np.diff(ptr))
-        col_ptr, col_ind, row_ptr, row_ind, _ = _csr_from_pairs(
-            rows, local_cols, graph.n_rows, width
-        )
-        shard = BipartiteGraph(
-            n_rows=graph.n_rows,
-            n_cols=width,
-            col_ptr=col_ptr,
-            col_ind=col_ind,
-            row_ptr=row_ptr,
-            row_ind=row_ind,
-            name=f"{graph.name}[s{index}]",
-        )
-        shards.append(shard)
-        shard_rows.append(np.flatnonzero(shard.row_degrees > 0))
-        edge_counts[index] = shard.n_edges
     return ShardedBipartiteGraph(
         partition=partition,
-        store=MaterializedShardStore(shards),
         n_rows=graph.n_rows,
         col_degrees=graph.col_degrees,
-        row_degrees=graph.row_degrees,
-        shard_edge_counts=edge_counts,
-        shard_rows=shard_rows,
         col_ind=graph.col_ind,
+        max_resident=partition.n_shards,
         name=name if name is not None else f"{graph.name}@{partition.n_shards}",
     )

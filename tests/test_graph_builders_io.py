@@ -413,3 +413,25 @@ def test_chunked_content_hash_equals_in_memory(tmp_path):
         hasher.update("col_ind", np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="unknown section"):
         hasher.update("values", np.zeros(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "weights, capacities, digest",
+    [
+        (None, None, "ee6632eeb4c766f38f65e1b945f3c59e22d3a7800d2519a3e0b6fbb878c8e4b5"),
+        ("uniform:1:100", None,
+         "1d96e7fc5cf22f1e9e23a44e4a9981e6f8e8f77c4ce824580a7d57acaa10693c"),
+        (None, "cols:2", "1d9d612c445b7f9dbaf2b502d2b10bf38a189ad015bd5106c3b7eada1627a176"),
+    ],
+)
+def test_content_hash_digests_are_pinned(weights, capacities, digest):
+    # Persistent result caches are keyed on these digests, so the byte
+    # layout must never move.
+    from repro.generators import apply_capacity_spec, apply_weight_spec, generate_instance
+
+    graph = generate_instance("amazon0505", profile="tiny", seed=20130421)
+    if weights is not None:
+        graph = apply_weight_spec(graph, weights, seed=20130421)
+    if capacities is not None:
+        graph = apply_capacity_spec(graph, capacities, seed=20130421)
+    assert graph.content_hash() == digest

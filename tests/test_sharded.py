@@ -11,6 +11,7 @@ content-hash reconstruction, the out-of-core ingest and the API wiring.
 from __future__ import annotations
 
 import hashlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.engine.execution import validate_job_args
 from repro.generators import generate_instance
 from repro.gpusim.costmodel import CpuCostModel
 from repro.graph import from_edges
+from repro.graph.io import read_matrix_market
 from repro.seq.verify import is_valid_matching, is_maximum_matching, maximum_matching_cardinality
 from repro.sharded import (
     PARTITION_METHODS,
@@ -29,7 +31,6 @@ from repro.sharded import (
     ingest_matrix_market_sharded,
     make_partition,
     partition_graph,
-    sharded_matching,
     stream_random_bipartite_mtx,
 )
 
@@ -136,9 +137,11 @@ def test_cardinality_parity(
     family, method, n_shards, backend, suite_graphs, expected_cardinality, engines
 ):
     graph = suite_graphs[family]
-    result = sharded_matching(
-        graph, "hk", shards=n_shards, partition=method, engine=engines(backend)
-    )
+    result = ShardedMatcher(
+        partition_graph(graph, n_shards, method),
+        resolve_algorithm("hk"),
+        engine=engines(backend),
+    ).run()
     assert result.cardinality == expected_cardinality[family]
     assert is_valid_matching(graph, result.matching)
     assert result.counters["shards"] == n_shards
@@ -148,9 +151,11 @@ def test_cardinality_parity(
 def test_backends_are_bit_identical(family, suite_graphs, engines):
     graph = suite_graphs[family]
     results = [
-        sharded_matching(
-            graph, "hk", shards=4, partition="degree", engine=engines(backend)
-        )
+        ShardedMatcher(
+            partition_graph(graph, 4, "degree"),
+            resolve_algorithm("hk"),
+            engine=engines(backend),
+        ).run()
         for backend in ("inline", "thread")
     ]
     assert np.array_equal(
@@ -164,7 +169,7 @@ def test_backends_are_bit_identical(family, suite_graphs, engines):
 @pytest.mark.parametrize("algorithm", ["hk", "pr", "pfp", "p-dbfs"])
 def test_parity_across_shard_kernels(algorithm, suite_graphs, expected_cardinality):
     graph = suite_graphs["amazon0505"]
-    result = sharded_matching(graph, algorithm, shards=3)
+    result = max_bipartite_matching(graph, algorithm, shards=3)
     assert result.cardinality == expected_cardinality["amazon0505"]
     assert result.algorithm == f"sharded-{algorithm}"
 
@@ -175,7 +180,7 @@ def test_modeled_time_sums_the_shards_and_the_reconcile(algorithm, suite_graphs)
     CPU or multicore model), summed in shard order, plus the CPU model over
     the adjacency entries the reconcile scanned."""
     sharded = partition_graph(suite_graphs["amazon0505"], 3, "contiguous")
-    result = ShardedMatcher(sharded, algorithm).run()
+    result = ShardedMatcher(sharded, resolve_algorithm(algorithm)).run()
     shard_seconds = 0.0
     shard_edges = 0
     for index in range(sharded.n_shards):
@@ -190,7 +195,7 @@ def test_modeled_time_sums_the_shards_and_the_reconcile(algorithm, suite_graphs)
 
 def test_result_is_maximum_on_whole_graph(suite_graphs):
     graph = suite_graphs["kron_g500-logn20"]
-    result = sharded_matching(graph, "hk", shards=4, partition="degree")
+    result = max_bipartite_matching(graph, "hk", shards=4, partition="degree")
     assert is_maximum_matching(graph, result.matching)
 
 
@@ -304,7 +309,7 @@ SHARDED_PINS = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sharded_results_are_pinned(family, n_shards, method, algorithm, suite_graphs):
     sharded = partition_graph(suite_graphs[family], n_shards, method)
-    result = ShardedMatcher(sharded, algorithm).run()
+    result = ShardedMatcher(sharded, resolve_algorithm(algorithm)).run()
     row_match = np.ascontiguousarray(result.matching.row_match, dtype=np.int64)
     counters = result.counters
     assert (
@@ -323,7 +328,7 @@ def test_all_edges_in_one_shard():
     sharded = partition_graph(graph, 4)
     assert sharded.shard_edge_counts[0] == graph.n_edges
     assert (sharded.shard_edge_counts[1:] == 0).all()
-    result = sharded_matching(graph, "hk", shards=4)
+    result = max_bipartite_matching(graph, "hk", shards=4)
     assert result.cardinality == maximum_matching_cardinality(graph)
     # Empty shards never become jobs.
     assert result.counters["shard_jobs"] == 1
@@ -332,7 +337,7 @@ def test_all_edges_in_one_shard():
 def test_more_shards_than_columns_end_to_end():
     edges = [(r, r % 5) for r in range(12)]
     graph = from_edges(edges, n_rows=12, n_cols=5, name="narrow")
-    result = sharded_matching(graph, "hk", shards=7)
+    result = max_bipartite_matching(graph, "hk", shards=7)
     assert result.cardinality == maximum_matching_cardinality(graph)
 
 
@@ -342,13 +347,13 @@ def test_every_row_crosses_every_shard():
     graph = from_edges(edges, n_rows=30, n_cols=40, name="crossing")
     sharded = partition_graph(graph, 4)
     assert sharded.boundary_rows.size == 30
-    result = sharded_matching(graph, "hk", shards=4)
+    result = max_bipartite_matching(graph, "hk", shards=4)
     assert result.cardinality == maximum_matching_cardinality(graph)
 
 
 def test_empty_graph():
     graph = from_edges([], n_rows=6, n_cols=6, name="empty")
-    result = sharded_matching(graph, "hk", shards=3)
+    result = max_bipartite_matching(graph, "hk", shards=3)
     assert result.cardinality == 0
     sharded = partition_graph(graph, 3)
     assert sharded.content_hash() == graph.content_hash()
@@ -359,9 +364,21 @@ def test_empty_graph():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_content_hash_matches_unsharded(family, method, suite_graphs):
     graph = suite_graphs[family]
+    edges = graph.edges()
     for n_shards in (1, 3, 7):
         sharded = partition_graph(graph, n_shards, method)
         assert sharded.content_hash() == graph.content_hash()
+        for index in range(n_shards):
+            lo, hi = sharded.column_range(index)
+            own = edges[(edges[:, 1] >= lo) & (edges[:, 1] < hi)] - [0, lo]
+            expected = from_edges(own, n_rows=graph.n_rows, n_cols=hi - lo)
+            shard = sharded.shard(index)
+            for field in ("col_ptr", "col_ind", "row_ptr", "row_ind"):
+                assert np.array_equal(getattr(shard, field), getattr(expected, field))
+            # The column side is a slice of the parent's arrays, not a copy.
+            if shard.n_edges:
+                assert np.shares_memory(shard.col_ind, sharded.col_ind)
+                assert np.shares_memory(shard.col_ind, graph.col_ind)
 
 
 def test_content_hash_row_block_independent(suite_graphs):
@@ -382,17 +399,18 @@ def test_ingest_matches_in_memory(tmp_path, method):
     path = stream_random_bipartite_mtx(
         tmp_path / "g.mtx.gz", 300, 280, 2500, seed=5
     )
-    from repro.graph.io import read_matrix_market
-
     reference = read_matrix_market(path)
     sharded = ingest_matrix_market_sharded(path, 4, method)
     assert isinstance(sharded.col_ind.base, np.memmap)
     assert sharded.content_hash() == reference.content_hash()
-    result = ShardedMatcher(sharded, "hk").run()
+    for index in range(sharded.n_shards):
+        assert np.shares_memory(sharded.shard(index).col_ind, sharded.col_ind)
+    hk = resolve_algorithm("hk")
+    result = ShardedMatcher(sharded, hk).run()
     assert result.cardinality == maximum_matching_cardinality(reference)
     # The reconcile over the memory-mapped column CSR walks exactly what it
     # walks over the in-memory partition of the same graph.
-    in_memory = ShardedMatcher(partition_graph(reference, 4, method), "hk").run()
+    in_memory = ShardedMatcher(partition_graph(reference, 4, method), hk).run()
     assert np.array_equal(result.matching.row_match, in_memory.matching.row_match)
     assert np.array_equal(result.matching.col_match, in_memory.matching.col_match)
     assert result.counters == in_memory.counters
@@ -403,18 +421,28 @@ def test_ingest_edgeless_file(tmp_path):
     # A zero-length column-index file cannot be memory-mapped.
     path = stream_random_bipartite_mtx(tmp_path / "e.mtx", 5, 6, 0)
     sharded = ingest_matrix_market_sharded(path, 3)
-    from repro.graph.io import read_matrix_market
-
     assert sharded.content_hash() == read_matrix_market(path).content_hash()
-    assert ShardedMatcher(sharded, "hk").run().cardinality == 0
+    assert ShardedMatcher(sharded, resolve_algorithm("hk")).run().cardinality == 0
     sharded.close()
 
 
-def test_ingest_window_defaults_to_max_resident(tmp_path):
+def test_ingest_window_defaults_to_max_resident(tmp_path, monkeypatch):
     path = stream_random_bipartite_mtx(tmp_path / "g.mtx", 120, 120, 700, seed=9)
     sharded = ingest_matrix_market_sharded(path, 5, max_resident=2)
-    matcher = ShardedMatcher(sharded, "hk")
-    assert matcher._window == 2
+    # +1 per shard built into a job, -1 per shard result merged: the running
+    # sum is the number of shard jobs in flight.
+    events: list[int] = []
+    build = sharded.shard
+    monkeypatch.setattr(sharded, "shard", lambda index: events.append(1) or build(index))
+    merge = ShardedMatcher._merge_shard
+    monkeypatch.setattr(
+        ShardedMatcher,
+        "_merge_shard",
+        lambda self, *args: events.append(-1) or merge(self, *args),
+    )
+    ShardedMatcher(sharded, resolve_algorithm("hk")).run()
+    assert events.count(1) == 5
+    assert max(np.cumsum(events)) == 2
     sharded.close()
 
 
@@ -423,11 +451,39 @@ def test_ingest_explicit_spool_dir_is_kept(tmp_path):
     spool = tmp_path / "spool"
     sharded = ingest_matrix_market_sharded(path, 3, spool_dir=spool)
     sharded.close()
-    arrays = ("row_ptr", "row_ind")
-    assert sorted(p.name for p in spool.iterdir()) == sorted(
-        [f"shard-{index:05d}.{field}.npy" for index in range(3) for field in arrays]
-        + ["col_ind.int64"]
+    assert [p.name for p in spool.iterdir()] == ["col_ind.int64"]
+
+
+def test_failed_ingest_removes_only_its_own_spool_dir(tmp_path, monkeypatch):
+    path = tmp_path / "bad.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1 1\n2 2\n3 x\n"
     )
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ValueError, match="non-integer"):
+        ingest_matrix_market_sharded(path, 2)
+    assert list(tmp_path.glob("repro-shards-*")) == []
+    spool = tmp_path / "spool"
+    with pytest.raises(ValueError, match="non-integer"):
+        ingest_matrix_market_sharded(path, 2, spool_dir=spool)
+    assert spool.is_dir()
+
+
+def test_content_hash_builds_no_shard(tmp_path, monkeypatch):
+    path = stream_random_bipartite_mtx(tmp_path / "g.mtx", 200, 180, 1500, seed=11)
+    expected = read_matrix_market(path).content_hash()
+    sharded = ingest_matrix_market_sharded(path, 4, max_resident=1)
+    loads: list[object] = []
+    load = np.load
+    monkeypatch.setattr(np, "load", lambda *args, **kw: loads.append(args) or load(*args, **kw))
+
+    def no_shard(index):
+        raise AssertionError(f"content_hash() built shard {index}")
+
+    monkeypatch.setattr(sharded, "shard", no_shard)
+    assert sharded.content_hash() == expected
+    assert loads == []
+    sharded.close()
 
 
 # ------------------------------------------------------------- API wiring
@@ -481,15 +537,10 @@ def test_sharded_matcher_rejects_nested_plan(suite_graphs):
     sharded = partition_graph(suite_graphs["roadNet-PA"], 2)
     plan = resolve_algorithm("hk", shards=2)
     with pytest.raises(ValueError, match="must not itself be sharded"):
-        ShardedMatcher(sharded, plan=plan)
+        ShardedMatcher(sharded, plan)
 
 
 def test_sharded_matcher_rejects_non_maximum_kernel(suite_graphs):
     sharded = partition_graph(suite_graphs["roadNet-PA"], 2)
     with pytest.raises(ValueError, match="maximum-cardinality"):
-        ShardedMatcher(sharded, "karp-sipser")
-
-
-def test_sharded_matching_requires_shards_for_plain_graph(suite_graphs):
-    with pytest.raises(ValueError, match="shards= is required"):
-        sharded_matching(suite_graphs["roadNet-PA"], "hk")
+        ShardedMatcher(sharded, resolve_algorithm("karp-sipser"))
