@@ -73,11 +73,16 @@ class CapacitatedMatching:
                 f"got shapes {rows.shape} and {cols.shape}"
             )
         if len(rows):
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
-            keys = rows * (int(cols.max()) + 1 if len(cols) else 1) + cols
-            if len(np.unique(keys)) != len(keys):
+            # One sort of the (row, col) keys orders the edges and puts
+            # repeats side by side.
+            low = int(cols.min())
+            width = int(cols.max()) - low + 1
+            keys = rows * width + (cols - low)
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("a b-matching selects each edge at most once")
+            rows, cols = np.divmod(keys, width)
+            cols += low
         self.edge_rows = rows
         self.edge_cols = cols
 

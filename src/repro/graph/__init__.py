@@ -39,7 +39,6 @@ from repro.graph.frontier import (
     distance_label_bfs,
 )
 from repro.graph.builders import (
-    from_biadjacency,
     from_dense,
     from_edges,
     from_networkx,
@@ -67,7 +66,6 @@ __all__ = [
     "from_dense",
     "from_scipy_sparse",
     "from_networkx",
-    "from_biadjacency",
     "read_matrix_market",
     "read_matrix_market_header",
     "write_matrix_market",

@@ -224,8 +224,9 @@ class BipartiteGraph:
             raise ValueError(f"graph {self.name!r} has no edge weights")
         cached = self.__dict__.get("_row_aligned_weights")
         if cached is None:
-            perm = np.lexsort((self.edge_columns(), self.col_ind))
-            cached = self.weights[perm]
+            # One stable sort of the (row, col) keys lists the edges row by row.
+            keys = self.col_ind * self.n_cols + self.edge_columns()
+            cached = self.weights[np.argsort(keys, kind="stable")]
             cached.setflags(write=False)
             object.__setattr__(self, "_row_aligned_weights", cached)
         return cached

@@ -3,6 +3,14 @@
 All builders deduplicate parallel edges, drop self-inconsistencies and sort
 adjacency lists, so the resulting CSR structure is canonical: two graphs with
 the same edge set produce bit-identical arrays.
+
+Every graph is built by one key-sort CSR builder in two halves.  The column
+half (:func:`_column_csr`) sorts the key ``col * n_rows + row`` of every
+pair once: that groups the pairs by column with each column's rows
+ascending, so dropping equal neighbours deduplicates them.  The row half
+(:func:`_row_csr`) is the transpose, one sort of ``row * n_cols + col``.
+Both keys are below ``n_rows * n_cols``, so both halves refuse a shape
+whose product does not fit in ``int64`` before they allocate anything.
 """
 
 from __future__ import annotations
@@ -18,9 +26,78 @@ __all__ = [
     "from_dense",
     "from_scipy_sparse",
     "from_networkx",
-    "from_biadjacency",
     "empty_graph",
 ]
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_key_range(n_rows: int, n_cols: int) -> None:
+    """Raise ``ValueError`` unless the pair keys of the shape fit in ``int64``."""
+    if int(n_rows) * int(n_cols) > _INT64_MAX:
+        raise ValueError(
+            f"cannot build a {n_rows} x {n_cols} graph: n_rows * n_cols must fit "
+            "in int64 (at most 2**63 - 1)"
+        )
+
+
+def _column_csr(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n_rows: int,
+    n_cols: int,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The column CSR of the distinct pairs among ``(rows, cols)``.
+
+    Returns ``(col_ptr, col_ind, edge_cols, weights)``: ``edge_cols`` is the
+    column of every edge, parallel to ``col_ind``, and ``weights`` (one
+    entry per input pair) comes back deduplicated in the same order, each
+    run of parallel edges keeping its maximum; ``None`` without weights.
+    Every pair must lie in ``[0, n_rows) x [0, n_cols)``.
+    """
+    _check_key_range(n_rows, n_cols)
+    keys = np.multiply(cols, n_rows, dtype=np.int64)
+    keys += rows
+    if weights is None:
+        keys.sort()
+    else:
+        # Stable, so each run of parallel edges reduces in input order.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    out_weights = None
+    if weights is not None:
+        out_weights = np.maximum.reduceat(
+            np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
+        )
+    keys = keys[keep]
+    col_ind = np.empty_like(keys)
+    np.divmod(keys, n_rows, out=(keys, col_ind))  # keys become the edge columns
+    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_cols), out=col_ptr[1:])
+    return col_ptr, col_ind, keys, out_weights
+
+
+def _row_csr(
+    rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row_ptr, row_ind)``: the pairs listed row by row, columns ascending.
+
+    The transpose of a column CSR, from its edges ``(col_ind, edge_cols)``.
+    Equal pairs have equal keys, so a plain sort of ``row * n_cols + col``
+    orders them; every pair must lie in ``[0, n_rows) x [0, n_cols)``.
+    """
+    _check_key_range(n_rows, n_cols)
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
+    keys = np.multiply(rows, n_cols, dtype=np.int64)
+    keys += cols
+    keys.sort()
+    keys %= n_cols
+    return row_ptr, keys
 
 
 def _csr_from_pairs(
@@ -30,48 +107,14 @@ def _csr_from_pairs(
     n_cols: int,
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Build (col_ptr, col_ind, row_ptr, row_ind, weights) from deduplicated pairs.
+    """Build (col_ptr, col_ind, row_ptr, row_ind, weights) from pairs, deduplicated.
 
+    Both halves of the builder: the column CSR, then its transpose.
     ``weights`` (one entry per input pair) comes back deduplicated in
     column-CSR order; parallel edges keep the maximum weight.
     """
-    if len(rows) == 0:
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        out_weights = np.empty(0, dtype=np.float64) if weights is not None else None
-        return col_ptr, empty, row_ptr, empty.copy(), out_weights
-
-    # Deduplicate: sort by (col, row) lexicographically and drop repeats.
-    order = np.lexsort((rows, cols))
-    rows = rows[order]
-    cols = cols[order]
-    keep = np.empty(len(rows), dtype=bool)
-    keep[0] = True
-    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    out_weights = None
-    if weights is not None:
-        # Reduce each run of duplicates to its maximum weight.
-        out_weights = np.maximum.reduceat(
-            np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
-        )
-    rows = rows[keep]
-    cols = cols[keep]
-
-    col_counts = np.bincount(cols, minlength=n_cols)
-    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(col_counts, out=col_ptr[1:])
-    col_ind = rows.copy()  # already grouped by column, rows sorted within each column
-
-    # Transposed CSR (rows -> columns): resort by (row, col).
-    order_t = np.lexsort((cols, rows))
-    rows_t = rows[order_t]
-    cols_t = cols[order_t]
-    row_counts = np.bincount(rows_t, minlength=n_rows)
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_ptr[1:])
-    row_ind = cols_t
-
+    col_ptr, col_ind, edge_cols, out_weights = _column_csr(rows, cols, n_rows, n_cols, weights)
+    row_ptr, row_ind = _row_csr(col_ind, edge_cols, n_rows, n_cols)
     return col_ptr, col_ind, row_ptr, row_ind, out_weights
 
 
@@ -158,15 +201,6 @@ def from_dense(matrix: Sequence[Sequence[float]] | np.ndarray, name: str = "dens
     return from_edges(
         np.column_stack([rows, cols]), n_rows=mat.shape[0], n_cols=mat.shape[1], name=name
     )
-
-
-def from_biadjacency(matrix, name: str = "biadjacency") -> BipartiteGraph:
-    """Build a graph from any dense or scipy-sparse biadjacency matrix."""
-    from scipy import sparse
-
-    if sparse.issparse(matrix):
-        return from_scipy_sparse(matrix, name=name)
-    return from_dense(matrix, name=name)
 
 
 def from_scipy_sparse(matrix, name: str = "scipy") -> BipartiteGraph:

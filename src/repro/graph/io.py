@@ -55,6 +55,17 @@ _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 #: reader's working set at a few MiB regardless of file size.
 DEFAULT_CHUNK_ENTRIES = 1 << 17
 
+#: Characters :class:`MatrixMarketStream` reads at a time and splits into
+#: lines.  Iterating a gzip stream line by line costs a Python-level
+#: ``closed`` check per line; a small block keeps few lines read ahead.
+_READ_BLOCK = 1 << 14
+
+
+def _is_entry(line: str) -> bool:
+    """Whether a raw line holds an entry: it is neither blank nor a comment."""
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("%")
+
 
 def _open_text(path: str | Path, mode: str = "rt") -> TextIO:
     """Open ``path`` for text I/O, transparently gzipping ``.gz`` files.
@@ -95,9 +106,13 @@ class MatrixMarketStream:
     Symmetric / skew-symmetric / hermitian mirrors are appended chunk-local,
     so consumers see the final expanded edge stream.
 
-    Line numbers in error messages are *logical* line numbers counted by the
-    parser itself — identical for ``.mtx`` and ``.mtx.gz`` inputs (the gzip
-    layer never leaks decompressed byte offsets into diagnostics).
+    Each chunk is a batch of raw lines that ``np.loadtxt`` parses in C.  A
+    batch it rejects, or one with a surplus entry or an index outside the
+    declared size, is parsed again line by line, which raises naming the
+    offending ``file:line``.  Line numbers in error messages are *logical*
+    line numbers counted by the parser itself — identical for ``.mtx`` and
+    ``.mtx.gz`` inputs (the gzip layer never leaks decompressed byte offsets
+    into diagnostics).
     """
 
     def __init__(
@@ -112,8 +127,14 @@ class MatrixMarketStream:
         self._path = Path(path)
         self._with_values = with_values
         self._chunk_entries = int(chunk_entries)
+        self._fields = np.dtype(
+            [("row", np.int64), ("col", np.int64)]
+            + ([("value", np.float64)] if with_values else [])
+        )
         self._handle: TextIO | None = _open_text(self._path)
         self._lineno = 0
+        self._lines: list[str] = []  # read, not yet parsed
+        self._tail: str | None = ""  # a partial last line; None at the end
         self._iterated = False
         try:
             self.header = self._parse_header()
@@ -188,77 +209,89 @@ class MatrixMarketStream:
         if self._iterated:
             raise ValueError(f"{self._path}: stream already consumed (single pass)")
         self._iterated = True
-        path = self._path
-        handle = self._handle
         n_entries = self.header.n_entries
         consumed = 0
         while True:
-            # Read one more line than could legally remain so a surplus entry
-            # is diagnosed exactly like the eager reader did.
-            limit = min(self._chunk_entries, n_entries - consumed + 1)
-            lines: list[str] = []
-            linenos: list[int] = []
-            while len(lines) < limit:
-                raw = handle.readline()
-                if not raw:
-                    break
-                self._lineno += 1
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("%"):
-                    continue
-                lines.append(stripped)
-                linenos.append(self._lineno)
+            # Read at most one line more than could legally remain, so a
+            # surplus entry is diagnosed in the chunk that reaches it.
+            lines = self._read_lines(min(self._chunk_entries, n_entries - consumed + 1))
             if not lines:
                 break
-            remaining = n_entries - consumed
-            if len(lines) > remaining:
-                # Diagnose the legal prefix first: a malformed in-range entry
-                # outranks the surplus, exactly like the per-line reader.
-                if remaining:
-                    self._parse_chunk(lines[:remaining], linenos[:remaining])
-                raise ValueError(f"{path}: more entries than declared ({n_entries})")
-            rows, cols, values = self._parse_chunk(lines, linenos)
-            consumed += len(lines)
-            yield self._expand(rows, cols, values)
+            first = self._lineno + 1
+            self._lineno += len(lines)
+            rows, cols, values = self._parse_chunk(lines, first, n_entries - consumed)
+            if len(rows):
+                consumed += len(rows)
+                yield self._expand(rows, cols, values)
         if consumed != n_entries:
-            raise ValueError(f"{path}: expected {n_entries} entries, found {consumed}")
+            raise ValueError(f"{self._path}: expected {n_entries} entries, found {consumed}")
 
-    def _parse_chunk(self, lines: list[str], linenos: list[int]):
-        """Vectorized token parse; falls back to a per-line scan on anomalies.
+    def _read_lines(self, count: int) -> list[str]:
+        """The next ``count`` raw lines, fewer at the end of the file."""
+        lines = self._lines
+        while len(lines) < count and self._tail is not None:
+            block = self._handle.read(_READ_BLOCK)
+            if not block:
+                if self._tail:
+                    lines.append(self._tail)
+                self._tail = None
+                break
+            lines += (self._tail + block).split("\n")
+            self._tail = lines.pop()
+        self._lines = lines[count:]
+        return lines[:count]
 
-        The fast path only applies when every line has a uniform token count
-        and all tokens convert cleanly; anything irregular is re-parsed line
-        by line so the error message names the exact offending line.
+    def _parse_chunk(self, lines: list[str], first: int, remaining: int):
+        """The entries of raw ``lines`` (the first is line ``first``), 1-based.
+
+        ``np.loadtxt`` parses the lines in C.  If it raises, or finds more
+        than ``remaining`` entries or an index outside the declared size,
+        the per-line parse reads the lines again and names the offending
+        line.
         """
-        n = len(lines)
-        tokens = np.array(" ".join(lines).split())
-        rows = cols = values = None
+        start = 0
+        while start < len(lines) and not _is_entry(lines[start]):
+            start += 1
+        if start == len(lines):  # no entry at all, on which loadtxt warns
+            return self._parse_chunk_slow(lines, first, remaining)
         try:
-            if tokens.size == 2 * n and not self._with_values:
-                pairs = tokens.reshape(n, 2).astype(np.int64)
-                rows, cols = pairs[:, 0], pairs[:, 1]
-            elif tokens.size == 3 * n:
-                triples = tokens.reshape(n, 3)
-                pairs = triples[:, :2].astype(np.int64)
-                rows, cols = pairs[:, 0], pairs[:, 1]
-                if self._with_values:
-                    values = triples[:, 2].astype(np.float64)
+            table = np.loadtxt(
+                lines[start:],
+                dtype=self._fields,
+                comments="%",
+                usecols=range(len(self._fields)),
+                ndmin=1,
+            )
         except ValueError:
-            rows = None
-        if rows is None:
-            return self._parse_chunk_slow(lines, linenos)
-        self._check_ranges(rows, cols, lines, linenos)
-        return rows, cols, values
+            return self._parse_chunk_slow(lines, first, remaining)
+        header = self.header
+        rows, cols = table["row"], table["col"]
+        if len(table) > remaining or not (
+            1 <= rows.min() and rows.max() <= header.n_rows
+            and 1 <= cols.min() and cols.max() <= header.n_cols
+        ):
+            return self._parse_chunk_slow(lines, first, remaining)
+        return rows, cols, np.ascontiguousarray(table["value"]) if self._with_values else None
 
-    def _parse_chunk_slow(self, lines: list[str], linenos: list[int]):
+    def _parse_chunk_slow(self, lines: list[str], first: int, remaining: int):
+        """Per-line parse of raw ``lines``: raises at the first bad line.
+
+        Tokens end at a ``%``, as in ``np.loadtxt``; messages quote the
+        whole line.  An entry past the ``remaining`` declared ones raises
+        once every entry before it has parsed.
+        """
         path = self._path
         header = self.header
-        n = len(lines)
-        rows = np.empty(n, dtype=np.int64)
-        cols = np.empty(n, dtype=np.int64)
-        values = np.empty(n, dtype=np.float64) if self._with_values else None
-        for k, (line, lineno) in enumerate(zip(lines, linenos, strict=True)):
-            tokens = line.split()
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        for lineno, raw in enumerate(lines, start=first):
+            if not _is_entry(raw):
+                continue
+            if len(rows) == remaining:
+                raise ValueError(f"{path}: more entries than declared ({header.n_entries})")
+            line = raw.strip()
+            tokens = line.split("%", 1)[0].split()
             if len(tokens) < 2:
                 raise ValueError(
                     f"{path}:{lineno}: malformed entry line {line!r} "
@@ -270,14 +303,14 @@ class MatrixMarketStream:
                 raise ValueError(
                     f"{path}:{lineno}: non-integer indices in entry line {line!r}"
                 ) from None
-            if values is not None:
+            if self._with_values:
                 if len(tokens) < 3:
                     raise ValueError(
                         f"{path}:{lineno}: entry line {line!r} has no value "
                         "(expected 'row col value')"
                     )
                 try:
-                    values[k] = float(tokens[2])
+                    values.append(float(tokens[2]))
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric value in entry line {line!r}"
@@ -292,27 +325,13 @@ class MatrixMarketStream:
                     f"{path}:{lineno}: column index {j} outside the declared size "
                     f"{header.n_cols} in entry line {line!r}"
                 )
-            rows[k] = i
-            cols[k] = j
-        return rows, cols, values
-
-    def _check_ranges(self, rows, cols, lines, linenos) -> None:
-        header = self.header
-        bad_row = (rows < 1) | (rows > header.n_rows)
-        bad_col = (cols < 1) | (cols > header.n_cols)
-        bad = bad_row | bad_col
-        if bad.any():
-            k = int(np.argmax(bad))
-            path, lineno, line = self._path, linenos[k], lines[k]
-            if bad_row[k]:
-                raise ValueError(
-                    f"{path}:{lineno}: row index {int(rows[k])} outside the declared "
-                    f"size {header.n_rows} in entry line {line!r}"
-                )
-            raise ValueError(
-                f"{path}:{lineno}: column index {int(cols[k])} outside the declared "
-                f"size {header.n_cols} in entry line {line!r}"
-            )
+            rows.append(i)
+            cols.append(j)
+        return (
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(values, dtype=np.float64) if self._with_values else None,
+        )
 
     def _expand(self, rows, cols, values):
         """Convert to 0-based and append symmetry mirrors, chunk-local."""

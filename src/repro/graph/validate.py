@@ -14,6 +14,7 @@ import numbers
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.builders import _row_csr
 
 __all__ = ["GraphValidationError", "check_int", "validate_graph"]
 
@@ -44,35 +45,36 @@ def validate_graph(graph: BipartiteGraph) -> None:
         adjacency lists, and agreement between the column-major and row-major
         structures (same edge set).
     """
-    _check_csr(graph.col_ptr, graph.col_ind, graph.n_cols, graph.n_rows, side="column")
-    _check_csr(graph.row_ptr, graph.row_ind, graph.n_rows, graph.n_cols, side="row")
+    _check_csr(graph.col_ptr, graph.col_ind, graph.n_rows, side="column")
+    _check_csr(graph.row_ptr, graph.row_ind, graph.n_cols, side="row")
 
-    # The two CSR structures must describe the same edge set.
-    col_edges = graph.edges()
-    rows = np.repeat(np.arange(graph.n_rows, dtype=np.int64), graph.row_degrees)
-    row_edges = np.column_stack([rows, graph.row_ind])
-    col_sorted = col_edges[np.lexsort((col_edges[:, 1], col_edges[:, 0]))]
-    row_sorted = row_edges[np.lexsort((row_edges[:, 1], row_edges[:, 0]))]
-    if not np.array_equal(col_sorted, row_sorted):
+    # Both sides are sorted and duplicate-free now, so they describe the
+    # same edge set exactly when the column side, transposed, is the row side.
+    row_ptr, row_ind = _row_csr(graph.col_ind, graph.edge_columns(), graph.n_rows, graph.n_cols)
+    if not (np.array_equal(row_ptr, graph.row_ptr) and np.array_equal(row_ind, graph.row_ind)):
         raise GraphValidationError(
             "column-major and row-major CSR structures describe different edge sets"
         )
 
 
-def _check_csr(ptr: np.ndarray, ind: np.ndarray, n_outer: int, n_inner: int, side: str) -> None:
+def _check_csr(ptr: np.ndarray, ind: np.ndarray, n_inner: int, side: str) -> None:
     if np.any(np.diff(ptr) < 0):
         raise GraphValidationError(f"{side} pointer array is not monotone non-decreasing")
     if len(ind) and (ind.min() < 0 or ind.max() >= n_inner):
         raise GraphValidationError(
             f"{side} adjacency contains an index outside [0, {n_inner})"
         )
-    for outer in range(n_outer):
-        seg = ind[ptr[outer] : ptr[outer + 1]]
-        if len(seg) > 1:
-            diffs = np.diff(seg)
-            if np.any(diffs < 0):
-                raise GraphValidationError(f"{side} adjacency list of vertex {outer} is not sorted")
-            if np.any(diffs == 0):
-                raise GraphValidationError(
-                    f"{side} adjacency list of vertex {outer} contains duplicate edges"
-                )
+    # Every step between neighbours of one list must go up; the first one
+    # that does not names the first offending vertex.
+    steps = np.diff(ind)
+    inside = np.ones(len(steps), dtype=bool)
+    cuts = ptr[1:-1] - 1  # the steps from one list into the next
+    inside[cuts[(cuts >= 0) & (cuts < len(steps))]] = False
+    bad = np.flatnonzero(inside & (steps <= 0))
+    if len(bad):
+        outer = int(np.searchsorted(ptr, bad[0], side="right")) - 1
+        if np.any(steps[ptr[outer] : ptr[outer + 1] - 1] < 0):
+            raise GraphValidationError(f"{side} adjacency list of vertex {outer} is not sorted")
+        raise GraphValidationError(
+            f"{side} adjacency list of vertex {outer} contains duplicate edges"
+        )

@@ -10,12 +10,13 @@ chunks (:class:`~repro.graph.io.MatrixMarketStream`):
 * **Routing pass** — each chunk is split by owning shard and appended as
   raw ``(row, local_col)`` int64 pairs to one spool file per shard.
 * **Column blocks** — spool files are read back *one at a time*, each
-  deduplicated and sorted into its canonical column CSR (exactly like
-  :func:`repro.graph.builders.from_edges`), and its ``col_ind`` appended to
-  the one column-index file, in shard order.  That file is the whole
-  graph's ``col_ind`` and the only file left in the spool directory; the
-  returned graph holds it as a read-only memory map and builds each shard
-  from it on use (:meth:`~repro.sharded.partition.ShardedBipartiteGraph.shard`).
+  deduplicated and sorted into its canonical column CSR by the column half
+  of the graph builder (the one :func:`repro.graph.builders.from_edges`
+  runs), and its ``col_ind`` appended to the one column-index file, in
+  shard order.  That file is the whole graph's ``col_ind`` and the only
+  file left in the spool directory; the returned graph holds it as a
+  read-only memory map and builds each shard from it on use
+  (:meth:`~repro.sharded.partition.ShardedBipartiteGraph.shard`).
 
 Peak memory is O(chunk + largest shard + vertex arrays) — independent of
 the total edge count, which is what the CI ``shard-smoke`` job asserts.
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.io import DEFAULT_CHUNK_ENTRIES, MatrixMarketStream
-from repro.graph.builders import _csr_from_pairs
+from repro.graph.builders import _column_csr
 from repro.sharded.partition import ColumnPartition, ShardedBipartiteGraph, make_partition
 
 __all__ = ["ingest_matrix_market_sharded", "stream_random_bipartite_mtx"]
@@ -90,7 +91,7 @@ def _write_col_ind(spool_dir: Path, partition: ColumnPartition, n_rows: int) -> 
             spool_path = spool_dir / f"shard-{index:05d}.edges"
             pairs = np.fromfile(spool_path, dtype=np.int64).reshape(-1, 2)
             spool_path.unlink()
-            col_ptr, col_ind, _, _, _ = _csr_from_pairs(pairs[:, 0], pairs[:, 1], n_rows, hi - lo)
+            col_ptr, col_ind, _, _ = _column_csr(pairs[:, 0], pairs[:, 1], n_rows, hi - lo)
             del pairs
             col_ind.tofile(col_file)
             col_degrees[lo:hi] = np.diff(col_ptr)

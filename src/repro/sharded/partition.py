@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import from_edges
+from repro.graph.builders import _row_csr, from_edges
 from repro.graph.io import ChunkedContentHasher
 
 __all__ = [
@@ -134,22 +134,6 @@ def make_partition(
     else:
         boundaries = (np.arange(n_shards + 1, dtype=np.int64) * n_cols) // n_shards
     return ColumnPartition(n_cols=n_cols, boundaries=boundaries, method=method)
-
-
-def _listed_by_row(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
-    """``cols`` reordered row by row, each row's columns ascending.
-
-    The ``(row, col)`` pairs are distinct (edges are deduplicated) and
-    ``0 <= col < width``, so one sort of the keys ``row * width + col``
-    orders them, several times faster than a stable argsort by row.
-    """
-    if rows.size == 0:  # also covers width 0: a zero-width block has no edges
-        return np.empty(0, dtype=np.int64)
-    keys = rows * width
-    keys += cols
-    keys.sort()
-    keys %= width
-    return keys
 
 
 # ---------------------------------------------------- the sharded container
@@ -256,15 +240,14 @@ class ShardedBipartiteGraph:
         col_ptr = self.col_ptr[lo : hi + 1] - self.col_ptr[lo]
         col_ind = self._shard_rows(index)
         local_cols = np.repeat(np.arange(hi - lo, dtype=np.int64), self.col_degrees[lo:hi])
-        row_ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(col_ind, minlength=self.n_rows), out=row_ptr[1:])
+        row_ptr, row_ind = _row_csr(col_ind, local_cols, self.n_rows, hi - lo)
         graph = BipartiteGraph(
             n_rows=self.n_rows,
             n_cols=hi - lo,
             col_ptr=col_ptr,
             col_ind=col_ind,
             row_ptr=row_ptr,
-            row_ind=_listed_by_row(col_ind, local_cols, hi - lo),
+            row_ind=row_ind,
             name=f"{self.name}[s{index}]",
         )
         self._shards[index] = graph
@@ -318,9 +301,10 @@ class ShardedBipartiteGraph:
                 cols = np.repeat(np.arange(lo, hi, dtype=np.int64), self.col_degrees[lo:hi])
                 rows_parts.append(rows[keep] - r0)
                 cols_parts.append(cols[keep])
-            yield _listed_by_row(
-                np.concatenate(rows_parts), np.concatenate(cols_parts), self.n_cols
+            _, row_ind = _row_csr(
+                np.concatenate(rows_parts), np.concatenate(cols_parts), r1 - r0, self.n_cols
             )
+            yield row_ind
 
     # -- materialization ---------------------------------------------------
     def to_graph(self, name: str | None = None) -> BipartiteGraph:

@@ -15,6 +15,7 @@ from repro.graph import (
     write_matrix_market,
 )
 from repro.generators import uniform_random_bipartite
+from repro.graph.io import MatrixMarketStream
 from repro.graph.stats import degree_statistics
 from repro.graph.validate import GraphValidationError
 
@@ -50,6 +51,113 @@ def test_from_edges_empty():
     assert g.shape == (5, 7)
 
 
+# ------------------------------------------------------- the key-sort builder
+def _reference_csr_from_pairs(rows, cols, n_rows, n_cols, weights=None):
+    """The two-lexsort builder the key sorts replaced: the executable spec."""
+    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    if len(rows) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        out_weights = np.empty(0, dtype=np.float64) if weights is not None else None
+        return col_ptr, empty, row_ptr, empty.copy(), out_weights
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    out_weights = None
+    if weights is not None:
+        out_weights = np.maximum.reduceat(
+            np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
+        )
+    rows, cols = rows[keep], cols[keep]
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
+    order_t = np.lexsort((cols, rows))
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
+    return col_ptr, rows.copy(), row_ptr, cols[order_t], out_weights
+
+
+def _assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected, strict=True):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+        if b.dtype == np.float64:  # parallel weights reduce in input order
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _random_pairs(rng, n_rows, n_cols, n_pairs):
+    return rng.integers(0, n_rows, n_pairs), rng.integers(0, n_cols, n_pairs)
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_cols, n_pairs",
+    [
+        (40, 30, 2_000),  # many repeats
+        (500, 400, 3_000),
+        (1, 300, 500),  # one row
+        (300, 1, 500),  # one column
+        (5_000, 3, 4_000),  # tall
+        (3, 5_000, 4_000),  # wide
+        (6, 9, 0),  # empty
+        (0, 0, 0),
+    ],
+)
+def test_key_sort_builder_matches_two_lexsorts(rng, n_rows, n_cols, n_pairs):
+    from repro.graph.builders import _column_csr, _csr_from_pairs, _row_csr
+
+    rows, cols = _random_pairs(rng, n_rows, n_cols, n_pairs)
+    expected = _reference_csr_from_pairs(rows, cols, n_rows, n_cols)
+    _assert_same_arrays(_csr_from_pairs(rows, cols, n_rows, n_cols), expected)
+    col_ptr, col_ind, row_ptr, row_ind, _ = expected
+    edge_cols = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(col_ptr))
+    # Each half alone.
+    _assert_same_arrays(
+        _column_csr(rows, cols, n_rows, n_cols), (col_ptr, col_ind, edge_cols, None)
+    )
+    shuffle = rng.permutation(len(col_ind))
+    _assert_same_arrays(
+        _row_csr(col_ind[shuffle], edge_cols[shuffle], n_rows, n_cols), (row_ptr, row_ind)
+    )
+
+
+@pytest.mark.parametrize("n_rows, n_cols, n_pairs", [(20, 15, 1_500), (1, 50, 200), (0, 4, 0)])
+def test_key_sort_builder_keeps_the_maximum_parallel_weight(rng, n_rows, n_cols, n_pairs):
+    from repro.graph.builders import _column_csr, _csr_from_pairs
+
+    rows, cols = _random_pairs(rng, n_rows, n_cols, n_pairs)
+    # Few distinct values, so parallel edges often tie, signed zeros included.
+    weights = rng.choice([-2.0, -0.0, 0.0, 1.5, 1.5, 7.0], size=n_pairs)
+    expected = _reference_csr_from_pairs(rows, cols, n_rows, n_cols, weights)
+    _assert_same_arrays(_csr_from_pairs(rows, cols, n_rows, n_cols, weights), expected)
+    col_ptr, col_ind, _, _, out_weights = expected
+    edge_cols = np.repeat(np.arange(n_cols, dtype=np.int64), np.diff(col_ptr))
+    _assert_same_arrays(
+        _column_csr(rows, cols, n_rows, n_cols, weights),
+        (col_ptr, col_ind, edge_cols, out_weights),
+    )
+
+
+def test_builder_refuses_a_shape_whose_keys_overflow_before_allocating():
+    import tracemalloc
+
+    from repro.graph.builders import _row_csr
+
+    one = np.zeros(1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"4294967296 x 4294967296 graph"):
+            from_edges([(0, 0)], n_rows=2**32, n_cols=2**32)
+        with pytest.raises(ValueError, match=r"4294967296 x 4294967296 graph"):
+            _row_csr(one, one, 2**32, 2**32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a vertex-sized array would be 32 GiB
+
+
 def test_validate_accepts_built_graphs(family_graph):
     validate_graph(family_graph)
 
@@ -82,6 +190,42 @@ def test_validate_rejects_mismatched_transposes():
     )
     with pytest.raises(GraphValidationError):
         validate_graph(bad)
+
+
+@pytest.mark.parametrize(
+    "col_ind, message",
+    [
+        ([0, 2, 1, 1, 1, 0, 0], "column adjacency list of vertex 2 contains duplicate edges"),
+        ([0, 2, 1, 1, 0, 0, 1], "column adjacency list of vertex 2 is not sorted"),
+        ([0, 2, 1, 0, 1, 1, 0], "column adjacency list of vertex 2 is not sorted"),
+        ([2, 0, 1, 1, 0, 0, 1], "column adjacency list of vertex 0 is not sorted"),
+    ],
+)
+def test_validate_names_the_first_offending_vertex(col_ind, message):
+    from repro.graph import BipartiteGraph
+
+    # Columns 0..4 hold [0, 2], [], [1, 1, 1] or a variant, [], [0, 0]-ish:
+    # empty lists sit between the offending ones.
+    bad = BipartiteGraph(
+        n_rows=3,
+        n_cols=5,
+        col_ptr=np.array([0, 2, 2, 5, 5, 7]),
+        col_ind=np.array(col_ind),
+        row_ptr=np.array([0, 3, 5, 7]),
+        row_ind=np.array([0, 2, 4, 2, 4, 0, 2]),
+    )
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        validate_graph(bad)
+    transposed = BipartiteGraph(
+        n_rows=5,
+        n_cols=3,
+        col_ptr=bad.row_ptr,
+        col_ind=bad.row_ind,
+        row_ptr=bad.col_ptr,
+        row_ind=bad.col_ind,
+    )
+    with pytest.raises(GraphValidationError, match=f"^{message.replace('column', 'row')}$"):
+        validate_graph(transposed)
 
 
 def test_structure_summary(tiny_graph):
@@ -348,6 +492,108 @@ def test_matrix_market_stream_chunks_match_bulk_read(tmp_path):
         n_cols=50,
     )
     assert streamed.content_hash() == graph.content_hash()
+
+
+class _PerLineStream(MatrixMarketStream):
+    """The stream with every chunk parsed line by line: the reference."""
+
+    _parse_chunk = MatrixMarketStream._parse_chunk_slow
+
+
+class _CountingStream(MatrixMarketStream):
+    """The stream, counting the entries its per-line parse returns."""
+
+    slow_entries = 0
+
+    def _parse_chunk_slow(self, lines, first, remaining):
+        rows, cols, values = super()._parse_chunk_slow(lines, first, remaining)
+        self.slow_entries += len(rows)
+        return rows, cols, values
+
+
+def _mtx_text(field, symmetry, rng, n_entries=60, n=9, noise=True):
+    """A small coordinate file with ``%`` and blank lines among the entries."""
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% generated"]
+    lines.append(f"{n} {n} {n_entries}")
+    for k in range(n_entries):
+        i = int(rng.integers(1, n + 1))
+        j = int(rng.integers(1, i + 1)) if symmetry != "general" else int(rng.integers(1, n + 1))
+        entry = f"{i} {j}"
+        if field == "integer":
+            entry += f" {int(rng.integers(-9, 10))}"
+        elif field == "real":
+            entry += f" {rng.normal():.17g}"
+        elif field == "complex":
+            entry += f" {rng.normal():.6g} {rng.normal():.6g}"
+        if noise and k % 7 == 3:
+            entry = "  " + entry + " % trailing note"
+        elif noise and k % 7 == 5:
+            entry += "%glued note"
+        lines.append(entry)
+        if noise and k % 5 == 1:
+            lines.append(["", "% between entries", "   ", "\t% indented"][k % 4])
+    return "\n".join(lines) + "\n\n"
+
+
+@pytest.mark.parametrize("suffix", ["mtx", "mtx.gz"])
+@pytest.mark.parametrize("chunk_entries", [1, 7, None])
+@pytest.mark.parametrize("symmetry", ["general", "symmetric", "skew-symmetric", "hermitian"])
+@pytest.mark.parametrize("field", ["pattern", "integer", "real", "complex"])
+def test_stream_fast_parse_equals_per_line_parse(tmp_path, field, symmetry, chunk_entries, suffix):
+    plain = tmp_path / "m.mtx"
+    plain.write_text(_mtx_text(field, symmetry, np.random.default_rng(len(field + symmetry))))
+    path = plain if suffix == "mtx" else _gzip_copy(plain, tmp_path / "m.mtx.gz")
+    kwargs = {} if chunk_entries is None else {"chunk_entries": chunk_entries}
+    for with_values in (False, True) if field in ("integer", "real") else (False,):
+        fast = _CountingStream(path, with_values=with_values, **kwargs)
+        with fast, _PerLineStream(path, with_values=with_values, **kwargs) as slow:
+            fast_chunks, slow_chunks = list(fast), list(slow)
+        assert fast.slow_entries == 0  # every entry came from np.loadtxt
+        assert len(fast_chunks) == len(slow_chunks) > 0
+        for got, expected in zip(fast_chunks, slow_chunks, strict=True):
+            _assert_same_arrays(got, expected)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 2, 1 << 17])
+def test_stream_reads_a_last_line_without_newline(tmp_path, chunk_entries):
+    path = tmp_path / "open-end.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1 1\n2 3\n3 2")
+    with MatrixMarketStream(path, chunk_entries=chunk_entries) as stream:
+        chunks = list(stream)
+    assert np.concatenate([rows for rows, _, _ in chunks]).tolist() == [0, 1, 2]
+    assert np.concatenate([cols for _, cols, _ in chunks]).tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "text, with_values, message",
+    [
+        (
+            "%%MatrixMarket matrix coordinate pattern general\n3 4 2\n1 2 3\n4\n",
+            False,
+            r"{name}:4: malformed entry line '4' \(expected at least 'row col'\)$",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\n3 4 2\n1 2 3 1\n2 3\n",
+            True,
+            r"{name}:4: entry line '2 3' has no value \(expected 'row col value'\)$",
+        ),
+    ],
+    ids=["pattern", "real"],
+)
+def test_stream_rejects_ragged_lines_at_any_chunk_size(tmp_path, text, with_values, message):
+    # Regression: the chunk parse used to check only a chunk's token total,
+    # so `1 2 3` / `4` read as the edges (0, 1) and (2, 3), and `1 2 3 1` /
+    # `2 3` as (0, 1) twice with weight 3.0.
+    path = tmp_path / "ragged.mtx"
+    path.write_text(text)
+    for chunk_entries in (1, 1 << 17):
+        with pytest.raises(ValueError, match=message.format(name=r"ragged\.mtx")):
+            with MatrixMarketStream(
+                path, with_values=with_values, chunk_entries=chunk_entries
+            ) as stream:
+                list(stream)
+    with pytest.raises(ValueError, match=message.format(name=r"ragged\.mtx")):
+        read_matrix_market(path, with_weights=with_values)
 
 
 def test_matrix_market_stream_writer_round_trips(tmp_path):
