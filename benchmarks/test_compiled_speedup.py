@@ -11,8 +11,9 @@ guard the compiled tier's reason to exist — the asserted floors back the
   beats the vectorized NumPy expansion by at least 3x on the suite
   instance measured;
 * ``ghkdw_augment`` (a lockstep kernel): the JIT DFS beats the NumPy
-  tier's scalar walk (:func:`repro.graph.frontier.augmenting_dfs`) by at
-  least 3x — the NumPy tier has no vectorized form of this kernel.  Only the
+  tier's rounds (:func:`repro.graph.frontier.restricted_round`, which
+  prices the searches into dead columns instead of walking them, and
+  :func:`repro.graph.frontier.duff_wassel_round`) by at least 3x.  Only the
   augment launches are timed, replayed phase by phase on copies of the same
   state; the whole G-HKDW run is still compared bit for bit.
 
@@ -88,19 +89,22 @@ def test_compiled_alternating_level_bfs_beats_numpy(benchmark):
 
 
 def _ghkdw_phase_states(graph):
-    """``(mu_row, mu_col, level)`` at the start of every augmenting phase of
-    a G-HKDW solve from the cheap matching."""
+    """``(mu_row, mu_col, level, entries)`` at the start of every augmenting
+    phase of a G-HKDW solve from the cheap matching, ``entries`` being what
+    the phase's BFS scanned."""
     matching = cheap_matching(graph).matching
     mu_row, mu_col = matching.row_match.copy(), matching.col_match.copy()
     gpu = VirtualGPU(DeviceSpec())
     states = []
     while True:
-        level, has_path = ghkdw._bfs_phase(graph, mu_row, mu_col, gpu)
+        level, has_path, entries = ghkdw._bfs_phase(graph, mu_row, mu_col, gpu)
         if not has_path:
             return states
-        states.append((mu_row.copy(), mu_col.copy(), level))
-        ghkdw._augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment")
-        ghkdw._augment_phase(graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment")
+        states.append((mu_row.copy(), mu_col.copy(), level, entries))
+        ghkdw._augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment", entries)
+        ghkdw._augment_phase(
+            graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment", entries
+        )
 
 
 def test_compiled_ghkdw_augment_beats_python(benchmark):
@@ -126,11 +130,13 @@ def test_compiled_ghkdw_augment_beats_python(benchmark):
     def replay():
         gpu = VirtualGPU(DeviceSpec())
         out = []
-        for mu_row, mu_col, level in states:
+        for mu_row, mu_col, level, entries in states:
             mu_row, mu_col = mu_row.copy(), mu_col.copy()
-            got = ghkdw._augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment")
+            got = ghkdw._augment_phase(
+                graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment", entries
+            )
             got += ghkdw._augment_phase(
-                graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment"
+                graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment", entries
             )
             out.append((got, mu_row, mu_col))
         return out, gpu.ledger.kernel_seconds

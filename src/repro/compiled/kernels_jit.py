@@ -207,11 +207,12 @@ def ghkdw_augment(
 ):
     """Twin of the NumPy-tier walk of :func:`repro.core.ghkdw._augment_phase`.
 
-    A literal port of the claim-based alternating DFS
-    (:func:`repro.graph.frontier.augmenting_dfs`), one sequential logical
-    thread per start column (the claims serialize the launch by design).
-    Mutates ``mu_row`` / ``mu_col`` in place and returns, as
-    ``augmenting_dfs`` does, ``(augmented, per_root)`` with each start
+    A literal port of the claim-based alternating DFS that the NumPy
+    tier's rounds (:func:`repro.graph.frontier.restricted_round`,
+    :func:`repro.graph.frontier.duff_wassel_round`) reproduce, one
+    sequential logical thread per start column (the claims serialize the
+    launch by design).  Mutates ``mu_row`` / ``mu_col`` in place and
+    returns, as the rounds do, ``(augmented, per_root)`` with each start
     column's scanned edges as ``int64``.
     """
     n_starts = start_cols.shape[0]

@@ -23,10 +23,15 @@ is claimed only by entering its matched column, so no claim can stop the
 root of the BFS's shortest path from reaching that row.  The loop therefore
 needs no correction sweep, and a phase that augments nothing raises.
 
-On the NumPy tier both augmentation kernels run
-:func:`repro.graph.frontier.augmenting_dfs`, the walk HK/HKDW use, over the
-cached ``csr_lists()`` and zero-copy memoryviews of the device arrays; the
-compiled tier dispatches to the ``ghkdw_augment`` twin.  A BFS level is
+On the NumPy tier the augmentation kernels run the frontier layer's rounds,
+which HK/HKDW run as well, over the cached ``csr_lists()`` and zero-copy
+memoryviews of the device arrays: the level-restricted kernel is
+:func:`repro.graph.frontier.restricted_round`, which, past a few thousand
+BFS entries, walks only the threads that can still reach a free row and
+prices the others' work exactly from the BFS level DAG; the Duff–Wassel
+kernel is :func:`repro.graph.frontier.duff_wassel_round`.  The compiled
+tier dispatches to the ``ghkdw_augment`` twin, which walks every thread
+and charges the same work.  A BFS level is
 :func:`repro.graph.frontier.column_step`, the level of HK's BFS, over the
 same lists and views; each level starts from the columns the previous one
 reached.  Every launch is charged as a
@@ -41,7 +46,12 @@ import numpy as np
 
 from repro.compiled import dispatch as _compiled
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import augmenting_dfs, column_step, scalar_views
+from repro.graph.frontier import (
+    column_step,
+    duff_wassel_round,
+    restricted_round,
+    scalar_views,
+)
 from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.device import VirtualGPU
 from repro.matching import UNMATCHED, Matching, MatchingResult
@@ -57,11 +67,11 @@ def _bfs_phase(
     mu_row: np.ndarray,
     mu_col: np.ndarray,
     gpu: VirtualGPU,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool, int]:
     """Level-synchronous BFS from unmatched columns; one kernel launch per level.
 
-    Returns the column level array and whether an unmatched row was reached
-    (i.e. an augmenting path exists).
+    Returns the column level array, whether an unmatched row was reached
+    (i.e. an augmenting path exists) and the adjacency entries scanned.
     """
     n_cols = graph.n_cols
     level = gpu.shadow_wrap(np.full(n_cols, _INF, dtype=np.int64), "level")
@@ -72,6 +82,7 @@ def _bfs_phase(
         *scalar_views(_compiled.recording(mu_row, level), mu_row, level),
     )
     depth = 0
+    entries = 0
     reached_free_row = False
     # HK stops the BFS at the level of the shortest augmenting path.
     while len(frontier) and not reached_free_row:
@@ -79,15 +90,16 @@ def _bfs_phase(
         # column vertex; only frontier columns scan their adjacency, the rest
         # just test their level.  This is what makes high-diameter graphs
         # expensive for the level-synchronous GPU codes.
-        next_cols, degrees, _, reached_free_row = column_step(
+        next_cols, degrees, scanned, reached_free_row = column_step(
             graph.col_ptr, graph.col_ind, mu_row, level, frontier, depth, views
         )
+        entries += scanned
         # Charge-after-access: this level's frontier scan and level writes
         # belong to the launch just completed.
         gpu.charge_kernel("ghkdw-bfs", SparseWork(n_cols, 1, frontier, degrees))
         frontier = next_cols
         depth += 1
-    return level, reached_free_row
+    return level, reached_free_row, entries
 
 
 def _augment_phase(
@@ -98,13 +110,16 @@ def _augment_phase(
     gpu: VirtualGPU,
     restrict_levels: bool,
     kernel_name: str,
+    entries: int,
 ) -> int:
     """One augmentation kernel: a claim-based alternating DFS per unmatched column.
 
     Claims persist across the threads of the launch, which models the
     lock-free row claiming of the GPU kernel.  Each thread's work is the
     adjacency entries its walk scanned plus one; with no start column the
-    launch is one thread of one operation.  Returns the number of
+    launch is one thread of one operation.  ``entries`` is what the phase's
+    BFS scanned; from :data:`~repro.graph.frontier.SWEEP_ENTRIES` up the
+    level-restricted round sweeps the level DAG.  Returns the number of
     augmentations performed.
     """
     start_cols = np.flatnonzero(mu_col == UNMATCHED)
@@ -127,12 +142,17 @@ def _augment_phase(
             graph.n_rows,
         )
     else:
-        col_ptr, col_ind = graph.csr_lists("col")
-        state = scalar_views(recording, level, mu_row, mu_col)
-        augmented, per_root = augmenting_dfs(
-            col_ptr, col_ind, start_cols.tolist(), *state, bytearray(graph.n_rows),
-            restrict_levels,
-        )
+        ptr, ind = graph.csr_lists("col")
+        rows, cols = scalar_views(recording, mu_row, mu_col)
+        if restrict_levels:
+            augmented, per_root = restricted_round(
+                graph.col_ptr, graph.col_ind, ptr, ind, start_cols.tolist(), level, rows, cols,
+                entries,
+            )
+        else:
+            augmented, per_root = duff_wassel_round(
+                ptr, ind, start_cols.tolist(), level, rows, cols
+            )
     gpu.charge_kernel(kernel_name, SparseWork(n_starts, 1, np.arange(n_starts), per_root))
     return int(augmented)
 
@@ -165,12 +185,14 @@ def ghkdw_matching(
     while True:
         if phases >= limit:
             raise RuntimeError(f"G-HKDW exceeded {limit} phases on {graph.name!r}")
-        level, has_path = _bfs_phase(graph, mu_row, mu_col, gpu)
+        level, has_path, entries = _bfs_phase(graph, mu_row, mu_col, gpu)
         phases += 1
         if not has_path:
             break
-        got = _augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment")
-        got += _augment_phase(graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment")
+        got = _augment_phase(graph, mu_row, mu_col, level, gpu, True, "ghkdw-augment", entries)
+        got += _augment_phase(
+            graph, mu_row, mu_col, level, gpu, False, "ghkdw-dw-augment", entries
+        )
         if got == 0:
             # The root of the BFS's shortest path always reaches its free row
             # in the level-restricted pass (no claim can block it before the

@@ -24,7 +24,7 @@ Two kinds of walk replace that:
 * **Scalar walks over lists or zero-copy memoryviews** for the traversals
   whose working set is one adjacency slice at a time (DFS descents, the
   per-push minimum scan, P-DBFS claim searches, the pricing of searches
-  that provably fail): :func:`claiming_bfs`, :func:`augmenting_dfs`,
+  that provably fail): :func:`claiming_bfs`, the augmenting rounds,
   :func:`alternating_reach_total` and the algorithm-side loops index
   :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` instead of
   ndarrays, which removes the per-element boxing (~4× on the same loop
@@ -33,10 +33,22 @@ Two kinds of walk replace that:
   that array instead (:func:`scalar_views`): O(1) to make, cheaper per
   read than ndarray indexing, and writes land in the array itself, where a
   list would cost an O(vertices) ``tolist()`` and ``np.array()`` per call.
-  :func:`augmenting_dfs` is the vertex-disjoint augmenting DFS of HK/HKDW
-  (over lists), of the sharded reconcile, which runs HK's phase loop (over
-  memoryviews of the sharded graph's column CSR), and of G-HKDW's
-  augmentation kernels (over memoryviews).
+
+The vertex-disjoint augmenting DFS of HK/HKDW, of the sharded reconcile
+(which runs HK's phase loop over memoryviews of the sharded graph's column
+CSR) and of G-HKDW's augmentation kernels runs as two rounds that share one
+walk, each scanned entry reading one per-row gate from a list:
+
+* :func:`restricted_round`, Hopcroft–Karp's shortest-path round over the
+  BFS level DAG (Hopcroft & Karp, SIAM J. Comput. 2(4), 1973).  Above
+  :data:`SWEEP_ENTRIES` BFS entries a sweep by descending level first finds
+  the *dead* columns, which reach no unmatched row through the DAG even
+  with nothing claimed; only the other roots are walked, and the dead part
+  of every search is priced by a second sweep by ascending level instead
+  of walked.  Both sweeps gather the columns in level order a bounded
+  run at a time, however wide a level is.
+* :func:`duff_wassel_round`, the Duff–Wassel round, whose filter graph has
+  cycles: every root is walked.
 
 Every function is bit-compatible with the historical per-edge loops: same
 levels, same claim order, same matchings, same counter end-values
@@ -61,10 +73,11 @@ from repro.compiled import dispatch as _compiled
 __all__ = [
     "alternating_level_bfs",
     "alternating_reach_total",
-    "augmenting_dfs",
     "claiming_bfs",
     "column_step",
     "distance_label_bfs",
+    "duff_wassel_round",
+    "restricted_round",
     "row_step",
     "scalar_views",
     "sorted_unique",
@@ -514,115 +527,255 @@ def claiming_bfs(
     return None, 1.0 + work, atomics
 
 
-def augmenting_dfs(
-    col_ptr: list[int],
-    col_ind: list[int],
-    roots: list[int],
-    level,
-    row_match,
-    col_match,
-    row_used: bytearray,
-    restrict_levels: bool,
-) -> tuple[int, list[int]]:
-    """One round of vertex-disjoint augmenting DFS from the columns ``roots``.
+#: Adjacency entries the phase BFS scanned below which a level-restricted round
+#: walks every root.  Sweeping the level DAG costs a few NumPy calls per level,
+#: which a walk over a small reached region undercuts (measured crossover:
+#: "The level-restricted round, priced" in ``docs/benchmarks.md``).
+SWEEP_ENTRIES = 3800
 
-    The scalar walk shared by HK/HKDW (and so the sharded reconcile) and
-    G-HKDW's augmentation kernels.  Each root runs an iterative DFS
-    (explicit stack, so long paths hit no recursion limit) over the column
-    CSR as lists (the cached
-    :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views) or
-    memoryviews, claiming
-    every row it passes in ``row_used``; claims persist across roots, so the
-    paths found are vertex-disjoint.  A search stops at the first unclaimed
-    unmatched row and flips the path in place.  With ``restrict_levels`` a
-    matched row is followed only into the column one ``level`` deeper (HK's
-    shortest-path round), otherwise into any column of finite level (the
-    Duff–Wassel round).  The two rounds scan in separate loops and the
-    level comparand is hoisted per stack frame, so a scanned edge pays no
-    mode test.
+#: Adjacency entries the sweeps gather at once: a run of consecutive columns
+#: in level order starts every this many entries, so a run holds at most
+#: this many plus one column's degree, however wide its levels.
+SWEEP_BATCH = 1 << 14
 
-    ``level``, ``row_match`` and ``col_match`` may be plain lists, zero-copy
-    ``memoryview``s of ``int64`` arrays (writes land in the arrays
-    themselves) or the ndarrays, e.g. the sanitizer's recording arrays,
-    which log every access.  Every root needs a finite level.  Returns
-    ``(augmentations, per_root_edges)``, the adjacency entries each root's
-    search scanned, in ``roots`` order.
+#: Row gates of an augmenting round, read once per scanned entry.  A claimed
+#: row, or one whose mate has no level, is shut; an unmatched row is above
+#: every bar.  In the restricted round a row whose mate is at level ``L`` has
+#: gate ``2L + 1``, or ``2L`` once a sweep found the mate dead; in the
+#: Duff–Wassel round it is :data:`_OPEN`.
+_SHUT = 0
+_OPEN = 2
+_FREE = _INF
+
+
+def _gates(level, row_match, scale: int, bias: int) -> np.ndarray:
+    """Each row's gate at the start of a round, as an ``int64`` array:
+    ``scale * level + bias`` of its mate, :data:`_SHUT` if the mate has no
+    level, :data:`_FREE` if the row is unmatched."""
+    finite = level != _INF
+    key = np.full(len(level) + 1, _SHUT, dtype=np.int64)
+    key[:-1][finite] = level[finite] * scale + bias
+    key[-1] = _FREE  # what an unmatched row's -1 picks
+    return np.take(key, row_match)
+
+
+def restricted_round(col_ptr, col_ind, ptr, ind, roots, level, row_match, col_match,
+                     entries: int) -> tuple[int, list[int]]:
+    """Hopcroft–Karp's level-restricted round of vertex-disjoint augmenting DFS.
+
+    Each root runs a DFS over the column CSR that enters a matched row's mate
+    only from a column one ``level`` above it, claims every row it enters,
+    and stops at the first unclaimed unmatched row, flipping the path in
+    place; claims persist across roots, so the paths are vertex-disjoint.
+    ``roots`` are level-0 columns (the unmatched columns the phase BFS
+    started from), walked in order.
+
+    Below :data:`SWEEP_ENTRIES` BFS ``entries`` every root is walked.  Above,
+    :func:`_sweep` first marks the columns that can reach an unmatched row
+    through the level DAG (*live*); only live roots are walked, and a walk
+    that meets an unclaimed row whose mate is dead records it instead of
+    entering.  A DFS that enters a dead column scans the column's whole
+    closure minus what was claimed before, so every dead column reached is
+    scanned once, by the first root that reaches it; :func:`_price_dead`
+    charges it to that root without walking it.
+
+    ``col_ptr``/``col_ind`` are the CSR arrays (the sweeps gather over
+    them), ``ptr``/``ind`` the same CSR as lists or memoryviews (the walk
+    indexes them), ``level`` the phase BFS's ``int64`` level array.
+    ``row_match`` and ``col_match`` are lists, zero-copy memoryviews of
+    ``int64`` arrays, or the arrays (the sanitizer's recording arrays log
+    every access); they are updated in place.  Returns ``(augmentations,
+    per_root_edges)``: the adjacency entries each root's search scanned, in
+    ``roots`` order, exactly as a walk of every root scans them.
     """
-    unmatched = _UNMATCHED
-    inf = _INF
+    row_array = np.asanyarray(row_match)
+    # A root's mates are at level 1 (gate 3, or 2 if dead): its bar is 2, and
+    # each level down adds 2.
+    if entries < SWEEP_ENTRIES:
+        gate = _gates(level, row_array, 2, 1)
+        return _walk(ptr, ind, roots, gate.tolist(), row_match, col_match, 2, 2, [], [])
+    gate = _gates(level, row_array, 2, 0)
+    dag = _LevelDag(col_ptr, col_ind, level)
+    live = _sweep(dag, gate, np.asanyarray(col_match))
+    roots = np.asarray(roots, dtype=np.int64)
+    walked = np.flatnonzero(live[roots])
+    records: list[int] = []
+    owners: list[int] = []
+    augmented, steps = _walk(ptr, ind, roots[walked].tolist(), gate.tolist(), row_match,
+                             col_match, 2, 2, records, owners)
+    label = np.full(len(live), len(roots), dtype=np.int64)
+    dead = np.flatnonzero(~live[roots])
+    label[roots[dead]] = dead
+    label[np.take(row_array, records)] = walked[owners]
+    per_root = _price_dead(dag, gate, row_array, live, label, len(roots))
+    per_root[walked] += steps
+    return augmented, per_root.tolist()
+
+
+def duff_wassel_round(ptr, ind, roots, level, row_match, col_match) -> tuple[int, list[int]]:
+    """The Duff–Wassel round: vertex-disjoint augmenting DFS from ``roots``
+    that enters a matched row's mate from any column, if it has a level.
+
+    The filter graph has cycles, so no sweep by level prices it: every root
+    is walked, each scanned entry reading one gate.  Arguments and result as
+    in :func:`restricted_round`.
+    """
+    gate = _gates(level, np.asanyarray(row_match), 0, _OPEN)
+    return _walk(ptr, ind, roots, gate.tolist(), row_match, col_match, _OPEN - 1, 0, [], [])
+
+
+class _LevelDag:
+    """The columns of a phase's level DAG in level order, in runs.
+
+    ``cols`` holds the columns of finite level, level 0 first, ``depth``
+    their levels and ``degrees`` their degrees.  ``runs`` cuts ``cols`` into
+    runs of consecutive columns, a new run starting every
+    :data:`SWEEP_BATCH` adjacency entries; a sweep gathers one run at a
+    time, so its temporaries stay that small however wide a level is.
+    """
+
+    def __init__(self, col_ptr, col_ind, level) -> None:
+        reached = np.flatnonzero(level != _INF)
+        depth = level[reached]
+        # NumPy radix-sorts 16-bit keys; only a path of 2^16 levels needs more.
+        key = depth.astype(np.uint16) if int(depth.max()) <= 0xFFFF else depth
+        order = np.argsort(key, kind="stable")
+        self.cols = reached[order]
+        self.depth = depth[order]
+        self.col_ptr = col_ptr
+        self.col_ind = col_ind
+        self.degrees = col_ptr[self.cols + 1] - col_ptr[self.cols]
+        first = np.cumsum(self.degrees) - self.degrees
+        cuts = (np.flatnonzero(np.diff(first // SWEEP_BATCH)) + 1).tolist()
+        self.runs = list(zip([0, *cuts], [*cuts, len(self.cols)], strict=True))
+
+    def gather(self, lo: int, hi: int, keep=None):
+        """Run ``cols[lo:hi]``, or its columns flagged in ``keep``, as
+        ``(cols, depth, ends, rows, levels)``: the columns, their levels,
+        where each one's entries end, every adjacency entry in scan order,
+        and the levels the whole run spans."""
+        cols, depth, degrees = self.cols[lo:hi], self.depth[lo:hi], self.degrees[lo:hi]
+        levels = range(int(depth[0]), int(depth[-1]) + 1)
+        if keep is not None:
+            cols, depth, degrees = cols[keep], depth[keep], degrees[keep]
+        rows, _ = _gather(self.col_ptr, self.col_ind, cols)
+        return cols, depth, np.cumsum(degrees), rows, levels
+
+
+def _level_cuts(depth, levels) -> np.ndarray:
+    """Where each of ``levels`` ends in the ascending ``depth``."""
+    return np.searchsorted(depth, np.add(levels, 1))
+
+
+def _sweep(dag: _LevelDag, gate, col_match) -> np.ndarray:
+    """Mark the live columns, from the deepest level up; returns the mask.
+
+    A column is live if a neighbour row is unmatched, or enterable and its
+    mate (one level deeper) is live.  On entry ``gate`` is the restricted
+    gates with every mate dead (``2L``); a live mate's row becomes ``2L + 1``.
+    """
+    live = np.zeros(len(dag.col_ptr) - 1, dtype=bool)
+    for lo, hi in reversed(dag.runs):
+        cols, depth, ends, rows, levels = dag.gather(lo, hi)
+        bounds = [0, *np.append(0, ends)[_level_cuts(depth, levels)].tolist()]
+        for d in reversed(levels):
+            start, end = bounds[d - levels.start], bounds[d - levels.start + 1]
+            # No row met at level d has a mate deeper than d + 1, so an
+            # unmatched row or a live mate one level down gates 2d + 3 or more.
+            hits = np.flatnonzero(gate[rows[start:end]] >= 2 * d + 3) + start
+            alive = cols[np.searchsorted(ends, hits, side="right")]
+            live[alive] = True
+            if d:
+                gate[col_match[alive]] = 2 * d + 1
+    return live
+
+
+def _price_dead(dag: _LevelDag, gate, row_match, live, label, n_roots: int) -> np.ndarray:
+    """Each root's entries in dead columns, as an ``int64`` array in root order.
+
+    ``label`` holds, per column, the position of the first root known to
+    reach it, or ``n_roots``.  The smallest label flows down the level DAG's
+    edges between dead columns, level by level, and each labelled column's
+    degree is charged to its label.
+    """
+    for lo, hi in dag.runs:
+        cols, depth, ends, rows, levels = dag.gather(lo, hi, ~live[dag.cols[lo:hi]])
+        # An edge of the DAG between dead columns: a row whose mate is dead
+        # one level down.
+        steps = np.flatnonzero(gate[rows] == np.repeat(2 * depth + 2, np.diff(ends, prepend=0)))
+        owner = np.searchsorted(ends, steps, side="right")
+        sources = cols[owner]
+        targets = np.take(row_match, rows[steps])
+        start = 0
+        for end in np.searchsorted(owner, _level_cuts(depth, levels)).tolist():
+            if end > start:
+                np.minimum.at(label, targets[start:end], label[sources[start:end]])
+            start = end
+    priced = np.flatnonzero(label < n_roots)
+    return np.bincount(label[priced], weights=dag.col_ptr[priced + 1] - dag.col_ptr[priced],
+                       minlength=n_roots).astype(np.int64)
+
+
+def _walk(ptr, ind, roots, gate, row_match, col_match, bar: int, step: int, records, owners):
+    """The walk both rounds share: an iterative DFS per root over ``gate``.
+
+    A column scans its adjacency for a row whose gate is at or above its
+    bar, one comparison per entry: ``bar`` at a root, ``step`` more per level
+    down.  A gate of ``bar + 1`` enters the row's mate, :data:`_FREE`
+    augments; either claims the row (its gate becomes :data:`_SHUT`).  A
+    gate equal to the bar marks a dead mate: the row goes to ``records``,
+    the index of its root among ``roots`` to ``owners``, and the row shuts,
+    so each dead column is recorded once, by its first root.  A column's
+    entries count as scanned when it is entered; an augmentation takes back
+    the ones its path left unscanned.  One frame stack serves the whole
+    round, so a root that fails on its own adjacency allocates nothing.
+    Returns ``(augmentations, per_root_edges)``.
+    """
     augmented = 0
     per_root: list[int] = []
+    frames: list[tuple] = []  # suspended (column, resume offset, end offset, row taken)
     # hot-path
-    for start in roots:
-        edges = 0
-        # Stack of (column, next neighbour offset); path_rows[i] is the row
-        # taken out of stack[i].
-        stack: list[list[int]] = [[start, col_ptr[start]]]
-        path_rows: list[int] = []
-        while stack:
-            v, idx = stack[-1]
-            stop = col_ptr[v + 1]
-            advanced = False
-            done = False
-            if restrict_levels:
-                want = level[v] + 1
-                while idx < stop:
-                    u = col_ind[idx]
-                    idx += 1
-                    edges += 1
-                    if row_used[u]:
-                        continue
-                    w = row_match[u]
-                    if w != unmatched:
-                        if level[w] != want:
-                            continue
-                        row_used[u] = True
-                        stack[-1][1] = idx
-                        path_rows.append(u)
-                        stack.append([w, col_ptr[w]])
-                        advanced = True
-                        break
-                    row_used[u] = True
-                    done = True
+    for v in roots:
+        idx = ptr[v]
+        stop = ptr[v + 1]
+        edges = stop - idx
+        least = bar
+        while True:
+            while idx < stop:
+                if gate[ind[idx]] >= least:
                     break
+                idx += 1
             else:
-                while idx < stop:
-                    u = col_ind[idx]
-                    idx += 1
-                    edges += 1
-                    if row_used[u]:
-                        continue
-                    w = row_match[u]
-                    if w != unmatched:
-                        if level[w] == inf:
-                            continue
-                        row_used[u] = True
-                        stack[-1][1] = idx
-                        path_rows.append(u)
-                        stack.append([w, col_ptr[w]])
-                        advanced = True
-                        break
-                    row_used[u] = True
-                    done = True
-                    break
-            if advanced:
+                if frames:
+                    v, idx, stop, _ = frames.pop()
+                    least -= step
+                    continue
+                break
+            u = ind[idx]
+            g = gate[u]
+            gate[u] = _SHUT
+            idx += 1
+            if g == least:
+                records.append(u)
+                owners.append(len(per_root))
                 continue
-            if done:
-                # Augment along the stack.
+            if g == _FREE:
+                edges -= stop - idx
                 row_match[u] = v
                 col_match[v] = u
-                for depth in range(len(stack) - 2, -1, -1):
-                    prev_col = stack[depth][0]
-                    prev_row = path_rows[depth]
-                    row_match[prev_row] = prev_col
-                    col_match[prev_col] = prev_row
+                for v, idx, stop, u in frames:
+                    edges -= stop - idx
+                    row_match[u] = v
+                    col_match[v] = u
+                frames.clear()
                 augmented += 1
                 break
-            stack[-1][1] = idx
-            if idx >= stop:
-                stack.pop()
-                if path_rows:
-                    path_rows.pop()
+            frames.append((v, idx, stop, u))
+            v = row_match[u]
+            idx = ptr[v]
+            stop = ptr[v + 1]
+            edges += stop - idx
+            least += step
         per_root.append(edges)
     # end hot-path
     return augmented, per_root

@@ -189,10 +189,16 @@ class MatrixMarketStream:
             self._lineno += 1
         if not line:
             raise ValueError(f"{path}: missing size line")
+        where = f"{path}:{self._lineno}"
         sizes = line.split()
         if len(sizes) != 3:
-            raise ValueError(f"{path}: malformed size line {line!r}")
-        n_rows, n_cols, n_entries = (int(s) for s in sizes)
+            raise ValueError(f"{where}: malformed size line {line!r}")
+        try:
+            n_rows, n_cols, n_entries = (int(s) for s in sizes)
+        except ValueError:
+            raise ValueError(f"{where}: non-integer size line {line.strip()!r}") from None
+        if min(n_rows, n_cols, n_entries) < 0:
+            raise ValueError(f"{where}: negative size in size line {line.strip()!r}")
         return MatrixMarketHeader(
             path=str(path),
             n_rows=n_rows,

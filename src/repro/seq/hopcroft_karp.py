@@ -16,15 +16,18 @@ matcher's reconcile (:mod:`repro.sharded.matcher`) runs as well, over the
 whole sharded graph's column CSR.  Hot paths follow the frontier-layer
 split (:mod:`repro.graph.frontier`): the phase BFS is
 :func:`~repro.graph.frontier.alternating_level_bfs`, whose levels are
-vectorized when wide and scalar when narrow, while the vertex-disjoint
-DFS — whose working set is one small adjacency slice per stack frame — is
-the shared :func:`~repro.graph.frontier.augmenting_dfs`, which G-HKDW's
-augmentation kernels run as well.  It walks the adjacency as lists (HK's
-cached ``csr_lists()``) or memoryviews (the reconcile's memory-mapped
-``col_ind``) with the matching and level state held in plain Python lists,
-one call per *round* rather than per root; the matching crosses to
-ndarrays once per phase for the BFS.  Matchings and counter end-values are
-bit-identical to the historical per-edge implementation.
+vectorized when wide and scalar when narrow, and the vertex-disjoint DFS
+runs as the frontier layer's rounds, which G-HKDW's augmentation kernels
+run as well: :func:`~repro.graph.frontier.restricted_round`, which above a
+few thousand BFS entries walks only the roots that can still reach an
+unmatched row and prices the rest from the level DAG, and, for HKDW,
+:func:`~repro.graph.frontier.duff_wassel_round`.  They walk the adjacency
+as lists (HK's cached ``csr_lists()``) or memoryviews (the reconcile's
+memory-mapped ``col_ind``), one call per *round* rather than per root.
+The matching stays in two ``int64`` arrays for the whole solve: the BFS
+reads them, and the rounds write through memoryviews of them.  Matchings
+and counter end-values are bit-identical to the historical per-edge
+implementation.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import time
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import alternating_level_bfs, augmenting_dfs
+from repro.graph.frontier import alternating_level_bfs, duff_wassel_round, restricted_round
 from repro.gpusim.costmodel import CpuCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
 from repro.seq.greedy import cheap_matching
@@ -57,8 +60,8 @@ def hopcroft_karp_phases(
     col_ind: np.ndarray,
     dfs_ptr,
     dfs_ind,
-    row_match: list[int],
-    col_match: list[int],
+    row_match: np.ndarray,
+    col_match: np.ndarray,
     duff_wassel: bool = False,
 ) -> dict[str, int]:
     """Run Hopcroft–Karp phases until no augmenting path is left.
@@ -66,11 +69,12 @@ def hopcroft_karp_phases(
     Each phase builds the level structure with
     :func:`~repro.graph.frontier.alternating_level_bfs` over the column CSR
     arrays ``col_ptr``/``col_ind``, then augments along vertex-disjoint
-    shortest paths with :func:`~repro.graph.frontier.augmenting_dfs` over
-    ``dfs_ptr``/``dfs_ind``, the same CSR as lists or memoryviews.  With
-    ``duff_wassel`` an unrestricted DFS round from the still-unmatched
-    columns of finite level follows (HKDW).  ``row_match`` and
-    ``col_match`` are lists, updated in place.
+    shortest paths with :func:`~repro.graph.frontier.restricted_round`,
+    which walks ``dfs_ptr``/``dfs_ind``, the same CSR as lists or
+    memoryviews.  With ``duff_wassel`` a
+    :func:`~repro.graph.frontier.duff_wassel_round` from the columns still
+    unmatched follows (HKDW).  ``row_match`` and ``col_match`` are ``int64``
+    arrays, updated in place.
 
     Returns the counters ``edges_scanned``, ``phases`` and
     ``augmentations``, plus ``extra_augmentations`` with ``duff_wassel``.
@@ -78,41 +82,27 @@ def hopcroft_karp_phases(
     counters = {"edges_scanned": 0, "phases": 0, "augmentations": 0}
     if duff_wassel:
         counters["extra_augmentations"] = 0
-    n_rows = len(row_match)
-    n_cols = len(col_match)
+    # The rounds walk memoryviews; their writes land in the arrays the BFS reads.
+    rows, cols = memoryview(row_match), memoryview(col_match)
 
     while True:
-        # The matching state crosses the list/ndarray boundary once per
-        # phase: ndarrays for the whole-frontier BFS, lists for the DFS.
-        row_match_arr = np.array(row_match, dtype=np.int64)
-        col_match_arr = np.array(col_match, dtype=np.int64)
-        level_arr, shortest, bfs_edges = alternating_level_bfs(
-            col_ptr, col_ind, row_match_arr, col_match_arr
-        )
+        level, shortest, bfs_edges = alternating_level_bfs(col_ptr, col_ind, row_match, col_match)
         counters["edges_scanned"] += bfs_edges
         counters["phases"] += 1
         if shortest == _INF:
             break
-        level = level_arr.tolist()
-        roots = np.flatnonzero(col_match_arr == UNMATCHED).tolist()
-        augmented, per_root = augmenting_dfs(
-            dfs_ptr, dfs_ind, roots, level, row_match, col_match,
-            bytearray(n_rows), restrict_levels=True,
+        roots = np.flatnonzero(col_match == UNMATCHED).tolist()
+        augmented, per_root = restricted_round(
+            col_ptr, col_ind, dfs_ptr, dfs_ind, roots, level, rows, cols, bfs_edges
         )
         counters["edges_scanned"] += sum(per_root)
         counters["augmentations"] += augmented
         extra = 0
         if duff_wassel:
-            # Duff–Wassel extra pass: unrestricted DFS for the remaining
-            # unmatched columns with a finite BFS level.
-            roots = [
-                v for v in range(n_cols)
-                if col_match[v] == UNMATCHED and level[v] != _INF
-            ]
-            extra, per_root = augmenting_dfs(
-                dfs_ptr, dfs_ind, roots, level, row_match, col_match,
-                bytearray(n_rows), restrict_levels=False,
-            )
+            # Every unmatched column is a root of the restricted round, and no
+            # column becomes unmatched, so its failed roots are this round's.
+            roots = [v for v in roots if cols[v] == UNMATCHED]
+            extra, per_root = duff_wassel_round(dfs_ptr, dfs_ind, roots, level, rows, cols)
             counters["edges_scanned"] += sum(per_root)
             counters["extra_augmentations"] += extra
         if augmented == 0 and extra == 0:
@@ -122,19 +112,14 @@ def hopcroft_karp_phases(
 
 def _run(graph: BipartiteGraph, initial: Matching | None, duff_wassel: bool) -> MatchingResult:
     t0 = time.perf_counter()
-    row_match_arr, col_match_arr = _prepare(graph, initial)
-    row_match = row_match_arr.tolist()
-    col_match = col_match_arr.tolist()
+    row_match, col_match = _prepare(graph, initial)
     counters = hopcroft_karp_phases(
         graph.col_ptr, graph.col_ind, *graph.csr_lists("col"), row_match, col_match,
         duff_wassel,
     )
-    matching = Matching(
-        np.array(row_match, dtype=np.int64), np.array(col_match, dtype=np.int64)
-    )
     wall = time.perf_counter() - t0
     return MatchingResult.create(
-        "HKDW" if duff_wassel else "HK", matching, counters=counters,
+        "HKDW" if duff_wassel else "HK", Matching(row_match, col_match), counters=counters,
         modeled_time=CpuCostModel().seconds(counters["edges_scanned"]), wall_time=wall,
     )
 

@@ -188,14 +188,10 @@ class ShardedMatcher:
         memory-mapped ``col_ind`` would put the whole edge list on the heap.
         """
         sharded = self.sharded
-        rows = row_match.tolist()
-        cols = col_match.tolist()
         hk = hopcroft_karp_phases(
             sharded.col_ptr, sharded.col_ind,
-            memoryview(sharded.col_ptr), memoryview(sharded.col_ind), rows, cols,
+            memoryview(sharded.col_ptr), memoryview(sharded.col_ind), row_match, col_match,
         )
-        row_match[:] = rows
-        col_match[:] = cols
         counters["reconcile_phases"] = hk["phases"]
         counters["reconcile_augmentations"] = hk["augmentations"]
         counters["edges_scanned"] += hk["edges_scanned"]

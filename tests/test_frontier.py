@@ -13,8 +13,9 @@ Six guarantees:
   from the pre-rewrite per-edge implementations on seeded graphs;
 * the scalar and NumPy bodies of both level steps agree: HK's and PR's
   BFS match the deque references with every level on either path, and
-  ``augmenting_dfs`` reproduces G-HKDW's old ndarray-scalar augmentation
-  walk over lists, memoryviews and ndarrays;
+  both augmenting rounds (``restricted_round``, walked or swept, and
+  ``duff_wassel_round``) reproduce G-HKDW's old ndarray-scalar
+  augmentation walk over lists, memoryviews and ndarrays;
 * ``alternating_reach_total`` sums exactly the adjacency deque
   alternating BFSs scan, per start and over whole start lists (cycles,
   repeated and zero-degree starts, several batches), and is ``None``
@@ -44,11 +45,14 @@ from repro.generators.suite import generate_instance, instance_names
 from repro.gpusim.costmodel import CpuCostModel, MulticoreCostModel
 from repro.graph import from_edges
 from repro.graph.frontier import (
+    SWEEP_BATCH,
+    SWEEP_ENTRIES,
     alternating_level_bfs,
     alternating_reach_total,
-    augmenting_dfs,
     claiming_bfs,
     distance_label_bfs,
+    duff_wassel_round,
+    restricted_round,
     sorted_unique,
 )
 from repro.matching import UNMATCHED, Matching, MatchingResult
@@ -295,7 +299,7 @@ def test_claiming_bfs_blocked_by_other_threads_claims():
 # ----------------------------------------- augmenting DFS (HK/HKDW, G-HKDW)
 def _reference_ghkdw_walk(graph, mu_row, mu_col, level, restrict_levels):
     """G-HKDW's ndarray-scalar augmentation walk, as it was before it moved
-    onto ``augmenting_dfs``.  Mutates ``mu_row``/``mu_col``; returns the
+    onto the frontier layer's rounds.  Mutates ``mu_row``/``mu_col``; returns the
     per-thread work vector and the augmentation count."""
     col_ptr, col_ind = graph.col_ptr, graph.col_ind
     start_cols = np.flatnonzero(mu_col == UNMATCHED)
@@ -364,54 +368,172 @@ def _random_warm_start(graph, seed):
     return row_match, col_match
 
 
-#: How a caller hands ``augmenting_dfs`` its per-vertex state: HK's lists,
-#: G-HKDW's zero-copy memoryviews, and plain ndarrays (the sanitizer's case).
+#: How a caller hands the rounds its matching: lists, HK's and G-HKDW's
+#: zero-copy memoryviews, and plain ndarrays (the sanitizer's case).
 WALK_CONTAINERS = {
     "list": lambda array: array.tolist(),
     "memoryview": memoryview,
     "ndarray": lambda array: array,
 }
 
+#: The restricted round as its callers run it (swept from SWEEP_ENTRIES BFS
+#: entries up), with every root walked, swept, and swept one column per
+#: gathered run: ``(entries or None for the BFS's, SWEEP_BATCH)``.
+ROUND_MODES = {
+    "as-called": (None, SWEEP_BATCH),
+    "walked": (0, SWEEP_BATCH),
+    "swept": (SWEEP_ENTRIES, SWEEP_BATCH),
+    "swept-per-column": (SWEEP_ENTRIES, 1),
+}
+
+
+def _assert_rounds_match_reference(graph, mu_row, mu_col, monkeypatch):
+    """Phase by phase, the restricted round then the Duff–Wassel round from
+    the still-unmatched columns, each round against the old G-HKDW walk in
+    every mode and on every container: the same matching, augmentation
+    count and per-root work (scanned entries + 1).  Returns ``(phases,
+    swept, row_match)``: the phases run, those the callers sweep, and the
+    final matching's row side."""
+    ptr, ind = graph.csr_lists("col")
+    phases = swept = 0
+    while True:
+        level, shortest, entries = alternating_level_bfs(
+            graph.col_ptr, graph.col_ind, mu_row, mu_col
+        )
+        if shortest == _INF:
+            break
+        phases += 1
+        swept += entries >= SWEEP_ENTRIES
+        for restrict in (True, False):
+            roots = np.flatnonzero(mu_col == UNMATCHED)
+            assert (level[roots] == 0).all()
+            ref_row, ref_col = mu_row.copy(), mu_col.copy()
+            ref_work, ref_augmented = _reference_ghkdw_walk(
+                graph, ref_row, ref_col, level, restrict
+            )
+            modes = ROUND_MODES if restrict else {"walked": None}
+            for mode, setting in modes.items():
+                for kind, wrap in WALK_CONTAINERS.items():
+                    rows, cols = wrap(mu_row.copy()), wrap(mu_col.copy())
+                    if restrict:
+                        budget, batch = setting
+                        monkeypatch.setattr("repro.graph.frontier.SWEEP_BATCH", batch)
+                        augmented, per_root = restricted_round(
+                            graph.col_ptr, graph.col_ind, ptr, ind, roots.tolist(), level,
+                            rows, cols, entries if budget is None else budget,
+                        )
+                    else:
+                        augmented, per_root = duff_wassel_round(
+                            ptr, ind, roots.tolist(), level, rows, cols
+                        )
+                    where = f"phase {phases} {mode} {kind}"
+                    assert augmented == ref_augmented, where
+                    np.testing.assert_array_equal(
+                        np.asarray(per_root, dtype=np.float64) + 1.0, ref_work, err_msg=where
+                    )
+                    np.testing.assert_array_equal(np.asarray(rows), ref_row, err_msg=where)
+                    np.testing.assert_array_equal(np.asarray(cols), ref_col, err_msg=where)
+            mu_row, mu_col = ref_row, ref_col
+    return phases, swept, mu_row
+
 
 @pytest.mark.parametrize("warm", ["cheap", "random"])
-def test_augmenting_dfs_matches_ndarray_ghkdw_walk(golden_graph, warm):
-    """Phase by phase, level-restricted round then unrestricted round, the
-    shared walk reproduces the old G-HKDW walk on every container: the same
-    matching, augmentation count and per-root work (scanned edges + 1)."""
+def test_augmenting_dfs_matches_ndarray_ghkdw_walk(golden_graph, warm, monkeypatch):
+    """Both augmenting rounds reproduce the old G-HKDW walk phase by phase,
+    walked and swept, on every container, from a cheap and a random warm
+    start; the golden graphs sit below the sweep's crossover."""
     _, graph = golden_graph
     if warm == "cheap":
         matching = cheap_matching(graph).matching
         mu_row, mu_col = matching.row_match.copy(), matching.col_match.copy()
     else:
         mu_row, mu_col = _random_warm_start(graph, seed=graph.n_edges)
-    ptr, ind = graph.csr_lists("col")
-    phases = 0
-    while True:
-        level, shortest, _ = alternating_level_bfs(graph.col_ptr, graph.col_ind, mu_row, mu_col)
-        if shortest == _INF:
-            break
-        phases += 1
-        for restrict in (True, False):
-            roots = np.flatnonzero(mu_col == UNMATCHED)
-            roots = roots[level[roots] != _INF].tolist()
-            ref_row, ref_col = mu_row.copy(), mu_col.copy()
-            ref_work, ref_augmented = _reference_ghkdw_walk(
-                graph, ref_row, ref_col, level, restrict
-            )
-            for kind, wrap in WALK_CONTAINERS.items():
-                state = [wrap(array.copy()) for array in (level, mu_row, mu_col)]
-                augmented, per_root = augmenting_dfs(
-                    ptr, ind, roots, *state, bytearray(graph.n_rows), restrict
-                )
-                assert augmented == ref_augmented, kind
-                np.testing.assert_array_equal(
-                    np.asarray(per_root, dtype=np.float64) + 1.0, ref_work, err_msg=kind
-                )
-                np.testing.assert_array_equal(np.asarray(state[1]), ref_row, err_msg=kind)
-                np.testing.assert_array_equal(np.asarray(state[2]), ref_col, err_msg=kind)
-            mu_row, mu_col = ref_row, ref_col
-    assert phases >= 2
+    phases, swept, mu_row = _assert_rounds_match_reference(graph, mu_row, mu_col, monkeypatch)
+    assert phases >= 2 and swept == 0
     assert int(np.count_nonzero(mu_row >= 0)) == hopcroft_karp_matching(graph).cardinality
+
+
+@pytest.mark.parametrize("warm", ["cheap", "random"])
+def test_rounds_match_ndarray_ghkdw_walk_above_the_crossover(warm, monkeypatch):
+    """The same on a medium analog, whose phases the callers sweep."""
+    graph = generate_instance("roadNet-PA", profile="medium", seed=20130421)
+    if warm == "cheap":
+        matching = cheap_matching(graph).matching
+        mu_row, mu_col = matching.row_match.copy(), matching.col_match.copy()
+    else:
+        mu_row, mu_col = _random_warm_start(graph, seed=graph.n_edges)
+    phases, swept, mu_row = _assert_rounds_match_reference(graph, mu_row, mu_col, monkeypatch)
+    assert swept >= 2
+    assert int(np.count_nonzero(mu_row >= 0)) == hopcroft_karp_matching(graph).cardinality
+
+
+def _hand_round(n_rows, n_cols, adjacency, matched):
+    """A graph from ``{column: [rows in scan order]}`` and a matching from
+    ``{row: column}``: ``(graph, mu_row, mu_col)``."""
+    edges = [(u, v) for v, rows in adjacency.items() for u in rows]
+    graph = from_edges(edges, n_rows=n_rows, n_cols=n_cols)
+    for v, rows in adjacency.items():
+        assert graph.column_neighbors(v).tolist() == rows, "scan order"
+    mu_row = np.full(n_rows, UNMATCHED, dtype=np.int64)
+    mu_col = np.full(n_cols, UNMATCHED, dtype=np.int64)
+    for u, v in matched.items():
+        mu_row[u], mu_col[v] = v, u
+    return graph, mu_row, mu_col
+
+
+#: Hand-built restricted rounds: ``(n_rows, n_cols, adjacency, matching,
+#: augmentations, per-root work)``.  Columns 0 and 1 are the roots, and
+#: rows 8 and 9 the unmatched rows.
+HAND_ROUNDS = {
+    # Root 0 is dead; its closure (columns 2 and 4) is what root 1's walk
+    # meets first through row 2, so that record adds nothing and root 0
+    # owns the closure.  Column 4 is dead at the last BFS level, which the
+    # BFS labels without scanning.
+    "dead-root-owns-closure": (
+        10, 5,
+        {0: [2], 1: [2, 3], 2: [2, 4], 3: [3, 9], 4: [4]},
+        {2: 2, 3: 3, 4: 4},
+        1, [1 + 2 + 1, 2 + 2],
+    ),
+    # Root 0 is live and records dead column 2, whose closure holds column
+    # 5, before augmenting through column 3; root 1's walk meets column 5
+    # again from live column 4, and that record adds nothing.
+    "record-of-labelled-column": (
+        10, 7,
+        {0: [2, 3], 1: [4], 2: [2, 5], 3: [3, 9], 4: [4, 5, 6], 5: [5], 6: [6, 8]},
+        {2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+        2, [2 + 2 + 1 + 2, 1 + 3 + 2],
+    ),
+    # Root 0 is dead, with two dead columns at the last BFS level (5 and
+    # 6) in its closure; the free row hangs off column 4 on that level.
+    "dead-at-last-level": (
+        10, 7,
+        {0: [2], 1: [3], 2: [2, 5, 6], 3: [3, 4], 4: [4, 9], 5: [5], 6: [6]},
+        {2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+        1, [1 + 3 + 1 + 1, 1 + 2 + 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_ROUNDS))
+def test_swept_round_prices_dead_columns_by_first_root(case, monkeypatch):
+    n_rows, n_cols, adjacency, matched, augmentations, expected = HAND_ROUNDS[case]
+    graph, mu_row, mu_col = _hand_round(n_rows, n_cols, adjacency, matched)
+    level, shortest, _ = alternating_level_bfs(graph.col_ptr, graph.col_ind, mu_row, mu_col)
+    assert shortest != _INF
+    ref_row, ref_col = mu_row.copy(), mu_col.copy()
+    ref_work, _ = _reference_ghkdw_walk(graph, ref_row, ref_col, level, True)
+    assert (ref_work - 1).tolist() == expected
+    ptr, ind = graph.csr_lists("col")
+    for batch in (SWEEP_BATCH, 1):
+        monkeypatch.setattr("repro.graph.frontier.SWEEP_BATCH", batch)
+        rows, cols = memoryview(mu_row.copy()), memoryview(mu_col.copy())
+        augmented, per_root = restricted_round(
+            graph.col_ptr, graph.col_ind, ptr, ind, [0, 1], level, rows, cols, SWEEP_ENTRIES
+        )
+        assert per_root == expected and augmented == augmentations
+        np.testing.assert_array_equal(np.asarray(rows), ref_row)
+        np.testing.assert_array_equal(np.asarray(cols), ref_col)
 
 
 # ------------------------------------------------- alternating reach

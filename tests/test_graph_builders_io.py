@@ -290,6 +290,23 @@ def test_matrix_market_rejects_array_format(tmp_path):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("-3 4 0", r"negative size in size line '-3 4 0'"),
+        ("3 4 -1", r"negative size in size line '3 4 -1'"),
+        ("3 x 1", r"non-integer size line '3 x 1'"),
+    ],
+)
+def test_matrix_market_rejects_bad_size_line_at_its_line(tmp_path, sizes, message):
+    # Regression: these used to pass the header and fail later with messages
+    # that named neither the size line nor (for '3 x 1') the file.
+    path = tmp_path / "sizes.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate pattern general\n% c\n{sizes}\n")
+    with pytest.raises(ValueError, match=rf"^.*sizes\.mtx:3: {message}$"):
+        read_matrix_market(path)
+
+
 def test_matrix_market_entry_count_mismatch(tmp_path):
     path = tmp_path / "short.mtx"
     path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 1\n2 2\n")

@@ -16,10 +16,12 @@ from repro.analysis.registry import KERNEL_POLICIES, sanitized_run, sanitized_sw
 from repro.core.ghkdw import ghkdw_matching
 from repro.core.gpr import GPRConfig, gpr_matching
 from repro.generators import uniform_random_bipartite
+from repro.generators.suite import generate_instance
 from repro.graph import frontier
 from repro.gpusim.costmodel import SparseWork
 from repro.gpusim.device import DeviceSpec, VirtualGPU
 from repro.gpusim.kernel import wave_barrier
+from repro.seq.greedy import cheap_matching
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +239,22 @@ def test_sanitized_run_reports_expected_gpr_kernels():
     assert "fixmatching" in report.kernels_seen
     # The paper's declared push race shows up and is classified as declared.
     assert any(h.array == "mu_row" and h.kind == "ww" for h in report.declared)
+
+
+def test_sanitized_ghkdw_is_clean_above_the_sweep_crossover():
+    # The sweep's own families stay below the restricted round's crossover,
+    # so the sweeps by level are only reached on a larger instance.
+    graph = generate_instance("amazon0505", profile="medium", seed=20130421)
+    start = cheap_matching(graph).matching
+    _, _, entries = frontier.alternating_level_bfs(
+        graph.col_ptr, graph.col_ind, start.row_match, start.col_match
+    )
+    assert entries >= frontier.SWEEP_ENTRIES
+    report = sanitized_run(
+        lambda g, gpu: ghkdw_matching(g, device=gpu), graph, label="g-hkdw/amazon0505"
+    )
+    assert report.ok(), report.render()
+    assert {"ghkdw-augment", "ghkdw-dw-augment"} <= set(report.kernels_seen)
 
 
 @pytest.mark.slow
