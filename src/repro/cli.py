@@ -142,8 +142,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_manifest(path: str, defaults: dict) -> list[MatchingJob]:
-    """Parse a JSONL job manifest into :class:`MatchingJob` objects.
+def _load_manifest(path: str, defaults: dict) -> list[tuple]:
+    """Parse a JSONL job manifest into ``(JobRequest, MatchingJob)`` pairs.
 
     Each line is one job request for :func:`repro.server.protocol.
     parse_request`, with ``defaults`` (the CLI flags) filling absent fields;
@@ -175,55 +175,25 @@ def _load_manifest(path: str, defaults: dict) -> list[MatchingJob]:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     # A request adds at most two entries: its layered and structural graphs.
     graphs = GraphCache(max_entries=2 * len(requests) or 1)
-    jobs = []
+    pairs = []
     for lineno, request in requests:
         try:
-            jobs.append(build_job(request, graphs))
+            pairs.append((request, build_job(request, graphs)))
         except (ValueError, OSError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return jobs
-
-
-def _result_row(item) -> dict:
-    row = {
-        "type": "result",
-        "id": item.job.job_id,
-        "graph": item.job.graph.name,
-        "algorithm": item.job.algorithm,
-        "status": item.status,
-        "cardinality": item.result.cardinality if item.result is not None else None,
-        "cached": item.cached,
-        "worker": item.worker,
-        "seconds": round(item.seconds, 6),
-    }
-    if item.error is not None:
-        row["error"] = str(item.error)
-    return row
-
-
-def _summary_row(report, args: argparse.Namespace, backend: str) -> dict:
-    return {
-        "type": "summary",
-        "jobs": report.n_jobs,
-        "executed": report.executed,
-        "cache_hits": report.cache_hits,
-        "deduplicated": report.deduplicated,
-        "failed": report.failed,
-        "hit_rate": round(report.hit_rate, 4),
-        "backend": backend,
-        "workers": args.workers,
-        "wall_seconds": round(report.wall_seconds, 6),
-    }
+    return pairs
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.server.protocol import result_row, summary_row
+
     names = ("profile", "seed", "weights", "objective", "capacities", "shards", "partition")
     try:
-        jobs = _load_manifest(args.manifest, {name: getattr(args, name) for name in names})
+        pairs = _load_manifest(args.manifest, {name: getattr(args, name) for name in names})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not jobs:
+    if not pairs:
         print("error: empty manifest", file=sys.stderr)
         return 2
     try:
@@ -235,13 +205,23 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         with MatchingService(workers=args.workers, cache=cache, backend=args.backend) as service:
             # Runtime failures never raise: they come back per job with
             # status="failed", and the manifest loader validated every job.
-            report = service.submit_batch(jobs)
+            report = service.submit_batch([job for _, job in pairs])
             backend = service.engine.backend.name
     except ValueError as exc:  # unknown backend name
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = [_result_row(item) for item in report.results]
-    summary = _summary_row(report, args, backend)
+    # Every row is answered when the batch completes.
+    rows = [
+        result_row(
+            request, status=item.status, result=item.result, error=item.error,
+            cached=item.cached, worker=item.worker, seconds=item.seconds,
+            server_seconds=report.wall_seconds,
+        )
+        for (request, _), item in zip(pairs, report.results, strict=True)
+    ]
+    summary = summary_row(
+        rows, wall_seconds=report.wall_seconds, backend=backend, workers=args.workers
+    )
     try:
         if args.format == "json":
             print(json.dumps({"results": rows, "summary": summary}, indent=2))

@@ -21,8 +21,6 @@ Public classes / functions
     Streaming Matrix-Market I/O and incremental content hashing — the
     bounded-memory substrate of the out-of-core ingest
     (:mod:`repro.sharded`).
-:func:`degree_statistics`, :func:`structure_summary`
-    Descriptive degree and structure statistics of a graph, for user code.
 :func:`validate_graph`
     Structural validation with informative errors.
 :mod:`repro.graph.frontier`
@@ -54,7 +52,6 @@ from repro.graph.io import (
     read_matrix_market_header,
     write_matrix_market,
 )
-from repro.graph.stats import GraphSummary, degree_statistics, structure_summary
 from repro.graph.validate import GraphValidationError, validate_graph
 
 __all__ = [
@@ -74,9 +71,6 @@ __all__ = [
     "MatrixMarketStreamWriter",
     "ChunkedContentHasher",
     "chunked_content_hash",
-    "degree_statistics",
-    "structure_summary",
-    "GraphSummary",
     "validate_graph",
     "GraphValidationError",
 ]

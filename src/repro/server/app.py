@@ -16,13 +16,13 @@ third-party web framework — the container ships none), serving four routes:
     with a summary row.
 
 Every job — a ``/v1/match`` request or one ``/v1/batch`` entry — is served
-by one coroutine, :meth:`MatchingServer._serve_job`: admission, the result
-cache, engine submission, then a wait of at most ``grace`` past the job's
-deadline.  Execution runs on the engine's backend threads/processes; the
-event loop only parses, admits, submits and awaits.  Quota slots are
-released by the handle's done-callback, so a request answered at its
-deadline keeps holding its slot until its worker actually finishes —
-in-flight accounting never undercounts busy workers.
+by one coroutine, :meth:`MatchingServer._serve_job`: admission, the
+:meth:`~repro.service.MatchingService.dispatch` step, then a wait of at most
+``grace`` past the job's deadline.  Execution runs on the engine's backend
+threads/processes; the event loop only parses, admits, dispatches and
+awaits.  Quota slots are released by the handle's done-callback, so a
+request answered at its deadline keeps holding its slot until its worker
+actually finishes — in-flight accounting never undercounts busy workers.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Any
 
 from repro.engine import Engine, EngineSaturatedError, create_backend
 from repro.engine.faults import FaultInjectingBackend, FaultSchedule
+from repro.matching import MatchingResult
 from repro.server.admission import AdmissionController, AdmissionError, QuotaPolicy
 from repro.server.metrics import METRICS_SCHEMA, ServerMetrics
 from repro.server.protocol import (
@@ -45,8 +46,9 @@ from repro.server.protocol import (
     handle_row,
     parse_request,
     result_row,
+    summary_row,
 )
-from repro.service.cache import ResultCache
+from repro.service import MatchingService, ResultCache
 
 __all__ = ["MatchingServer"]
 
@@ -196,7 +198,7 @@ class MatchingServer:
         )
         self.admission = AdmissionController(self.policy)
         self.metrics = ServerMetrics()
-        self.results = ResultCache(max_cache_entries)
+        self.service = MatchingService(engine=self.engine, cache=ResultCache(max_cache_entries))
         self.graphs = GraphCache()
         self.defaults = {
             "profile": default_profile, "seed": default_seed, "deadline": default_deadline,
@@ -335,31 +337,22 @@ class MatchingServer:
         self._request_counter += 1
         return f"req-{self._request_counter}"
 
-    async def _serve_job(self, request: JobRequest, job, arrival: float) -> dict:
-        """Serve one job: admit, try the result cache, submit, await the deadline.
+    async def _serve_job(self, request: JobRequest, job, arrival: float, leaders: dict) -> dict:
+        """Serve one job: admit, dispatch, await the deadline.
 
-        Returns the job's response row.  A job shed by admission or refused
-        by a saturated engine gets a ``rejected`` row; a job the engine
-        cannot take (shut down) is a server error, an ``error`` row.  A job
-        not finished ``grace`` seconds past its deadline is answered
+        Returns the job's response row; ``leaders`` is its request's table
+        for :meth:`MatchingService.dispatch`.  A job shed by admission
+        or refused by a saturated engine gets a ``rejected`` row; a job the
+        engine cannot take (shut down) is a server error, an ``error`` row.
+        A job not finished ``grace`` seconds past its deadline is answered
         ``timeout``, whether it is still queued or running.
         """
         try:
             ticket = self.admission.try_admit(request.tenant)
         except AdmissionError as exc:
             return _shed_row(request, exc.reason, exc)
-        cache_key = job.cache_key() if request.plan.deterministic else None
-        hit = self.results.get(cache_key) if cache_key is not None else None
-        if hit is not None:
-            ticket.release()
-            latency = time.perf_counter() - arrival
-            self.metrics.record_response("ok", latency, cached=True)
-            return result_row(
-                request, status="ok", result=hit, cached=True, worker="cache",
-                server_seconds=latency, fault_injection=self.fault_injection,
-            )
         try:
-            handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
+            handle = self.service.dispatch(job, request.plan, leaders, request.deadline)
         except EngineSaturatedError as exc:
             ticket.release()
             self.admission.record_shed(request.tenant, "engine-saturated")
@@ -368,6 +361,14 @@ class MatchingServer:
             ticket.release()
             self.metrics.record_server_error()
             return {"type": "result", **request.describe(), "status": "error", "error": str(exc)}
+        if isinstance(handle, MatchingResult):  # a cache hit, not a handle
+            ticket.release()
+            latency = time.perf_counter() - arrival
+            self.metrics.record_response("ok", latency, cached=True)
+            return result_row(
+                request, status="ok", result=handle, cached=True, worker="cache",
+                server_seconds=latency, fault_injection=self.fault_injection,
+            )
         loop = asyncio.get_running_loop()
         done = asyncio.Event()
 
@@ -392,12 +393,11 @@ class MatchingServer:
         )
         if row["status"] == "timeout":
             # Take a queued job off the queue; a running one keeps its quota
-            # slot until it drains.
+            # slot until it drains.  A follower's handle is its own.
             handle.cancel()
-        elif row["status"] == "ok" and cache_key is not None:
-            self.results.put(cache_key, handle._result)
         self.metrics.record_response(
-            row["status"], latency, injected=getattr(handle, "injected_fault", None)
+            row["status"], latency, cached=row["cached"],
+            injected=getattr(handle, "injected_fault", None),
         )
         return row
 
@@ -414,7 +414,7 @@ class MatchingServer:
             # unreadable Matrix-Market content discovered on first read).
             self.metrics.record_bad_request()
             return 400, {"error": str(exc)}
-        row = await self._serve_job(request, job, arrival)
+        row = await self._serve_job(request, job, arrival, {})
         status = _UNRUN_STATUS.get(row["status"], 200)
         if status != 200:
             row = {key: row[key] for key in ("error", "reason", "id") if key in row}
@@ -458,27 +458,22 @@ class MatchingServer:
             "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
             "Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n".encode("ascii")
         )
-        counts = {"ok": 0, "failed": 0, "timeout": 0, "cancelled": 0,
-                  "rejected": 0, "cached": 0}
-        # A task's first step admits its job, so the tasks are created in
-        # submission order; asyncio.as_completed would put coroutines in a set.
+        # A task's first step admits and dispatches its job, so the tasks are
+        # created in submission order (asyncio.as_completed would put them in
+        # a set): a hit frees its slot before the next entry is admitted.
+        leaders: dict = {}
         tasks = [
-            asyncio.create_task(self._serve_job(request, job, arrival))
+            asyncio.create_task(self._serve_job(request, job, arrival, leaders))
             for request, job in zip(requests, jobs, strict=True)
         ]
+        rows = []
         for next_row in asyncio.as_completed(tasks):
-            row = await next_row
-            counts[row["status"]] = counts.get(row["status"], 0) + 1
-            counts["cached"] += bool(row.get("cached"))
-            writer.write(_row_chunk(row))
+            rows.append(await next_row)
+            writer.write(_row_chunk(rows[-1]))
             await writer.drain()
-        writer.write(_row_chunk({
-            "type": "summary",
-            "jobs": len(requests),
-            "admitted": len(requests) - counts["rejected"],
-            "wall_seconds": round(time.perf_counter() - arrival, 6),
-            **counts,
-        }) + b"0\r\n\r\n")
+        writer.write(_row_chunk(
+            summary_row(rows, wall_seconds=time.perf_counter() - arrival)
+        ) + b"0\r\n\r\n")
 
     # --------------------------------------------------------------- metrics
     def metrics_snapshot(self) -> dict:
@@ -488,13 +483,14 @@ class MatchingServer:
         admission = self.admission.snapshot()
         doc["admission"] = admission
         doc["queue"] = {"depth": admission["depth"], "peak_depth": admission["peak_depth"]}
-        lookups = self.results.hits + self.results.misses
+        results = self.service.cache
+        lookups = results.hits + results.misses
         doc["cache"] = {
             "result": {
-                "hits": self.results.hits,
-                "misses": self.results.misses,
-                "entries": len(self.results),
-                "hit_rate": self.results.hits / lookups if lookups else 0.0,
+                "hits": results.hits,
+                "misses": results.misses,
+                "entries": len(results),
+                "hit_rate": results.hits / lookups if lookups else 0.0,
             },
             "graph": self.graphs.snapshot(),
         }

@@ -19,7 +19,8 @@ on :meth:`MatchingJob.cache_key`, which embeds the graph's
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -35,7 +36,7 @@ from repro.graph.io import read_matrix_market
 
 __all__ = [
     "GraphCache", "JobRequest", "ProtocolError", "SERVER_ONLY_FIELDS", "parse_request",
-    "result_row",
+    "result_row", "summary_row",
 ]
 
 #: Every field a job request may carry; anything else is rejected.
@@ -346,7 +347,7 @@ def result_row(
     injected: str | None = None,
     fault_injection: bool = False,
 ) -> dict:
-    """One JSON response row — shared by ``/v1/match`` and ``/v1/batch``."""
+    """One JSON result row — shared by ``repro batch``, ``/v1/match`` and ``/v1/batch``."""
     row = {
         "type": "result",
         **request.describe(),
@@ -393,9 +394,33 @@ def handle_row(
         status=status,
         result=result,
         error=handle.failure,
+        cached=result is not None and handle.worker == "dedup",
         worker=handle.worker,
         seconds=handle.seconds,
         server_seconds=server_seconds,
         injected=getattr(handle, "injected_fault", None),
         fault_injection=fault_injection,
     )
+
+
+def summary_row(rows: Sequence[dict], *, wall_seconds: float, **context) -> dict:
+    """The summary row of a ``repro batch`` run or a ``/v1/batch`` stream: the
+    ``rows`` counted by status and provenance, plus the caller's ``context``."""
+    statuses = Counter(row["status"] for row in rows)
+    workers = Counter(row.get("worker") for row in rows)
+    admitted = len(rows) - statuses["rejected"]
+    shared = workers["cache"] + workers["dedup"]
+    return {
+        "type": "summary",
+        "jobs": len(rows),
+        "admitted": admitted,
+        "executed": admitted - shared - statuses["error"],
+        "cache_hits": workers["cache"],
+        "deduplicated": workers["dedup"],
+        "hit_rate": round(shared / len(rows), 4) if rows else 0.0,
+        **{status: statuses[status]
+           for status in ("ok", "failed", "timeout", "cancelled", "rejected")},
+        **({"error": statuses["error"]} if statuses["error"] else {}),
+        **context,
+        "wall_seconds": round(wall_seconds, 6),
+    }

@@ -5,11 +5,11 @@ A thin caching facade over the execution engine (:mod:`repro.engine`):
 * :class:`~repro.engine.job.MatchingJob` — one unit of work (graph +
   algorithm + kwargs + optional warm-start), hashable and picklable
   (re-exported here);
-* :class:`~repro.service.service.MatchingService` — executes batches of
-  jobs on an :class:`~repro.engine.Engine`, memoizing results on the
-  graph's content hash, deduplicating identical jobs within a batch, and
-  isolating per-job failures (``status="failed"`` instead of a batch-wide
-  exception);
+* :class:`~repro.service.service.MatchingService` — the one step where a
+  job meets the result cache and an :class:`~repro.engine.Engine`:
+  results are memoized on the graph's content hash, identical jobs of one
+  call share one execution, and per-job failures are isolated
+  (``status="failed"`` instead of a batch-wide exception);
 * :class:`~repro.service.cache.ResultCache` /
   :class:`~repro.service.cache.DiskCache` — in-memory LRU and persistent
   result stores.
@@ -28,7 +28,7 @@ True
 
 from repro.service.cache import DiskCache, ResultCache
 from repro.service.jobs import BatchReport, JobResult, MatchingJob
-from repro.service.service import MatchingService, execute_job
+from repro.service.service import MatchingService
 
 __all__ = [
     "BatchReport",
@@ -37,5 +37,4 @@ __all__ = [
     "MatchingJob",
     "MatchingService",
     "ResultCache",
-    "execute_job",
 ]

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.handles import JobFailure
-from repro.engine.job import INITIAL_CHOICES, MatchingJob
+from repro.engine.job import MatchingJob
 from repro.matching import MatchingResult
 
-__all__ = ["BatchReport", "INITIAL_CHOICES", "JobResult", "MatchingJob"]
+__all__ = ["BatchReport", "JobResult", "MatchingJob"]
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class JobResult:
     carry ``result=None`` and never abort their batch.  ``cached`` tells
     whether the result was served without recomputation; ``worker`` records
     where the computation ran (``"inline"``, ``"thread"``, ``"process"``),
-    or ``"cache"`` for a cross-batch cache hit, or ``"dedup"`` for a job
-    that piggybacked on an identical job in the same batch.
+    or ``"cache"`` for a cache hit, or ``"dedup"`` for a job that shared the
+    execution of an identical job (see :meth:`MatchingService.dispatch`).
     """
 
     job: MatchingJob
@@ -56,10 +56,9 @@ class BatchReport:
 
     ``results`` preserves the submission order.  ``executed`` counts actual
     algorithm runs (including failed attempts); ``cache_hits`` the jobs
-    served from the cross-batch cache; ``deduplicated`` the jobs that
-    piggybacked on an identical job in the same batch; ``failed`` the jobs
-    whose status is not ``"ok"``.  ``executed + cache_hits + deduplicated ==
-    n_jobs``.
+    served from the cache; ``deduplicated`` the jobs that shared the
+    execution of an identical job; ``failed`` the jobs whose status is not
+    ``"ok"``.  ``executed + cache_hits + deduplicated == n_jobs``.
     """
 
     results: list[JobResult]

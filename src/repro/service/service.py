@@ -1,34 +1,45 @@
-"""Batched matching service: a caching facade over the execution engine.
+"""Batched matching service: the one step where a job meets the cache and the engine.
 
-The service keeps the batch-level concerns — cross-batch result caching,
-intra-batch deduplication, accounting — and delegates all execution to a
-:class:`repro.engine.Engine`:
-
-* every job is resolved into an :class:`~repro.core.api.ExecutionPlan`
-  through the same path as :func:`~repro.core.api.max_bipartite_matching`,
-  so batch and serial execution are bit-identical;
-* results are memoized on :meth:`MatchingJob.cache_key` (graph content hash
-  + algorithm + kwargs + warm-start), both across batches (via a
-  :class:`~repro.service.cache.ResultCache` or persistent
-  :class:`~repro.service.cache.DiskCache`) and within a batch (identical
-  jobs are deduplicated and executed once);
-* cache misses run on the engine's backend — inline, thread pool or
-  persistent process pool — and a job whose runner raises is reported as
-  ``status="failed"`` with its captured error while its siblings complete
-  normally.
+:meth:`MatchingService.dispatch` serves every job of ``repro batch``
+(through :meth:`MatchingService.submit_batch`), ``/v1/match`` and
+``/v1/batch``: it follows an identical job earlier in the same call, else
+reads the result cache (:class:`~repro.service.cache.ResultCache` or
+:class:`~repro.service.cache.DiskCache`), else runs on the
+:class:`~repro.engine.Engine` with the plan built during validation, so
+batch and serial execution are bit-identical.  A job whose runner raises is
+reported as ``status="failed"`` while its siblings complete.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+import warnings
 from collections.abc import Sequence
 
-from repro.engine import Engine, ExecutionBackend, JobStatus
-from repro.engine.execution import execute_job, resolve_job_plan
+from repro.core.api import ExecutionPlan
+from repro.engine import Engine, ExecutionBackend, JobHandle, JobStatus
+from repro.engine.execution import resolve_job_plan
+from repro.matching import MatchingResult
 from repro.service.cache import DiskCache, ResultCache
 from repro.service.jobs import BatchReport, JobResult, MatchingJob
 
-__all__ = ["MatchingService", "execute_job"]
+__all__ = ["MatchingService"]
+
+
+def _follow(leader: JobHandle, job: MatchingJob, plan: ExecutionPlan) -> JobHandle:
+    """A handle for ``job`` that ends as ``leader`` ends, with ``worker="dedup"``;
+    cancelling it leaves the leader alone, and an ok result is copied."""
+    follower = JobHandle(job, plan, deadline=leader.deadline)
+    follower.worker = "dedup"
+    follower.injected_fault = getattr(leader, "injected_fault", None)
+
+    def finish(done: JobHandle) -> None:
+        result = done._result.copy() if done._result is not None else None
+        follower._finish(done.status, result=result, failure=done.failure)
+
+    leader._add_done_callback(finish)
+    return follower
 
 
 class MatchingService:
@@ -42,7 +53,7 @@ class MatchingService:
         (process pool unless ``backend`` says otherwise).
     cache:
         ``True`` (default) — a fresh in-memory :class:`ResultCache`;
-        ``False`` / ``None`` — no caching and no intra-batch deduplication;
+        ``False`` / ``None`` — no caching and no sharing of executions;
         or a caller-supplied :class:`ResultCache` / :class:`DiskCache` to
         share across services or processes.
     backend:
@@ -54,9 +65,9 @@ class MatchingService:
         exclusive with ``backend``; the service will not shut it down.
 
     The cumulative counters ``jobs_submitted`` / ``jobs_executed`` /
-    ``cache_hits`` / ``deduplicated`` / ``jobs_failed`` aggregate over every
-    batch served by this instance.  Services owning a pooled backend should
-    be closed (:meth:`close` or ``with MatchingService(...) as service:``).
+    ``jobs_failed`` aggregate over every :meth:`submit_batch` call.  Services
+    owning a pooled backend should be closed (:meth:`close` or ``with
+    MatchingService(...) as service:``).
     """
 
     def __init__(
@@ -88,8 +99,6 @@ class MatchingService:
             self.cache = cache
         self.jobs_submitted = 0
         self.jobs_executed = 0
-        self.cache_hits = 0
-        self.deduplicated = 0
         self.jobs_failed = 0
         self._closed = False
 
@@ -115,11 +124,7 @@ class MatchingService:
         return self.submit_batch([job]).results[0]
 
     def submit_batch(self, jobs: Sequence[MatchingJob]) -> BatchReport:
-        """Execute ``jobs`` and return their results in submission order.
-
-        The batch is served in three tiers: cross-batch cache hits,
-        intra-batch duplicates (executed once), and genuine misses (executed
-        on the engine's backend).
+        """Execute ``jobs`` through :meth:`dispatch` and wait for every result.
 
         Parameters
         ----------
@@ -145,6 +150,8 @@ class MatchingService:
             job (nothing executes).  *Runtime* failures never raise — they
             are isolated per job (``status="failed"`` with the captured
             error) while siblings complete normally.
+        RuntimeError
+            The service is closed, or its engine refused a submission.
         """
         if self._closed:
             raise RuntimeError("service is closed; create a new MatchingService to submit jobs")
@@ -154,72 +161,72 @@ class MatchingService:
         # the plans are kept and shipped with each submission so backends
         # never re-resolve.
         plans = [resolve_job_plan(job) for job in jobs]
-
-        results: list[JobResult | None] = [None] * len(jobs)
-        pending: dict[tuple, list[int]] = {}
-        uncacheable_keys: set[tuple] = set()
-        n_cache_hits = 0
-        for index, job in enumerate(jobs):
-            # Non-deterministic plans (entropy-seeded heuristics without a
-            # seed) draw a fresh sample per run: memoizing or deduplicating
-            # them would silently replace independent samples with one.
-            cacheable = self.cache is not None and plans[index].deterministic
-            key = job.cache_key() if cacheable else ("uncached", index)
-            if not cacheable:
-                uncacheable_keys.add(key)
-            hit = self.cache.get(key) if cacheable else None
-            if hit is not None:
-                results[index] = JobResult(job=job, result=hit, cached=True, worker="cache")
-                n_cache_hits += 1
-            else:
-                pending.setdefault(key, []).append(index)
-
-        representatives = [(key, indices[0]) for key, indices in pending.items()]
-        handles = [
-            self.engine.submit(jobs[index], plan=plans[index])
-            for _, index in representatives
-        ]
-        for handle in handles:
-            handle.wait()
-
-        n_deduplicated = 0
-        n_failed = 0
-        for (key, _), handle in zip(representatives, handles, strict=True):
-            ok = handle.status is JobStatus.OK
-            result = handle.result() if ok else None
-            if ok and self.cache is not None and key not in uncacheable_keys:
-                self.cache.put(key, result)
-            for position in pending[key]:
-                first = position == pending[key][0]
-                if not ok:
-                    n_failed += 1
-                results[position] = JobResult(
-                    job=jobs[position],
-                    # Duplicates get their own copy so sibling results never
-                    # alias each other's (mutable) matching arrays.
-                    result=result if first else (result.copy() if result is not None else None),
-                    cached=not first and ok,
-                    worker=(handle.worker or self.engine.backend.name) if first else "dedup",
-                    seconds=handle.seconds if first else 0.0,
-                    status="ok" if ok else handle.status.value,
-                    error=handle.failure,
-                )
-                if not first:
-                    n_deduplicated += 1
-
-        self.jobs_submitted += len(jobs)
-        self.jobs_executed += len(representatives)
-        self.cache_hits += n_cache_hits
-        self.deduplicated += n_deduplicated
-        self.jobs_failed += n_failed
-        return BatchReport(
-            results=[r for r in results if r is not None],
-            executed=len(representatives),
-            cache_hits=n_cache_hits,
-            deduplicated=n_deduplicated,
+        leaders: dict = {}
+        answers = [self.dispatch(job, plan, leaders) for job, plan in zip(jobs, plans, strict=True)]
+        results = []
+        for job, answer in zip(jobs, answers, strict=True):
+            if isinstance(answer, MatchingResult):
+                results.append(JobResult(job=job, result=answer, cached=True, worker="cache"))
+                continue
+            answer.wait()
+            ok = answer.status is JobStatus.OK
+            results.append(JobResult(
+                job=job,
+                result=answer.result() if ok else None,
+                cached=ok and answer.worker == "dedup",
+                worker=answer.worker,
+                seconds=answer.seconds,
+                status=answer.status.value,
+                error=answer.failure,
+            ))
+        workers = [r.worker for r in results]
+        report = BatchReport(
+            results=results,
+            executed=len(results) - workers.count("cache") - workers.count("dedup"),
+            cache_hits=workers.count("cache"),
+            deduplicated=workers.count("dedup"),
             wall_seconds=time.perf_counter() - started,
-            failed=n_failed,
+            failed=sum(not r.ok for r in results),
         )
+        self.jobs_submitted += report.n_jobs
+        self.jobs_executed += report.executed
+        self.jobs_failed += report.failed
+        return report
+
+    def dispatch(
+        self, job: MatchingJob, plan: ExecutionPlan, leaders: dict, timeout: float | None = None
+    ) -> MatchingResult | JobHandle:
+        """Serve ``job``: follow an identical job of the call, else the cache, else the engine.
+
+        ``leaders`` is the call's table of submitted jobs (one ``dict`` per
+        call).  It is read before the cache, so the duplicates of a job that
+        an inline engine ran inside ``Engine.submit`` follow it, failure
+        included.  Only a deterministic plan on a service with a cache is
+        keyed, and so cached or shared.  ``timeout`` is in seconds; a
+        ``RuntimeError`` from ``Engine.submit`` (saturated, shut down) propagates.
+        """
+        key = job.cache_key() if self.cache is not None and plan.deterministic else None
+        if key is None:
+            return self.engine.submit(job, plan=plan, timeout=timeout)
+        leader = leaders.get((key, timeout))
+        if leader is not None:
+            return _follow(leader, job, plan)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
+        leader = self.engine.submit(job, plan=plan, timeout=timeout)
+        leader._add_done_callback(functools.partial(self._store, key))
+        leaders[key, timeout] = leader
+        return leader
+
+    # ---------------------------------------------------------------- helpers
+    def _store(self, key: tuple, handle: JobHandle) -> None:
+        """Cache an ``ok`` result: a done-callback, so it warns on a write error, never raises."""
+        if handle.status is JobStatus.OK:
+            try:
+                self.cache.put(key, handle.result())
+            except OSError as exc:  # the followers' callbacks run after this one
+                warnings.warn(f"result not cached: {exc}", RuntimeWarning)
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -1,4 +1,4 @@
-"""Tests for graph builders, validation, statistics and Matrix-Market I/O."""
+"""Tests for graph builders, validation and Matrix-Market I/O."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from repro.graph import (
     from_edges,
     from_scipy_sparse,
     read_matrix_market,
-    structure_summary,
     validate_graph,
     write_matrix_market,
 )
 from repro.generators import uniform_random_bipartite
 from repro.graph.io import MatrixMarketStream
-from repro.graph.stats import degree_statistics
 from repro.graph.validate import GraphValidationError
 
 
@@ -226,25 +224,6 @@ def test_validate_names_the_first_offending_vertex(col_ind, message):
     )
     with pytest.raises(GraphValidationError, match=f"^{message.replace('column', 'row')}$"):
         validate_graph(transposed)
-
-
-def test_structure_summary(tiny_graph):
-    summary = structure_summary(tiny_graph)
-    assert summary.n_rows == 4
-    assert summary.n_cols == 4
-    assert summary.n_edges == 6
-    assert summary.isolated_cols == 1
-    assert summary.isolated_rows == 0
-    assert summary.max_col_degree == 2
-    d = summary.as_dict()
-    assert d["name"] == "tiny"
-
-
-def test_degree_statistics_empty():
-    from repro.graph.builders import empty_graph
-
-    stats = degree_statistics(empty_graph(0, 0))
-    assert stats["rows"]["mean"] == 0.0
 
 
 def test_matrix_market_roundtrip(tmp_path, family_graph):

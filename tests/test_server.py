@@ -7,6 +7,10 @@ Three layers:
   the metrics document, 429 shedding under tiny quotas, and the one
   per-job path that answers deadlines and engine refusals alike on
   ``/v1/match`` and ``/v1/batch``.
+* **Shared executions** — identical deterministic entries of one
+  ``/v1/batch`` run once through the server's ``MatchingService.dispatch``
+  step, and followers share the leader's result or failure.  Counted by
+  wrapping ``repro.engine.execution.execute_job``, gated on an ``Event``.
 * **Admission invariants** — seeded property-style campaigns against
   :class:`AdmissionController` directly (no sockets): per-tenant in-flight
   never exceeds its quota, global depth never exceeds the bound, release is
@@ -26,9 +30,12 @@ import json
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
+import repro.engine.execution as execution_mod
 from repro.engine import Engine, EngineSaturatedError, FaultSchedule, MatchingJob, ThreadBackend
 from repro.generators import uniform_random_bipartite
 from repro.server import AdmissionController, AdmissionError, MatchingServer, QuotaPolicy
@@ -316,6 +323,108 @@ def test_batch_over_tenant_quota_sheds_its_trailing_jobs():
         shed = {row["id"]: row["reason"] for row in rows if row["status"] == "rejected"}
         assert shed == {f"job-{i}": "tenant-quota" for i in (2, 3, 4)}
         assert (summary["admitted"], summary["ok"], summary["rejected"]) == (2, 2, 3)
+
+
+# -------------------------------------------------------- shared executions
+@pytest.fixture
+def gate(monkeypatch):
+    """Record each execution's algorithm and hold it until ``gate.open`` is set."""
+    gate = SimpleNamespace(open=threading.Event(), calls=[])
+    original = execution_mod.execute_job
+
+    def gated(job, plan=None, initial_matching=None):
+        gate.calls.append(job.algorithm)
+        assert gate.open.wait(30)
+        return original(job, plan, initial_matching)
+
+    monkeypatch.setattr(execution_mod, "execute_job", gated)
+    yield gate
+    gate.open.set()
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.01)
+
+
+def _match_later(pool, server, payload):
+    return pool.submit(_json, server.port, "POST", "/v1/match", payload)
+
+
+def test_identical_batch_jobs_share_one_execution(gate):
+    gate.open.set()
+    with MatchingServer(backend="thread", workers=2, default_profile="tiny") as server:
+        server.start_in_background()
+        jobs = [{"graph": GRAPH, "algorithm": "hk", "id": f"j{i}"} for i in range(4)]
+        rows, summary = _batch(server.port, {"jobs": jobs})
+    assert gate.calls == ["hk"]
+    assert sorted((row["cached"], row["worker"]) for row in rows) == (
+        [(False, "thread")] + [(True, "dedup")] * 3
+    )
+    assert len({row["cardinality"] for row in rows}) == 1
+    assert (summary["executed"], summary["deduplicated"], summary["ok"]) == (1, 3, 4)
+    assert (summary["cache_hits"], summary["hit_rate"]) == (0, 0.75)
+
+
+def test_failed_leader_hands_its_failure_to_every_follower(gate):
+    gate.open.set()
+    with MatchingServer(backend="thread", workers=2, default_profile="tiny") as server:
+        server.start_in_background()
+        job = {"graph": "roadNet-PA", "algorithm": "g-hkdw", "kwargs": {"max_phases": 1}}
+        rows, summary = _batch(server.port, {"jobs": [job] * 3})
+    assert gate.calls == ["g-hkdw"]
+    assert [row["status"] for row in rows] == ["failed"] * 3
+    assert len({row["error"] for row in rows}) == 1
+    assert "exceeded 1 phases" in rows[0]["error"]
+    assert (summary["failed"], summary["executed"], summary["deduplicated"]) == (3, 1, 2)
+
+
+def test_crashed_leader_hands_its_fault_to_every_follower(gate):
+    gate.open.set()
+    schedule = FaultSchedule(seed=3, crash_rate=1.0)
+    with MatchingServer(backend="thread", workers=2, default_profile="tiny",
+                        fault_schedule=schedule) as server:
+        server.start_in_background()
+        rows, summary = _batch(server.port, {"jobs": [{"graph": GRAPH, "algorithm": "hk"}] * 3})
+        doc = _json(server.port, "GET", "/metrics")[1]
+    assert gate.calls == ["hk"]
+    assert [(row["status"], row["injected_fault"]) for row in rows] == [("failed", "crash")] * 3
+    assert (summary["executed"], summary["deduplicated"]) == (1, 2)
+    assert doc["faults"]["scheduled"]["crash"] == 1
+    assert doc["faults"]["leaked"] == 0
+
+
+def test_unseeded_karp_sipser_runs_every_copy(gate):
+    with MatchingServer(backend="thread", workers=3, default_profile="tiny") as server:
+        server.start_in_background()
+        job = {"graph": GRAPH, "algorithm": "karp-sipser"}
+        with ThreadPoolExecutor(3) as pool:
+            matches = [_match_later(pool, server, job) for _ in range(3)]
+            _wait_for(lambda: len(gate.calls) == 3)  # all three in flight at once
+            gate.open.set()
+            rows = [future.result(30)[1] for future in matches]
+        batch_rows, summary = _batch(server.port, {"jobs": [job] * 3})
+    assert gate.calls == ["karp-sipser"] * 6
+    assert {row["worker"] for row in rows + batch_rows} == {"thread"}
+    assert (summary["executed"], summary["deduplicated"]) == (3, 0)
+
+
+def test_warm_batch_entries_above_the_tenant_quota_are_all_served():
+    # A cache hit releases its quota slot before the next entry is admitted.
+    with MatchingServer(
+        backend="thread", workers=2, default_profile="tiny",
+        policy=QuotaPolicy(max_inflight_per_tenant=2, max_queue_depth=2),
+    ) as server:
+        server.start_in_background()
+        job = {"graph": GRAPH, "algorithm": "hk"}
+        assert _json(server.port, "POST", "/v1/match", job)[1]["status"] == "ok"
+        rows, summary = _batch(server.port, {"tenant": "t", "jobs": [job] * 3})
+        doc = _json(server.port, "GET", "/metrics")[1]
+    assert [(row["status"], row["worker"]) for row in rows] == [("ok", "cache")] * 3
+    assert (summary["cache_hits"], summary["rejected"]) == (3, 0)
+    assert doc["queue"]["peak_depth"] == 1
 
 
 # ------------------------------------------------------- admission invariants

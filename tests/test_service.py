@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -263,6 +265,31 @@ def test_unseeded_karp_sipser_is_never_cached_or_deduplicated(small_graphs, coun
     assert service.submit(seeded).cached
 
 
+def test_a_cache_that_cannot_be_written_still_completes_the_batch(small_graphs, counting_execute):
+    """The cache is written by a done-callback that runs before the
+    followers' callbacks: a failing write warns and skips caching, and every
+    job, followers included, still completes."""
+
+    class FullDisk(ResultCache):
+        def put(self, key, result):
+            raise OSError(28, "No space left on device")
+
+    job = MatchingJob(graph=small_graphs[0], algorithm="hk")
+    with MatchingService(backend="thread", workers=2, cache=FullDisk()) as service:
+        reports = []
+        with pytest.warns(RuntimeWarning, match="result not cached"):
+            batch = threading.Thread(
+                target=lambda: reports.append(service.submit_batch([job] * 3)), daemon=True
+            )
+            batch.start()
+            batch.join(60)
+        assert not batch.is_alive(), "a follower never finished"
+        [report] = reports
+        assert report.all_ok and (report.executed, report.deduplicated) == (1, 2)
+        assert len(counting_execute) == 1
+        assert len(service.cache) == 0
+
+
 # ----------------------------------------------------------- failure isolation
 def test_failing_job_does_not_abort_batch(small_graphs):
     g = small_graphs[0]
@@ -490,3 +517,59 @@ def test_cli_batch_failed_job_sets_exit_code_but_siblings_complete(tmp_path, cap
     assert "exceeded 1 phases" in by_id["boom"]["error"]
     assert rows[-1]["failed"] == 1
     assert "boom" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+def test_cli_batch_shares_identical_jobs_on_every_backend(
+    tmp_path, capsys, counting_execute, backend
+):
+    from repro.cli import main
+
+    manifest = tmp_path / "jobs.jsonl"
+    line = {"graph": "roadNet-PA", "algorithm": "hk", "profile": "tiny"}
+    manifest.write_text((json.dumps(line) + "\n") * 4)
+    flags = ["--backend", backend, "--workers", "0" if backend == "inline" else "2"]
+    for extra, executed in (([], 1), (["--no-cache"], 4)):
+        rc = main(["batch", "--manifest", str(manifest), "--cache-dir", str(tmp_path / backend),
+                   "--format", "json", *flags, *extra])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        summary = payload["summary"]
+        assert (summary["executed"], summary["deduplicated"]) == (executed, 4 - executed)
+        assert [row["worker"] == "dedup" for row in payload["results"]].count(True) == 4 - executed
+    if backend != "process":  # pool workers count in their own processes
+        assert len(counting_execute) == 1 + 4
+
+
+def test_cli_batch_rows_equal_server_batch_rows(tmp_path, capsys):
+    from repro.cli import main
+    from repro.server import MatchingServer
+
+    jobs = [
+        {"graph": "roadNet-PA", "algorithm": "hk", "profile": "tiny", "id": "j0"},
+        {"graph": "roadNet-PA", "algorithm": "hk", "profile": "tiny", "id": "j1"},
+        {"graph": "roadNet-PA", "algorithm": "weighted-sap", "weights": "uniform:1:9",
+         "profile": "tiny", "id": "j2"},
+    ]
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text("".join(json.dumps(job) + "\n" for job in jobs))
+    rc = main(["batch", "--manifest", str(manifest), "--cache-dir", str(tmp_path / "cache"),
+               "--backend", "thread", "--workers", "2", "--format", "json"])
+    assert rc == 0
+    cli_rows = json.loads(capsys.readouterr().out)["results"]
+    with MatchingServer(backend="thread", workers=2) as server:
+        server.start_in_background()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        conn.request("POST", "/v1/batch", body=json.dumps({"jobs": jobs}))
+        lines = conn.getresponse().read().decode().splitlines()
+        conn.close()
+    server_rows = sorted((json.loads(line) for line in lines[:-1]), key=lambda row: row["id"])
+
+    def untimed(row):
+        return {key: value for key, value in row.items()
+                if key not in ("seconds", "server_seconds")}
+
+    assert [untimed(row) for row in cli_rows] == [untimed(row) for row in server_rows]
+    assert [row["worker"] for row in cli_rows] == ["thread", "dedup", "thread"]
+    assert cli_rows[2]["total_weight"] > 0
+    assert all(key in row for row in cli_rows for key in ("tenant", "server_seconds"))
