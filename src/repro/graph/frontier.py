@@ -25,7 +25,9 @@ Two kinds of walk replace that:
   whose working set is one adjacency slice at a time (DFS descents, the
   per-push minimum scan, P-DBFS claim searches, the pricing of searches
   that provably fail): :func:`claiming_bfs`, the augmenting rounds,
-  :func:`alternating_reach_total` and the algorithm-side loops index
+  :func:`alternating_reach_total` (one condensation of every priced
+  tree, then each search's group of entry columns priced as the union of
+  their reaches) and the algorithm-side loops index
   :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` instead of
   ndarrays, which removes the per-element boxing (~4× on the same loop
   body).  Per-vertex state that already lives in an ``int64`` array and is
@@ -324,18 +326,19 @@ def distance_label_bfs(
     return max_level, edges
 
 
-#: Starts per Tarjan pass of :func:`alternating_reach_total`.  A batch's
-#: bitsets hold up to one bit per start for every component of its union,
-#: and a tree shared by starts of several batches is walked once per batch
-#: (see "Hopeless searches, one pass per batch" in ``docs/benchmarks.md``).
+#: Groups priced per pass over the condensation in
+#: :func:`alternating_reach_total`: its bitsets hold up to one bit per group
+#: for every component (see "Closed trees, priced at the phase end" in
+#: ``docs/benchmarks.md``).
 REACH_BATCH = 1024
 
-#: Tags of closed components in :func:`_reach_batch`'s ``index``: above every
+#: Tags of closed components in :func:`_condense`'s ``index``: above every
 #: DFS number, so an edge into a closed component never lowers a low-link.
 _CLOSED = 1 << 62
 
 
-def alternating_reach_total(col_ptr, col_ind, row_match, starts) -> int | None:
+def alternating_reach_total(col_ptr, col_ind, row_match, starts, *, groups=None,
+                            weights=None) -> int | None:
     """Summed over ``starts``, the adjacency entries a full alternating BFS
     from each start scans, or ``None`` if one of them meets an unmatched row.
 
@@ -347,46 +350,79 @@ def alternating_reach_total(col_ptr, col_ind, row_match, starts) -> int | None:
     or claiming BFS enters the same columns and scans the same entries.
     ``None`` means some start has an augmenting path.
 
-    Overlapping trees are walked once, not once per start.  The starts go in
-    batches of :data:`REACH_BATCH`; each batch runs one iterative Tarjan pass
-    (Tarjan, SIAM J. Comput. 1(2), 1972) over the union of its trees, in
-    which column ``v``'s successors are the mates of its neighbour rows.
-    Tarjan closes the strongly connected components in reverse topological
-    order, so a second pass over them in closing order reversed ORs a bitset
-    of the batch's starts (a Python ``int``, one bit per start position)
-    into each successor component, and each component adds its degree times
-    the number of starts that reach it (per-component reachability sets as
-    in Nuutila, "Efficient transitive closure computation in large
-    digraphs", 1995, over starts instead of components).  A repeated start
-    is counted once per occurrence.
+    ``groups`` (CSR bounds into ``starts``: group ``g`` is
+    ``starts[groups[g]:groups[g + 1]]``) prices one search that would enter
+    several columns' trees: a group costs the summed degree of the union of
+    its starts' reaches, so a column repeated in a group, or reached from
+    two of its starts, counts once.  ``weights`` multiplies each group's
+    cost.  By default every start is its own group of weight 1, and a
+    repeated start counts once per occurrence.
+
+    Overlapping trees are walked once, not once per group.  One iterative
+    Tarjan pass (Tarjan, SIAM J. Comput. 1(2), 1972) condenses the union of
+    every start's tree, in which column ``v``'s successors are the mates of
+    its neighbour rows.  Tarjan closes the strongly connected components in
+    reverse topological order, so a pass over them in closing order reversed
+    ORs a bitset of up to :data:`REACH_BATCH` groups of one weight (a Python
+    ``int``, one bit per group) into each successor component, and each
+    component adds its degree times the number of groups that reach it
+    (per-component reachability sets as in Nuutila, "Efficient transitive
+    closure computation in large digraphs", 1995, over groups instead of
+    components).  Each batch's bitsets are dropped before the next.
 
     ``col_ptr``, ``col_ind`` and ``row_match`` are lists or memoryviews
     (:meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists`); ``row_match``
     holds each row's column, negative for an unmatched row.
     """
     index = [0] * (len(col_ptr) - 1)
+    condensation = _condense(col_ptr, col_ind, row_match, starts, index)
+    if condensation is None:
+        return None
+    degrees, successors = condensation
+    closed = _CLOSED
+    components = [index[s] - closed for s in starts]
+    if groups is None:
+        groups = range(len(starts) + 1)
+    by_weight: dict[int, list[int]] = {}
+    for g in range(len(groups) - 1):
+        if groups[g] < groups[g + 1]:
+            by_weight.setdefault(1 if weights is None else weights[g], []).append(g)
     total = 0
-    for first in range(0, len(starts), REACH_BATCH):
-        batch = _reach_batch(col_ptr, col_ind, row_match, starts[first:first + REACH_BATCH], index)
-        if batch is None:
-            return None
-        total += batch
+    # hot-path
+    for weight, members in by_weight.items():
+        for first in range(0, len(members), REACH_BATCH):
+            reached = [0] * len(degrees)
+            for position, g in enumerate(members[first:first + REACH_BATCH]):
+                bit = 1 << position
+                for component in components[groups[g]:groups[g + 1]]:
+                    reached[component] |= bit
+            subtotal = 0
+            for component in range(len(degrees) - 1, -1, -1):
+                bits = reached[component]
+                if bits:
+                    subtotal += degrees[component] * bits.bit_count()
+                    for successor in successors[component]:
+                        reached[successor] |= bits
+            total += weight * subtotal
+    # end hot-path
     return total
 
 
-def _reach_batch(col_ptr, col_ind, row_match, starts, index) -> int | None:
-    """:func:`alternating_reach_total` of one batch.
+def _condense(col_ptr, col_ind, row_match, starts, index):
+    """``(degrees, successors)`` of the components of the union of the
+    starts' trees, in closing order, or ``None`` at an unmatched row.
 
-    ``index`` is all zeros on entry, and again on a numeric return.  During
-    the walk it holds each column's DFS number while its component is open
-    and ``_CLOSED`` plus the component's closing rank once it is closed.
+    ``index`` is all zeros on entry.  During the walk it holds each column's
+    DFS number while its component is open; on return it holds ``_CLOSED``
+    plus the closing rank of the component of every column the walk
+    entered.  ``successors[k]`` lists the ranks of the components that
+    component ``k``'s columns point into, once per edge.
     """
     closed = _CLOSED
     stack: list[int] = []  # Tarjan's stack of columns in open components
-    cross: list[int] = []  # tags of closed components met from open ones
+    cross: list[int] = []  # ranks of closed components met from open ones
     degrees: list[int] = []  # per component, in closing order
-    successors: list[list[int]] = []  # closed-component tags, per component
-    entered: list[int] = []  # every column of the union, to clear ``index``
+    successors: list[list[int]] = []  # closed-component ranks, per component
     counter = 0
     # hot-path
     for s in starts:
@@ -395,7 +431,6 @@ def _reach_batch(col_ptr, col_ind, row_match, starts, index) -> int | None:
         counter += 1
         index[s] = counter
         stack.append(s)
-        entered.append(s)
         # Suspended DFS frames: (column, next offset, end offset, low-link,
         # its first entry in ``cross``).
         frames: list[tuple] = []
@@ -412,15 +447,15 @@ def _reach_batch(col_ptr, col_ind, row_match, starts, index) -> int | None:
                     counter += 1
                     index[w] = counter
                     stack.append(w)
-                    entered.append(w)
                     v, idx, stop, low, mark = w, col_ptr[w], col_ptr[w + 1], counter, len(cross)
                 elif state >= closed:
-                    cross.append(state)
+                    cross.append(state - closed)
                 elif state < low:
                     low = state
             if low == index[v]:
                 # v roots a component: the columns above it on the stack.
-                tag = closed + len(degrees)
+                rank = len(degrees)
+                tag = closed + rank
                 degree = 0
                 while True:
                     m = stack.pop()
@@ -434,25 +469,14 @@ def _reach_batch(col_ptr, col_ind, row_match, starts, index) -> int | None:
                 if not frames:
                     break
                 v, idx, stop, low, mark = frames.pop()
-                cross.append(tag)
+                cross.append(rank)
             else:
                 child = low
                 v, idx, stop, low, mark = frames.pop()
                 if child < low:
                     low = child
-    reached = [0] * len(degrees)
-    for position, s in enumerate(starts):
-        reached[index[s] - closed] |= 1 << position
-    total = 0
-    for component in range(len(degrees) - 1, -1, -1):
-        bits = reached[component]
-        total += degrees[component] * bits.bit_count()
-        for tag in successors[component]:
-            reached[tag - closed] |= bits
-    for v in entered:
-        index[v] = 0
     # end hot-path
-    return total
+    return degrees, successors
 
 
 def claiming_bfs(

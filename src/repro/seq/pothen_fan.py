@@ -16,25 +16,31 @@ the phase, locals only in the per-edge scans): no per-edge ndarray boxing,
 bulk counter updates, end-values identical to the historical
 implementation.
 
-A search that fails is never walked again.  Its alternating tree is closed
-(every row in it is matched to a column in it), so no later augmenting
-path enters the tree, and a later search from the same start meets the
-same tree with every lookahead pointer at its end: it scans each of the
-tree's columns' adjacency once and fails.  The visited marks reset per
-search (``round_id`` advances per start, not per phase), so a start that
-fails has no augmenting path at all, and a second phase would find every
-column still unmatched among the first phase's failed starts.  The solve
-therefore runs one phase and, when that phase augmented, charges the
-second phase's failed searches as one running total of their descent
-counts instead of walking them: every solve that augments reports
-``phases: 2``.  The dead trees' rows and their mates are recorded in a
-list; a start whose every neighbour row is in a dead tree must fail too,
-and is charged its own lookahead remainder at once and, at the phase end,
-its reach over that list: :func:`~repro.graph.frontier.alternating_reach_total`
-prices all such starts in one pass over their trees.  Until a search fails,
-the bookkeeping is one list append per descent (the columns the search
-enters); after that, each new start also checks its neighbour rows against
-the dead marks.
+A search that fails leaves a closed alternating tree: every row in it is
+matched to a column in it.  No later augmenting path enters the tree, so
+its matching, and the reach of each of its columns, never change again,
+and every one of its columns has its lookahead pointer at its end (each
+lookahead ran out without a free row).  A later search that meets one of
+the tree's rows would walk into the tree and back out with nothing: it
+scans no lookahead entry there, the full degree of each tree column it
+reaches in the descent, and augments nowhere.  So the descent records the
+row's mate in the search's *group*, marks the row visited and scans on
+instead of entering it; every such detour is priced at the phase end,
+exactly, as the summed degree of the union of the group's reaches.
+
+The visited marks reset per search (``round_id`` advances per start, not
+per phase), so a start that fails has no augmenting path at all, and a
+second phase would find every column still unmatched among the first
+phase's failed starts and fail them again over the same entries.  The solve
+therefore runs one phase and, when that phase augmented, charges the second
+phase's failed searches instead of walking them: every solve that augments
+reports ``phases: 2``.  A start whose every neighbour row lies in a failed
+tree must fail too; it is charged its lookahead remainder at once and
+becomes a one-column group.  One call to
+:func:`~repro.graph.frontier.alternating_reach_total` prices every group
+of the phase, with weight 2 on the failed and hopeless ones when the phase
+augmented (the second phase's walk of the same detours); the failed
+searches' own trees add their degree sum to the second phase.
 
 This deviates from Pothen and Fan on purpose: with vertex-disjoint phases
 a failed start could still have an augmenting path, and the frozen
@@ -61,15 +67,17 @@ def _pfp_phase(
     col_ind: list[int],
     row_match: list[int],
     col_match: list[int],
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int]:
     """PFP's one phase: a lookahead DFS from every currently unmatched column.
 
     A failed start's tree rows are recorded in ``dead`` (row -> its mate,
-    ``-1`` for rows outside every failed tree); a start that provably fails
-    is charged its walk instead of walking it (see the module docstring).
+    ``-1`` for rows outside every failed tree).  A search records the mates
+    of the dead rows it meets instead of entering them, and a start that
+    provably fails is recorded instead of walked; all of it is priced in one
+    call at the phase end (see the module docstring).
 
-    Returns ``(augmentations, lookahead_hits, edges_scanned, failed_edges)``,
-    where ``failed_edges`` sums what the failed starts' searches scan.
+    Returns ``(augmentations, lookahead_hits, edges_scanned)``, the last
+    including the second phase's rescan when this one augmented.
     """
     unmatched = UNMATCHED
     n_cols = len(col_ptr) - 1
@@ -82,8 +90,10 @@ def _pfp_phase(
     augmentations = 0
     lookahead_hits = 0
     edges = 0
-    failed_edges = 0
-    hopeless: list[int] = []
+    rescan = 0  # what the failed searches' own trees cost a second phase
+    entries: list[int] = []  # the priced groups' columns, group after group
+    groups = [0]
+    failed: list[bool] = []  # per group: its search fails again in a second phase
     # hot-path
     for start in range(n_cols):
         if col_match[start] != unmatched:
@@ -97,7 +107,9 @@ def _pfp_phase(
                 # Every neighbour row lies in a failed tree: the walk would
                 # fail after its own lookahead and one scan of each column
                 # it reaches, priced at the phase end.
-                hopeless.append(start)
+                entries.append(start)
+                groups.append(len(entries))
+                failed.append(True)
                 edges += stop - lookahead[start]
                 lookahead[start] = stop
                 continue
@@ -141,6 +153,12 @@ def _pfp_phase(
                 if visited_round[u] == round_id:
                     continue
                 visited_round[u] = round_id
+                w = dead[u]
+                if w >= 0:
+                    # A failed tree's row: the detour through it fails,
+                    # priced at the phase end instead of walked.
+                    entries.append(w)
+                    continue
                 w = row_match[u]
                 if w == unmatched:
                     # The lookahead pointer already passed this row in an
@@ -173,14 +191,22 @@ def _pfp_phase(
         else:
             # The stack emptied without augmenting: the search failed.
             any_failed = True
-            failed_edges += sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
+            rescan += sum(col_ptr[c + 1] - col_ptr[c] for c in tree)
             for c in tree[1:]:
                 dead[col_match[c]] = c
+        if groups[-1] < len(entries):
+            groups.append(len(entries))
+            failed.append(not stack)  # the stack empties only when the search fails
     # end hot-path
-    reach = alternating_reach_total(col_ptr, col_ind, dead, hopeless)
+    weights = None
+    if augmentations:
+        # A second phase walks every failed search again and augments nothing.
+        edges += rescan
+        weights = [1 + again for again in failed]
+    reach = alternating_reach_total(col_ptr, col_ind, dead, entries, groups=groups, weights=weights)
     if reach is None:
-        raise RuntimeError("PFP: a start priced as hopeless reaches an unmatched row")
-    return augmentations, lookahead_hits, edges + reach, failed_edges + reach
+        raise RuntimeError("PFP: a detour priced as failing reaches an unmatched row")
+    return augmentations, lookahead_hits, edges + reach
 
 
 def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) -> MatchingResult:
@@ -193,15 +219,11 @@ def pothen_fan_matching(graph: BipartiteGraph, initial: Matching | None = None) 
     row_match = matching.row_match.tolist()
     col_match = matching.col_match.tolist()
     col_ptr, col_ind = graph.csr_lists("col")
-    augmented, hits, edges, failed_edges = _pfp_phase(col_ptr, col_ind, row_match, col_match)
+    augmented, hits, edges = _pfp_phase(col_ptr, col_ind, row_match, col_match)
     counters = {
-        "edges_scanned": edges, "phases": 1, "augmentations": augmented, "lookahead_hits": hits,
+        "edges_scanned": edges, "phases": 2 if augmented else 1, "augmentations": augmented,
+        "lookahead_hits": hits,
     }
-    if augmented:
-        # The second phase: every start that failed fails again, scanning
-        # the same entries, and nothing augments.
-        counters["phases"] = 2
-        counters["edges_scanned"] += failed_edges
 
     wall = time.perf_counter() - t0
     result = Matching(

@@ -302,7 +302,7 @@ class MatchingServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _route(self, request: _Request, writer: asyncio.StreamWriter) -> None:

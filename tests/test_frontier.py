@@ -18,11 +18,13 @@ Six guarantees:
   augmentation walk over lists, memoryviews and ndarrays;
 * ``alternating_reach_total`` sums exactly the adjacency deque
   alternating BFSs scan, per start and over whole start lists (cycles,
-  repeated and zero-degree starts, several batches), and is ``None``
-  exactly when one of those BFSs meets an unmatched row;
+  repeated and zero-degree starts, several batches) or, with ``groups=``
+  and ``weights=``, over the union of each group's BFSs times its weight,
+  and is ``None`` exactly when one of those BFSs meets an unmatched row;
 * PFP and P-DBFS, which price the searches that cannot augment, match
   their walking references kept here (matchings, counters, modeled
-  seconds), and price only where a search provably fails;
+  seconds), including hand-built PFP phases whose searches meet failed
+  trees, and price only where a search provably fails;
 * every public primitive has a caller among the solvers, so none is kept
   alive by its tests alone.
 """
@@ -697,6 +699,116 @@ def test_alternating_reach_total_spans_batches():
     assert alternating_reach_total(ptr, ind, row_match.tolist(), starts[:-1]) == 2 * (n - 2)
 
 
+def _reference_union_entries(graph, row_match, group):
+    """The degree sum of the union of the columns :func:`_reference_reach`
+    enters from each start of ``group``, or ``None`` if one meets an
+    unmatched row."""
+    union = set()
+    for start in group:
+        entered, free = _reference_reach(graph, row_match, start)
+        if free:
+            return None
+        union.update(entered)
+    return int(graph.col_degrees[sorted(union)].sum())
+
+
+def _grouped_total(graph, row_match, group_list, weights=None):
+    """``alternating_reach_total`` over ``group_list`` passed as CSR groups,
+    and the deque reference: the weighted sum of each group's union."""
+    ptr, ind = graph.csr_lists("col")
+    starts = [s for group in group_list for s in group]
+    bounds = np.cumsum([0] + [len(group) for group in group_list]).tolist()
+    got = alternating_reach_total(ptr, ind, np.asarray(row_match).tolist(), starts,
+                                  groups=bounds, weights=weights)
+    costs = [_reference_union_entries(graph, row_match, group) for group in group_list]
+    if None in costs:
+        return got, None
+    return got, sum(c * w for c, w in zip(costs, weights or [1] * len(costs), strict=True))
+
+
+def test_grouped_reach_total_on_cycles():
+    """The rings of :func:`test_alternating_reach_total_on_cycles`: column 6
+    reaches rings A and B, column 7 ring B only."""
+    ring_a = [(r, c) for c in range(3) for r in (c, (c + 1) % 3)]
+    ring_b = [(r, c) for c in range(3, 6) for r in (c, 3 + (c + 1 - 3) % 3)]
+    edges = ring_a + ring_b + [(3, 2), (0, 6), (1, 6), (4, 7), (6, 8)]
+    pairs = [(u, u) for u in range(6)] + [(6, 8)]
+    graph, row_match = _matched_graph(edges, 7, 9, pairs, "rings")
+    union = 2 + 1 + 7 + 6  # columns 6 and 7, then rings A and B once
+    # Overlapping trees count once per group.
+    assert _grouped_total(graph, row_match, [[6, 7]]) == (union, union)
+    assert _grouped_total(graph, row_match, [[7, 6, 3, 0]]) == (union, union)
+    # A column repeated inside one group counts once.
+    assert _grouped_total(graph, row_match, [[6, 6]]) == (15, 15)
+    assert _grouped_total(graph, row_match, [[7, 6, 7, 6]]) == (union, union)
+    # The same group listed twice counts twice.
+    assert _grouped_total(graph, row_match, [[6, 7], [6, 7]]) == (2 * union, 2 * union)
+    # A weight multiplies its group's cost.
+    assert _grouped_total(graph, row_match, [[6, 7]], weights=[2]) == (2 * union, 2 * union)
+    assert _grouped_total(graph, row_match, [[6, 7], [7], [8]], weights=[2, 1, 2]) == (
+        2 * union + 7 + 2, 2 * union + 7 + 2
+    )
+    # An empty group costs nothing.
+    assert _grouped_total(graph, row_match, [[], [8], []]) == (1, 1)
+    # A free row next to ring B: a group whose union reaches B is None,
+    # though the group's other start does not reach it.
+    graph, row_match = _matched_graph(edges + [(7, 4)], 8, 9, pairs, "rings-free")
+    assert _grouped_total(graph, row_match, [[8], [8, 7]]) == (None, None)
+    assert _grouped_total(graph, row_match, [[8], [8, 8]], weights=[1, 2]) == (3, 3)
+
+
+def test_grouped_reach_total_matches_deque_bfs(golden_graph):
+    """Random groups of the priced starts of :func:`_reach_cases` (repeats
+    and shared trees included), weights 1 to 3, against the deque unions."""
+    _, graph = golden_graph
+    rng = np.random.default_rng(graph.n_cols)
+    for row_match, starts in _reach_cases(graph):
+        free = {s for s in starts if _reference_entries(graph, row_match, s) is None}
+        priced = [s for s in starts if s not in free]
+        group_list = [
+            rng.choice(priced, size=int(rng.integers(1, 6))).tolist() for _ in range(40)
+        ] if priced else []
+        weights = rng.integers(1, 4, size=len(group_list)).tolist()
+        got, expected = _grouped_total(graph, row_match, group_list, weights)
+        assert got == expected
+        if free:
+            assert _grouped_total(graph, row_match, group_list + [[min(free)]])[0] is None
+
+
+def test_grouped_reach_total_spans_batches():
+    """More than ``REACH_BATCH`` groups of each weight: the star of
+    :func:`test_alternating_reach_total_spans_batches`, where every group of
+    free columns reaches column 0 once."""
+    import repro.graph.frontier as frontier
+
+    n = 3000
+    graph, row_match = _matched_graph([(0, c) for c in range(n)], 1, n, [(0, 0)], "star-3000")
+    group_list = [[c, c + 1, c] for c in range(1, n - 1)]
+    assert len(group_list) > 2 * frontier.REACH_BATCH
+    weights = [1 + c % 2 for c in range(len(group_list))]
+    got, expected = _grouped_total(graph, row_match, group_list, weights)
+    assert got == expected == 3 * sum(weights)
+    assert _grouped_total(graph, row_match, group_list) == (3 * len(group_list),) * 2
+
+
+def test_reach_total_groups_default_to_each_start_on_tiny_analogs():
+    """``groups=None`` and ``weights=None`` price each start alone, as the
+    per-start deque sum does, on every tiny analog."""
+    for name in instance_names():
+        graph = generate_instance(name, profile="tiny", seed=0)
+        maximum = hopcroft_karp_matching(graph).matching
+        starts = np.flatnonzero(maximum.col_match == UNMATCHED).tolist()
+        ptr, ind = graph.csr_lists("col")
+        match = maximum.row_match.tolist()
+        expected = sum(_reference_entries(graph, maximum.row_match, s) for s in starts)
+        singles = list(range(len(starts) + 1))
+        assert alternating_reach_total(ptr, ind, match, starts, groups=None, weights=None) == (
+            expected
+        ), name
+        assert alternating_reach_total(ptr, ind, match, starts, groups=singles,
+                                       weights=[1] * len(starts)) == expected, name
+
+
 # ------------------------------------------- hopeless searches, priced
 def _reference_pfp_phase(col_ptr, col_ind, row_match, col_match, lookahead, visited_round,
                          round_id):
@@ -946,6 +1058,54 @@ def test_priced_searches_match_walks_on_tiny_analogs(seed):
     for name in instance_names():
         graph = generate_instance(name, profile="tiny", seed=seed)
         _assert_priced_solvers_match_walks(graph, _start(graph, "cheap", seed), name)
+
+
+#: Hand-built PFP phases whose searches meet failed trees: ``(edges, n_rows,
+#: n_cols, matched (row, col) pairs, the phase's pricing call as (starts,
+#: groups, weights))``.  Columns are searched in order.
+PFP_DETOUR_CASES = {
+    # Columns 1 and 2 fail (2 after entering 1's tree at row 0).  Column 4
+    # passes rows 0 and 1, one of each failed tree, where 2's tree reaches
+    # column 0 of 1's tree too, then augments through column 5.
+    "augmenting-search-passes-two-overlapping-trees": (
+        [(0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 4), (2, 5),
+         (3, 5)],
+        4, 6, [(0, 0), (1, 3), (2, 5)],
+        ([0, 0, 3], [0, 1, 3], [2, 1]),
+    ),
+    # Column 2 fails after entering column 1's failed tree; column 4
+    # augments, so 2's detour and the hopeless column 5 recur in a second phase.
+    "failed-search-enters-an-older-tree": (
+        [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (0, 5)],
+        3, 6, [(0, 0), (1, 3)],
+        ([0, 5], [0, 1, 2], [2, 2]),
+    ),
+    # The same failures and a hopeless column 4, but nothing augments.
+    "failing-phase-augments-nothing": (
+        [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (0, 4)],
+        2, 5, [(0, 0), (1, 3)],
+        ([0, 4], [0, 1, 2], None),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PFP_DETOUR_CASES))
+def test_priced_searches_match_walks_on_failed_tree_detours(case, monkeypatch):
+    import repro.seq.pothen_fan as pothen_fan
+
+    edges, n_rows, n_cols, pairs, expected = PFP_DETOUR_CASES[case]
+    graph, row_match = _matched_graph(edges, n_rows, n_cols, pairs, case)
+    initial = Matching(row_match, np.full(n_cols, UNMATCHED, dtype=np.int64)).canonical()
+    calls = []
+    inner = pothen_fan.alternating_reach_total
+
+    def recording(col_ptr, col_ind, dead, starts, **kwargs):
+        calls.append((list(starts), list(kwargs["groups"]), kwargs["weights"]))
+        return inner(col_ptr, col_ind, dead, starts, **kwargs)
+
+    monkeypatch.setattr(pothen_fan, "alternating_reach_total", recording)
+    _assert_priced_solvers_match_walks(graph, initial, case)
+    assert calls == [expected]
 
 
 def _counting(monkeypatch, module, attr):

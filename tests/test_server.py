@@ -25,8 +25,10 @@ Three layers:
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import logging
 import random
 import threading
 import time
@@ -549,6 +551,34 @@ def test_backend_shutdown_race_is_wrapped(small_graph):
     with pytest.raises(RuntimeError, match="backend is shut down"):
         engine.submit(MatchingJob(graph=small_graph, algorithm="pr"))
     assert engine.inflight == 0  # the failed submission released its slot
+
+
+def test_shutdown_with_a_keep_alive_connection_logs_no_error(caplog, monkeypatch):
+    """``shutdown()`` cancels the task of a connection whose close is still
+    pending in ``writer.wait_closed()``; that must not reach asyncio's error
+    log.  The close is held pending here (as a peer that stops reading
+    holds it) so the cancellation always lands inside it."""
+    closing = threading.Event()
+
+    async def pending_close(writer):
+        closing.set()
+        await asyncio.get_running_loop().create_future()
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", pending_close)
+    instance = MatchingServer(backend="inline", default_profile="tiny")
+    instance.start_in_background()
+    conn = http.client.HTTPConnection("127.0.0.1", instance.port, timeout=15.0)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert response.getheader("Connection", "keep-alive") == "keep-alive"
+        response.read()
+        conn.close()
+        assert closing.wait(10.0)
+        instance.shutdown()
+    errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert errors == []
 
 
 def test_service_double_close_and_submit_after_close(small_graph):
