@@ -23,6 +23,14 @@ detours are most of the phase (``ljournal-2008`` and ``kron_g500-logn21``,
 from the cheap matching), counters and matching must equal the walk's, and
 the phase must beat it by at least 2x (see "Closed trees, priced at the
 phase end" in docs/benchmarks.md).
+
+P-DBFS's round searches skip their own thread's closed regions and price
+those detours per thread at the round end.  That replaced rounds whose
+searches walked the regions again, kept here.  On ``GL7d19`` and
+``kron_g500-logn21``, from the cheap matching, counters, modeled seconds
+and matching must equal the walk's, and the solve must beat it by at least
+2.5x and 1.5x (see "Closed regions of a P-DBFS round" in
+docs/benchmarks.md).
 """
 
 from __future__ import annotations
@@ -35,8 +43,15 @@ import numpy as np
 import pytest
 
 from repro.generators.suite import generate_instance
-from repro.graph.frontier import NARROW_WIDTH, alternating_reach_total, sorted_unique
+from repro.gpusim.costmodel import MulticoreCostModel
+from repro.graph.frontier import (
+    NARROW_WIDTH,
+    alternating_reach_total,
+    claiming_bfs,
+    sorted_unique,
+)
 from repro.matching import UNMATCHED
+from repro.multicore.pdbfs import pdbfs_matching
 from repro.seq.greedy import cheap_matching
 from repro.seq.hopcroft_karp import hopcroft_karp_matching
 from repro.seq.pothen_fan import _pfp_phase
@@ -49,6 +64,10 @@ _MIN_SPEEDUP = 3.0
 
 #: PFP's phase against the walk into failed trees, likewise below the gaps.
 _MIN_PFP_SPEEDUP = 2.0
+
+#: P-DBFS against rounds that walk the closed regions, per analog, likewise
+#: below the gaps.
+_MIN_PDBFS_SPEEDUP = {"GL7d19": 2.5, "kron_g500-logn21": 1.5}
 
 
 def _deque_reach(ptr, ind, row_match, start):
@@ -267,5 +286,82 @@ def test_pfp_phase_matches_and_beats_walking_failed_trees(pfp_input, benchmark):
     benchmark.pedantic(solve(_pfp_phase), rounds=3, iterations=1)
     assert speedup >= _MIN_PFP_SPEEDUP, (
         f"{graph.name}: PFP phase only {speedup:.2f}x faster than walking failed trees "
+        f"({priced_s * 1e3:.1f} ms vs {walked_s * 1e3:.1f} ms)"
+    )
+
+
+def _walking_pdbfs(graph, initial, n_threads=8):
+    """P-DBFS as it was before round searches skipped their thread's closed
+    regions: every search walks them.  The sweep after a round that augments
+    nothing is priced as before.  Returns ``(counters, modeled_seconds,
+    row_match)``."""
+    model = MulticoreCostModel(n_threads=n_threads)
+    mu_row = initial.row_match.tolist()
+    mu_col = initial.col_match.tolist()
+    col_ptr, col_ind = graph.csr_lists("col")
+    counters = {"rounds": 0, "sequential_sweeps": 0, "augmentations": 0, "edges_scanned": 0.0,
+                "atomics": 0, "initial_matching": sum(1 for u in mu_row if u >= 0)}
+    modeled = 0.0
+    while True:
+        unmatched = [v for v in range(graph.n_cols) if mu_col[v] == UNMATCHED]
+        if not unmatched:
+            break
+        counters["rounds"] += 1
+        owner = [-1] * graph.n_rows
+        thread_work = np.zeros(n_threads, dtype=np.float64)
+        atomics = augmented = 0
+        for first in range(0, len(unmatched), n_threads):
+            for thread_id, v in enumerate(unmatched[first:first + n_threads]):
+                if mu_col[v] != UNMATCHED:
+                    continue
+                path, work, claims = claiming_bfs(col_ptr, col_ind, v, mu_row, owner, thread_id)
+                thread_work[thread_id] += work
+                atomics += claims
+                if path is not None:
+                    for i in range(0, len(path) - 1, 2):
+                        mu_col[path[i]], mu_row[path[i + 1]] = path[i + 1], path[i]
+                    augmented += 1
+        counters["edges_scanned"] += float(thread_work.sum())
+        counters["atomics"] += atomics
+        counters["augmentations"] += augmented
+        modeled += model.round_seconds(total_ops=float(thread_work.sum()),
+                                       max_thread_ops=float(thread_work.max()),
+                                       atomics=float(atomics))
+        if augmented == 0:
+            counters["sequential_sweeps"] += 1
+            sweep = float(len(unmatched) + alternating_reach_total(col_ptr, col_ind, mu_row,
+                                                                   unmatched))
+            counters["edges_scanned"] += sweep
+            modeled += model.round_seconds(total_ops=sweep, max_thread_ops=sweep, atomics=0.0)
+            break
+    return counters, modeled, mu_row
+
+
+@pytest.fixture(scope="module", params=sorted(_MIN_PDBFS_SPEEDUP))
+def pdbfs_input(request):
+    """``(graph, matching)``: a P-DBFS solve's input, the cheap matching."""
+    graph = generate_instance(request.param, profile="medium", seed=BENCH_SEED)
+    return graph, cheap_matching(graph).matching
+
+
+def test_pdbfs_matches_and_beats_walking_closed_regions(pdbfs_input, benchmark):
+    graph, matching = pdbfs_input
+
+    def priced():
+        result = pdbfs_matching(graph, matching.copy())
+        return result.counters, result.modeled_time, result.matching.row_match.tolist()
+
+    def walked():
+        return _walking_pdbfs(graph, matching.copy())
+
+    (priced_s, walked_s), (got, expected) = _best_of_interleaved(priced, walked)
+    assert got == expected
+    speedup = walked_s / priced_s
+    benchmark.extra_info.update(
+        graph=graph.name, edges=got[0]["edges_scanned"], speedup=round(speedup, 2)
+    )
+    benchmark.pedantic(priced, rounds=3, iterations=1)
+    assert speedup >= _MIN_PDBFS_SPEEDUP[graph.name], (
+        f"{graph.name}: P-DBFS only {speedup:.2f}x faster than walking closed regions "
         f"({priced_s * 1e3:.1f} ms vs {walked_s * 1e3:.1f} ms)"
     )

@@ -66,6 +66,7 @@ Python dict entry inside a per-edge loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -336,9 +337,18 @@ REACH_BATCH = 1024
 #: DFS number, so an edge into a closed component never lowers a low-link.
 _CLOSED = 1 << 62
 
+#: A ``row_match`` entry of :func:`alternating_reach_total` for a row that is
+#: scanned but not crossed (any value below -1 reads the same).
+WALL = -2
+
+#: What one column adds to a component's degree when
+#: :func:`alternating_reach_total` counts columns too: the batch pass then
+#: sums entries below this bit and columns above it in one product.
+_COLUMN_UNIT = 1 << 64
+
 
 def alternating_reach_total(col_ptr, col_ind, row_match, starts, *, groups=None,
-                            weights=None) -> int | None:
+                            weights=None, columns=False) -> int | tuple[int, int] | None:
     """Summed over ``starts``, the adjacency entries a full alternating BFS
     from each start scans, or ``None`` if one of them meets an unmatched row.
 
@@ -348,7 +358,12 @@ def alternating_reach_total(col_ptr, col_ind, row_match, starts, *, groups=None,
     its entries are the summed degree of those columns.  This prices a
     search that provably cannot augment without walking it: a failed DFS
     or claiming BFS enters the same columns and scans the same entries.
-    ``None`` means some start has an augmenting path.
+    ``None`` means some start has an augmenting path.  A row whose
+    ``row_match`` entry is :data:`WALL` (or any value below -1) is scanned
+    but not crossed: P-DBFS prices one thread's detours with the other
+    threads' rows as walls.  With ``columns=True`` the result is the pair
+    ``(entries, columns)``, where ``columns`` counts the columns each BFS
+    enters the same way, from the same pass.
 
     ``groups`` (CSR bounds into ``starts``: group ``g`` is
     ``starts[groups[g]:groups[g + 1]]``) prices one search that would enter
@@ -368,36 +383,46 @@ def alternating_reach_total(col_ptr, col_ind, row_match, starts, *, groups=None,
     component adds its degree times the number of groups that reach it
     (per-component reachability sets as in Nuutila, "Efficient transitive
     closure computation in large digraphs", 1995, over groups instead of
-    components).  Each batch's bitsets are dropped before the next.
+    components).  Each batch's bitsets are dropped before the next, and a
+    batch's pass starts at the highest rank among its starts' components:
+    successors close first, so nothing above it is reached.
 
     ``col_ptr``, ``col_ind`` and ``row_match`` are lists or memoryviews
     (:meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists`); ``row_match``
-    holds each row's column, negative for an unmatched row.
+    holds each row's column, -1 for an unmatched row.
     """
+    unit = _COLUMN_UNIT if columns else 0
     index = [0] * (len(col_ptr) - 1)
-    condensation = _condense(col_ptr, col_ind, row_match, starts, index)
+    condensation = _condense(col_ptr, col_ind, row_match, starts, index, unit)
     if condensation is None:
         return None
     degrees, successors = condensation
     closed = _CLOSED
     components = [index[s] - closed for s in starts]
+    # Each group as the components of its starts, listed per weight.
+    by_weight: dict[int, list] = {}
     if groups is None:
-        groups = range(len(starts) + 1)
-    by_weight: dict[int, list[int]] = {}
-    for g in range(len(groups) - 1):
-        if groups[g] < groups[g + 1]:
-            by_weight.setdefault(1 if weights is None else weights[g], []).append(g)
+        by_weight[1] = [(c,) for c in components]
+    else:
+        for g in range(len(groups) - 1):
+            if groups[g] < groups[g + 1]:
+                by_weight.setdefault(1 if weights is None else weights[g], []).append(
+                    components[groups[g]:groups[g + 1]]
+                )
     total = 0
     # hot-path
     for weight, members in by_weight.items():
         for first in range(0, len(members), REACH_BATCH):
             reached = [0] * len(degrees)
-            for position, g in enumerate(members[first:first + REACH_BATCH]):
+            top = 0
+            for position, group in enumerate(members[first:first + REACH_BATCH]):
                 bit = 1 << position
-                for component in components[groups[g]:groups[g + 1]]:
+                for component in group:
                     reached[component] |= bit
+                    if component > top:
+                        top = component
             subtotal = 0
-            for component in range(len(degrees) - 1, -1, -1):
+            for component in range(top, -1, -1):
                 bits = reached[component]
                 if bits:
                     subtotal += degrees[component] * bits.bit_count()
@@ -405,18 +430,22 @@ def alternating_reach_total(col_ptr, col_ind, row_match, starts, *, groups=None,
                         reached[successor] |= bits
             total += weight * subtotal
     # end hot-path
+    if columns:
+        count, entries = divmod(total, unit)
+        return entries, count
     return total
 
 
-def _condense(col_ptr, col_ind, row_match, starts, index):
+def _condense(col_ptr, col_ind, row_match, starts, index, unit):
     """``(degrees, successors)`` of the components of the union of the
     starts' trees, in closing order, or ``None`` at an unmatched row.
 
     ``index`` is all zeros on entry.  During the walk it holds each column's
     DFS number while its component is open; on return it holds ``_CLOSED``
     plus the closing rank of the component of every column the walk
-    entered.  ``successors[k]`` lists the ranks of the components that
-    component ``k``'s columns point into, once per edge.
+    entered.  A component's degree adds ``unit`` per column.
+    ``successors[k]`` lists the ranks of the components that component
+    ``k``'s columns point into, once per edge.
     """
     closed = _CLOSED
     stack: list[int] = []  # Tarjan's stack of columns in open components
@@ -440,7 +469,9 @@ def _condense(col_ptr, col_ind, row_match, starts, index):
                 w = row_match[col_ind[idx]]
                 idx += 1
                 if w < 0:
-                    return None
+                    if w == _UNMATCHED:
+                        return None
+                    continue  # a wall
                 state = index[w]
                 if not state:
                     frames.append((v, idx, stop, low, mark))
@@ -460,7 +491,7 @@ def _condense(col_ptr, col_ind, row_match, starts, index):
                 while True:
                     m = stack.pop()
                     index[m] = tag
-                    degree += col_ptr[m + 1] - col_ptr[m]
+                    degree += col_ptr[m + 1] - col_ptr[m] + unit
                     if m == v:
                         break
                 degrees.append(degree)
@@ -479,6 +510,13 @@ def _condense(col_ptr, col_ind, row_match, starts, index):
     return degrees, successors
 
 
+#: Adjacency entries a failed :func:`claiming_bfs` search must have scanned
+#: before it closes its region.  Pricing detours into small regions costs
+#: more than the short re-walks it replaces (measured crossover: "Closed
+#: regions of a P-DBFS round" in ``docs/benchmarks.md``).
+CLOSING_ENTRIES = 256
+
+
 def claiming_bfs(
     col_ptr: list[int],
     col_ind: list[int],
@@ -486,22 +524,38 @@ def claiming_bfs(
     row_match: list[int],
     owner: list[int],
     thread_id: int,
+    records: list[tuple[int, int]] | None = None,
+    region: list[int] | None = None,
 ) -> tuple[list[int] | None, float, int]:
     """P-DBFS vertex-disjoint search from unmatched column ``start``.
 
     The scalar member of the frontier layer: a P-DBFS round search is
-    *single*-source and usually terminates within a few claims (the
-    cleanup sweep, whose searches would walk whole trees, is priced with
-    :func:`alternating_reach_total` instead), so its frontiers stay far below
-    the ~64-element break-even of whole-array gathers — this walk
-    therefore runs over the cached
+    *single*-source and walks one adjacency slice at a time, so it runs
+    over the cached
     :meth:`~repro.graph.bipartite.BipartiteGraph.csr_lists` views (plain
     list indexing, no per-element ndarray boxing) and keeps the claim
     bookkeeping of Azad et al. exactly: rows owned by another thread are
     skipped, the first claimable occurrence of a row costs one atomic
     (claims persist in ``owner`` and block the other simulated threads),
     and the search stops at the first claimed row that is unmatched — rows
-    after that edge in scan order stay unclaimed.
+    after that edge in scan order stay unclaimed.  Most searches end within
+    a few claims, but a failed one walks its whole alternating tree under
+    the claims: the failed searches of the ``medium`` GL7d19 analog, from
+    the cheap matching, would walk about 10,900 entries each.
+
+    With ``records`` and ``region`` (lists) the search runs against its
+    thread's *closed region*.  A failed search that scanned at least
+    :data:`CLOSING_ENTRIES` entries closes: its claimed rows are tagged
+    ``-2 - thread_id`` in ``owner`` (the other threads read any tag but
+    ``-1`` and their own id as a claim) and appended to ``region``.  No
+    augmenting path crosses a closed region for the rest of the round, so a
+    later search of the thread that meets a closed row appends ``(row,
+    columns enqueued so far)`` to ``records`` the first time and scans on
+    instead of entering the row.  A failed search returns its work and
+    atomics without those detours, for the caller to price
+    (``multicore.pdbfs``); a successful one adds the part of them the walk
+    would have scanned and claimed before it reached the free row
+    (:func:`_passed_detours`), so its result equals the walk's.
 
     All parameters are Python lists (``owner`` is mutated in place).
     Returns ``(path, work, atomics)`` with ``path`` alternating
@@ -511,6 +565,7 @@ def claiming_bfs(
     parent_col: dict[int, int] = {start: -1}
     parent_row: dict[int, int] = {}
     queue: deque[int] = deque([start])
+    closed = -2 - thread_id
     work = 0
     atomics = 0
     # hot-path
@@ -522,7 +577,10 @@ def claiming_bfs(
             u = col_ind[idx]
             own = owner[u]
             if own != -1 and own != thread_id:
-                continue  # claimed by another thread's BFS
+                if own == closed and u not in parent_row:
+                    parent_row[u] = -1  # recorded once; never on a path
+                    records.append((u, len(parent_col)))
+                continue  # claimed by another thread's BFS, or closed
             if u in parent_row:
                 continue
             atomics += 1  # compare-and-swap claiming the row
@@ -543,12 +601,78 @@ def claiming_bfs(
                     path.append(row)
                     col = parent_row[row]
                 path.reverse()
+                if records:
+                    entries, claims = _passed_detours(
+                        col_ptr, col_ind, row_match, owner, closed, records, list(parent_col),
+                        path[::2],
+                    )
+                    work += entries
+                    atomics += claims
                 return path, 1.0 + work, atomics
             if w not in parent_col:
                 parent_col[w] = u
                 queue.append(w)
     # end hot-path
+    if records is not None and work >= CLOSING_ENTRIES:
+        # The recorded rows are closed already; tagging them again is harmless.
+        for u in parent_row:
+            owner[u] = closed
+        region.extend(parent_row)
     return None, 1.0 + work, atomics
+
+
+def _passed_detours(col_ptr, col_ind, row_match, owner, closed, records, order, path_cols):
+    """``(entries, claims)``: what the detours into a closed region that a
+    successful search skipped would have cost the walk.
+
+    The walk would have claimed each recorded row, enqueued its mate, and
+    from every closed column it popped claimed the closed rows next to it
+    and enqueued their mates, all before popping the terminal column (the
+    last of ``path_cols``).  No closed column leads out of the region, so
+    the search's own columns, ``order`` (in enqueue order), keep their
+    order in the walk's FIFO, and a closed column is popped before the
+    terminal iff it was enqueued first.
+
+    A record made when ``m`` of the search's columns were enqueued puts its
+    mate between columns ``m - 1`` and ``m`` of ``order``: the walk pops
+    it before the terminal iff ``m <= p_0``, the terminal's position.  The
+    closed columns it enqueues then land behind every column enqueued so
+    far, so they precede the terminal iff the terminal was not enqueued
+    yet, that is iff its parent on the path, at position ``p_1``, was not
+    popped yet: iff ``m <= p_1``.  By induction the closed columns ``g``
+    steps from a record are popped iff ``m <= p_g``, the position of the
+    terminal's ``g``-th ancestor; a record's *depth* is the largest such
+    ``g``.  A closed column is popped iff some record reaches it within its
+    depth, and its mate row is claimed iff it was recorded or is next to a
+    popped column, so one bucketed BFS, deepest depth first, prices both.
+    """
+    positions = []
+    position = 0
+    for col in path_cols:
+        position = order.index(col, position)
+        positions.append(position)
+    last = len(positions) - 1
+    claimed = {u for u, _ in records}
+    buckets: list[list[int]] = [[] for _ in positions]
+    for u, enqueued in records:
+        if enqueued > positions[-1]:
+            break  # this and every later record were made after the terminal was enqueued
+        buckets[last - bisect_left(positions, enqueued)].append(row_match[u])
+    popped = set()
+    entries = 0
+    for depth in range(last, -1, -1):
+        for c in buckets[depth]:
+            if c in popped:
+                continue
+            popped.add(c)
+            begin, stop = col_ptr[c], col_ptr[c + 1]
+            entries += stop - begin
+            for u in col_ind[begin:stop]:
+                if owner[u] == closed:
+                    claimed.add(u)
+                    if depth:
+                        buckets[depth - 1].append(row_match[u])
+    return entries, len(claimed)
 
 
 #: Adjacency entries the phase BFS scanned below which a level-restricted round

@@ -15,17 +15,48 @@ work profile (critical path, total work, number of atomics) into modelled
 seconds.  A round that finds no augmentation is followed by a sequential
 sweep, mirroring the serial cleanup phase of the original code.
 
-That round has already proved the matching maximum.  A column with no
-augmenting path has a closed alternating tree: every row in it is matched
-to a column in it, so no augmenting path from another column enters it.
-Until a round first augments, a search from such a column claims only rows
-of its tree, so the round's first search from a column that has an
-augmenting path meets no claim on that path and reaches a free row.  Every
-search of the sweep therefore fails.  Each is charged the claim-free BFS it
-would walk (one plus the summed degree of the columns it reaches) instead
-of walking it: :func:`~repro.graph.frontier.alternating_reach_total` sums
-those degrees over the sweep's columns in one pass over their trees, and a
-reach that meets a free row raises ``RuntimeError``.
+Closed regions
+--------------
+A thread passes its own claims, so within a round it would walk the tree of
+each of its failed searches again for every later search that meets it.
+Take a search by thread ``t`` that fails.  Every row next to a column it
+entered was claimed by it or is owned by another thread.  Claims are never
+released within a round and only ``t`` passes ``t``'s rows, so no augmenting
+path crosses the search's *region* (its columns and claimed rows): its rows
+keep their mates until the round ends, and claiming them again leaves
+``owner`` unchanged.  A later search of ``t`` that meets one of those rows
+would enter exactly the columns reachable from the row's mate through
+``t``'s closed rows, scan each one's full degree, claim each one's mate row
+once and find no free row; no closed column leads out, so the rest of the
+search walks in the same FIFO order.
+
+:func:`~repro.graph.frontier.claiming_bfs` therefore closes a failed search
+that scanned at least :data:`~repro.graph.frontier.CLOSING_ENTRIES`
+entries (tagging its rows ``-2 - t``), and a later search of ``t`` records
+each closed row it meets and scans on.  A successful search charges the part
+of its detours the walk would have scanned before it reached its free row.
+A failed one is priced at the round end: one
+:func:`~repro.graph.frontier.alternating_reach_total` call per thread
+condenses the reaches of the thread's recorded rows through its closed rows
+(every other row a wall) and charges each search the summed degree of the
+union of its rows' reaches to ``t``'s work and the union's column count to
+the round's atomics.  A region's reach is fixed once it closes, so pricing
+at the round end is exact, and counters and modelled seconds equal the walk's.
+
+The sweep
+---------
+The round before the sweep has already proved the matching maximum.  A
+column with no augmenting path has a closed alternating tree: every row in
+it is matched to a column in it, so no augmenting path from another column
+enters it.  Until a round first augments, a search from such a column
+claims only rows of its tree, so the round's first search from a column
+that has an augmenting path meets no claim on that path and reaches a free
+row.  Every search of the sweep therefore fails.  Each is charged the
+claim-free BFS it would walk (one plus the summed degree of the columns it
+reaches) instead of walking it:
+:func:`~repro.graph.frontier.alternating_reach_total` sums those degrees
+over the sweep's columns in one pass over their trees, and a reach that
+meets a free row raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -36,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.frontier import alternating_reach_total, claiming_bfs
+from repro.graph.frontier import WALL, alternating_reach_total, claiming_bfs
 from repro.graph.validate import check_int
 from repro.gpusim.costmodel import MulticoreCostModel
 from repro.matching import UNMATCHED, Matching, MatchingResult
@@ -61,6 +92,25 @@ def _augment(path: list[int], mu_row: list[int], mu_col: list[int]) -> None:
         v, u = path[i], path[i + 1]
         mu_col[v] = u
         mu_row[u] = v
+
+
+def _price_detours(col_ptr, col_ind, mu_row, region, searches) -> tuple[int, int]:
+    """``(entries, claims)`` of one thread's failed searches' detours into
+    its closed ``region``, each search's recorded rows as one group; every
+    row outside the region is a wall."""
+    mates = [WALL] * len(mu_row)
+    for u in region:
+        mates[u] = mu_row[u]
+    starts: list[int] = []
+    groups = [0]
+    for records in searches:
+        starts.extend(mates[u] for u, _ in records)
+        groups.append(len(starts))
+    priced = alternating_reach_total(col_ptr, col_ind, mates, starts, groups=groups,
+                                     columns=True)
+    if priced is None:
+        raise RuntimeError("P-DBFS: a detour priced as failing reaches an unmatched row")
+    return priced
 
 
 def pdbfs_matching(
@@ -104,9 +154,13 @@ def pdbfs_matching(
             break
         counters["rounds"] += 1
         owner = [-1] * graph.n_rows
-        thread_work = np.zeros(config.n_threads, dtype=np.float64)
+        thread_work = [0.0] * config.n_threads
         round_atomics = 0
         augmented = 0
+        # Per thread: the rows its failed searches closed, and the records of
+        # each failed search that met closed rows, priced at the round end.
+        regions: list[list[int]] = [[] for _ in range(config.n_threads)]
+        failed: list[list[list[tuple[int, int]]]] = [[] for _ in range(config.n_threads)]
         # Unmatched columns are dealt to the threads round-robin; the simulated
         # threads run interleaved by taking one column each in turn.
         for batch_start in range(0, len(unmatched), config.n_threads):
@@ -114,20 +168,31 @@ def pdbfs_matching(
             for thread_id, v in enumerate(batch):
                 if mu_col[v] != UNMATCHED:
                     continue
+                records: list[tuple[int, int]] = []
                 path, work, atomics = claiming_bfs(
-                    col_ptr, col_ind, v, mu_row, owner, thread_id
+                    col_ptr, col_ind, v, mu_row, owner, thread_id, records, regions[thread_id]
                 )
                 thread_work[thread_id] += work
                 round_atomics += atomics
                 if path is not None:
                     _augment(path, mu_row, mu_col)
                     augmented += 1
-        counters["edges_scanned"] += float(thread_work.sum())
+                elif records:
+                    failed[thread_id].append(records)
+        for thread_id, searches in enumerate(failed):
+            if searches:
+                entries, claims = _price_detours(
+                    col_ptr, col_ind, mu_row, regions[thread_id], searches
+                )
+                thread_work[thread_id] += entries
+                round_atomics += claims
+        round_work = sum(thread_work)
+        counters["edges_scanned"] += round_work
         counters["atomics"] += round_atomics
         counters["augmentations"] += augmented
         modeled += model.round_seconds(
-            total_ops=float(thread_work.sum()),
-            max_thread_ops=float(thread_work.max()) if len(thread_work) else 0.0,
+            total_ops=round_work,
+            max_thread_ops=max(thread_work),
             atomics=float(round_atomics),
         )
         if augmented == 0:

@@ -20,11 +20,14 @@ Six guarantees:
   alternating BFSs scan, per start and over whole start lists (cycles,
   repeated and zero-degree starts, several batches) or, with ``groups=``
   and ``weights=``, over the union of each group's BFSs times its weight,
+  with ``columns=True`` counts those unions' columns too, stops at walls,
   and is ``None`` exactly when one of those BFSs meets an unmatched row;
 * PFP and P-DBFS, which price the searches that cannot augment, match
   their walking references kept here (matchings, counters, modeled
   seconds), including hand-built PFP phases whose searches meet failed
-  trees, and price only where a search provably fails;
+  trees, hand-built P-DBFS rounds whose searches meet closed regions, and
+  P-DBFS with every failed search closed, and price only where a search
+  provably fails;
 * every public primitive has a caller among the solvers, so none is kept
   alive by its tests alone.
 """
@@ -49,6 +52,7 @@ from repro.graph import from_edges
 from repro.graph.frontier import (
     SWEEP_BATCH,
     SWEEP_ENTRIES,
+    WALL,
     alternating_level_bfs,
     alternating_reach_total,
     claiming_bfs,
@@ -541,7 +545,8 @@ def test_swept_round_prices_dead_columns_by_first_root(case, monkeypatch):
 # ------------------------------------------------- alternating reach
 def _reference_reach(graph, row_match, start):
     """A deque alternating BFS from ``start``: the columns it enters and
-    whether it meets an unmatched row."""
+    whether it meets an unmatched row.  A row matched below -1 is a wall:
+    scanned, not crossed."""
     entered = [start]
     seen = {start}
     queue = deque([start])
@@ -552,7 +557,7 @@ def _reference_reach(graph, row_match, start):
             w = int(row_match[u])
             if w == UNMATCHED:
                 free = True
-            elif w not in seen:
+            elif w >= 0 and w not in seen:
                 seen.add(w)
                 entered.append(w)
                 queue.append(w)
@@ -789,6 +794,45 @@ def test_grouped_reach_total_spans_batches():
     got, expected = _grouped_total(graph, row_match, group_list, weights)
     assert got == expected == 3 * sum(weights)
     assert _grouped_total(graph, row_match, group_list) == (3 * len(group_list),) * 2
+    # Batches over disjoint trees: 2,400 paths of two matched columns, each
+    # entered from its own free column, grouped in pairs of neighbouring
+    # paths, so each batch reaches only its own part of the condensation.
+    paths = 2400
+    edges = [(r, c) for p in range(paths) for r, c in
+             ((2 * p, 3 * p), (2 * p + 1, 3 * p), (2 * p + 1, 3 * p + 1), (2 * p, 3 * p + 2))]
+    pairs = [(2 * p + r, 3 * p + r) for p in range(paths) for r in (0, 1)]
+    graph, row_match = _matched_graph(edges, 2 * paths, 3 * paths, pairs, "disjoint-paths")
+    group_list = [[3 * p + 2, 3 * p + 5] for p in range(0, paths - 1, 2)]
+    assert len(group_list) > frontier.REACH_BATCH
+    assert _grouped_total(graph, row_match, group_list) == (8 * len(group_list),) * 2
+
+
+def test_reach_total_counts_columns_and_stops_at_walls(golden_graph):
+    """``columns=True`` returns each group's entries and the columns of its
+    union, and a row whose entry is ``WALL`` is scanned but not crossed:
+    random groups under a third of the matched rows walled off, against the
+    deque unions."""
+    _, graph = golden_graph
+    rng = np.random.default_rng(graph.n_rows)
+    ptr, ind = graph.csr_lists("col")
+    for row_match, starts in _reach_cases(graph):
+        walled = np.where((row_match >= 0) & (rng.random(graph.n_rows) < 0.3), WALL, row_match)
+        reaches = {s: _reference_reach(graph, walled, s) for s in set(starts)}
+        priced = [s for s in starts if not reaches[s][1]]
+        group_list = [rng.choice(priced, size=int(rng.integers(1, 5))).tolist()
+                      for _ in range(30)]
+        unions = [set().union(*(reaches[s][0] for s in group)) for group in group_list]
+        expected = (sum(int(graph.col_degrees[sorted(u)].sum()) for u in unions),
+                    sum(len(u) for u in unions))
+        flat = [s for group in group_list for s in group]
+        bounds = np.cumsum([0] + [len(group) for group in group_list]).tolist()
+        match = walled.tolist()
+        assert alternating_reach_total(ptr, ind, match, flat, groups=bounds,
+                                       columns=True) == expected
+        assert alternating_reach_total(ptr, ind, match, flat, groups=bounds) == expected[0]
+        free = [s for s in starts if reaches[s][1]]
+        if free:
+            assert alternating_reach_total(ptr, ind, match, free, columns=True) is None
 
 
 def test_reach_total_groups_default_to_each_start_on_tiny_analogs():
@@ -1025,16 +1069,21 @@ def _fingerprint(result):
     )
 
 
+def _assert_pdbfs_matches_walk(graph, initial, label, threads=(1, 2, 8)):
+    """P-DBFS at each thread count against its walking reference."""
+    for n_threads in threads:
+        got = pdbfs_matching(graph, initial.copy(), PDBFSConfig(n_threads=n_threads))
+        ref, _ = _reference_pdbfs(graph, initial.copy(), n_threads)
+        assert _fingerprint(got) == _fingerprint(ref), f"p-dbfs/{n_threads} {label}"
+
+
 def _assert_priced_solvers_match_walks(graph, initial, label):
     """PFP and P-DBFS at 1, 2 and 8 threads against their walking references."""
     got = pothen_fan_matching(graph, initial.copy())
     assert _fingerprint(got) == _fingerprint(_reference_pfp(graph, initial.copy())), (
         f"pfp {label}"
     )
-    for n_threads in (1, 2, 8):
-        got = pdbfs_matching(graph, initial.copy(), PDBFSConfig(n_threads=n_threads))
-        ref, _ = _reference_pdbfs(graph, initial.copy(), n_threads)
-        assert _fingerprint(got) == _fingerprint(ref), f"p-dbfs/{n_threads} {label}"
+    _assert_pdbfs_matches_walk(graph, initial, label)
 
 
 DEFICIENT_SEEDS = range(1000, 1210)
@@ -1106,6 +1155,115 @@ def test_priced_searches_match_walks_on_failed_tree_detours(case, monkeypatch):
     monkeypatch.setattr(pothen_fan, "alternating_reach_total", recording)
     _assert_priced_solvers_match_walks(graph, initial, case)
     assert calls == [expected]
+
+
+#: Hand-built P-DBFS rounds whose searches meet closed regions, with every
+#: failed search closing: ``(edges, n_rows, n_cols, matched (row, col)
+#: pairs, the round-end pricing calls as (starts, groups), the successful
+#: searches' detours as (records, path columns))``.  Both lists hold the
+#: runs at 1, 2 and 8 threads, in that order; free columns are dealt to
+#: the threads in order.
+PDBFS_DETOUR_CASES = {
+    # Column 3 fails and closes rows 0-2.  On one thread, column 4 then
+    # meets rows 0 and 1, whose reaches (columns 0, 2 and 1, 2) share
+    # column 2; on two threads those rows are thread 0's and column 4 fails
+    # at once.
+    "failed-search-enters-two-overlapping-reaches": (
+        [(0, 3), (1, 3), (0, 0), (2, 0), (1, 1), (2, 1), (2, 2), (0, 4), (1, 4)],
+        3, 5, [(0, 0), (1, 1), (2, 2)],
+        [([0, 1], [0, 2])], [],
+    ),
+    # Column 3 fails through the chain 0 -> 1 -> 2 and closes it.  Column
+    # 4 meets row 0 before row 3, then augments through columns 5 and 6:
+    # the walk pops column 0 and then 1 before column 6, and claims row 2
+    # without popping column 2.  The next round fails column 3 again.
+    "augmenting-search-pops-part-of-a-region": (
+        [(0, 3), (0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 4), (3, 4), (3, 5), (4, 5),
+         (4, 6), (5, 6)],
+        6, 7, [(0, 0), (1, 1), (2, 2), (3, 5), (4, 6)],
+        [], [([(0, 1)], [4, 5, 6])],
+    ),
+    # Thread 1's column 1 claims row 0 (matched to column 5) and fails.
+    # Thread 0's column 2 closes row 1 (column 6), which borders row 0, and
+    # its column 4 meets row 1: the pricing stops at row 0.  On one thread
+    # row 0 is the thread's own and column 2's detour crosses it.
+    "region-borders-another-threads-row": (
+        [(0, 1), (0, 5), (1, 2), (1, 6), (0, 6), (1, 4)],
+        2, 7, [(0, 5), (1, 6)],
+        [([5, 6], [0, 1, 2]), ([6], [0, 1])], [],
+    ),
+    # One thread: column 0 closes rows 0 and 1 (columns 4 and 5), column 1
+    # closes row 2 (column 6) after meeting row 1, column 2 meets rows 0
+    # and 2, and column 3 pops column 4 before augmenting through column 7.
+    # Columns 0-2 fail again in the next round.
+    "single-thread-chain-of-regions": (
+        [(0, 0), (0, 4), (1, 4), (1, 5), (2, 1), (1, 1), (2, 6), (0, 2), (2, 2), (0, 3),
+         (3, 3), (3, 7), (4, 7)],
+        5, 8, [(0, 4), (1, 5), (2, 6), (3, 7)],
+        [([5, 4, 6], [0, 1, 3])] * 2 + [([4], [0, 1])] * 2, [([(0, 1)], [3, 7])],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PDBFS_DETOUR_CASES))
+def test_priced_searches_match_walks_on_closed_region_detours(case, monkeypatch):
+    import repro.graph.frontier as frontier
+    import repro.multicore.pdbfs as pdbfs
+
+    monkeypatch.setattr(frontier, "CLOSING_ENTRIES", 0)
+    edges, n_rows, n_cols, pairs, priced, passed = PDBFS_DETOUR_CASES[case]
+    graph, row_match = _matched_graph(edges, n_rows, n_cols, pairs, case)
+    initial = Matching(row_match, np.full(n_cols, UNMATCHED, dtype=np.int64)).canonical()
+    calls = {"priced": [], "passed": []}
+    inner_priced = pdbfs.alternating_reach_total
+    inner_passed = frontier._passed_detours
+
+    def recording_priced(col_ptr, col_ind, mates, starts, **kwargs):
+        if kwargs:  # the sweep's call takes none
+            calls["priced"].append((list(starts), list(kwargs["groups"])))
+        return inner_priced(col_ptr, col_ind, mates, starts, **kwargs)
+
+    def recording_passed(*args):
+        calls["passed"].append((list(args[5]), list(args[7])))
+        return inner_passed(*args)
+
+    monkeypatch.setattr(pdbfs, "alternating_reach_total", recording_priced)
+    monkeypatch.setattr(frontier, "_passed_detours", recording_passed)
+    _assert_priced_solvers_match_walks(graph, initial, case)
+    assert calls == {"priced": priced, "passed": passed}
+
+
+def _forcing_every_closing(monkeypatch):
+    """Close every failed P-DBFS round search; returns the counts of the
+    round-end pricing calls and of the successful searches' detours."""
+    import repro.graph.frontier as frontier
+    import repro.multicore.pdbfs as pdbfs
+
+    monkeypatch.setattr(frontier, "CLOSING_ENTRIES", 0)
+    return (_counting(monkeypatch, pdbfs, "_price_detours"),
+            _counting(monkeypatch, frontier, "_passed_detours"))
+
+
+@pytest.mark.parametrize("kind", ["cold", "warm"])
+def test_forced_closing_matches_walks_on_deficient_graphs(kind, monkeypatch):
+    """With every failed search closed, even the small ones the crossover
+    leaves open, P-DBFS still equals its walk at 1, 2, 3 and 8 threads."""
+    priced, passed = _forcing_every_closing(monkeypatch)
+    for seed in DEFICIENT_SEEDS:
+        graph = _deficient_graph(seed)
+        _assert_pdbfs_matches_walk(graph, _start(graph, kind, seed), f"seed {seed}",
+                                   threads=(1, 2, 3, 8))
+    assert priced and passed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_forced_closing_matches_walks_on_tiny_analogs(seed, monkeypatch):
+    priced, passed = _forcing_every_closing(monkeypatch)
+    for name in instance_names():
+        graph = generate_instance(name, profile="tiny", seed=seed)
+        _assert_pdbfs_matches_walk(graph, _start(graph, "cheap", seed), name,
+                                   threads=(1, 2, 3, 8))
+    assert priced and passed
 
 
 def _counting(monkeypatch, module, attr):
